@@ -14,7 +14,6 @@ from netredist.profiles import (
     ProfileError,
     ReportProfile,
     induce_graph,
-    restrict_profile,
 )
 from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.prst import SharingParams, ShareVector, prst, share_totals
@@ -53,7 +52,6 @@ __all__ = [
     "idm",
     "induce_graph",
     "prst",
-    "restrict_profile",
     "run_auction",
     "run_nrmf",
     "share_totals",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from netredist.critical_tree import CriticalTree, critical_tree
+from netredist.critical_tree import critical_tree
 from netredist.profiles import ReportProfile, induce_graph
 
 ZERO = Fraction(0)
@@ -36,8 +36,10 @@ class AuctionOutcome:
     surplus: Fraction
     winner: Optional[str]
 
-    def utility(self, i: str, true_value: Fraction) -> Fraction:
-        return self.allocation[i] * true_value - self.payment[i]
+
+def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
+    """Quasi-linear utility: the value if the item is allocated, less the payment."""
+    return allocated * value - payment
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,6 @@ def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcom
     return fixed_price(profile, mechanism.price)
 
 
-def _argmax(candidates: Iterable[str], profile: ReportProfile) -> Optional[str]:
-    """Highest reported value; ties go to the lowest agent id."""
-    best = None
-    for i in sorted(candidates):
-        if best is None or profile.value_of(i) > profile.value_of(best):
-            best = i
-    return best
-
-
-def _max_value(candidates: Iterable[str], profile: ReportProfile) -> Fraction:
-    return max((profile.value_of(i) for i in candidates), default=ZERO)
-
-
 def _zero_outcome(profile: ReportProfile) -> tuple[dict[str, int], dict[str, Fraction]]:
     allocation = {i: 0 for i in profile.agents}
     payment = {i: ZERO for i in profile.agents}
@@ -109,11 +98,44 @@ def vcg(profile: ReportProfile) -> AuctionOutcome:
     if not reachable:
         raise EmptyMarketError("no agent is reachable from the sponsor")
     allocation, payment = _zero_outcome(profile)
-    winner = _argmax(reachable, profile)
-    price = _max_value(reachable - {winner}, profile)
+    # max keeps the first of equal values: ties go to the lowest id
+    winner = max(sorted(reachable), key=profile.value_of)
+    price = max((profile.value_of(i) for i in reachable if i != winner), default=ZERO)
     allocation[winner] = 1
     payment[winner] = price
     return AuctionOutcome(allocation, payment, price, winner)
+
+
+def _chain_walk(profile: ReportProfile
+                ) -> tuple[list[str], list[str], list[int], list[Fraction]]:
+    """The top bidder's critical chain and its price ladder.
+
+    Participants are ranked once by (-value, id), so ``ranked[0]`` is the
+    top bidder.  ``chain`` runs from her first branch root down to her.
+    ``firsts[k]`` is ``p(chain[k])``, the rank of the best bid outside
+    ``chain[k]``'s branch (``len(ranked)`` if there is none), and
+    ``prices[k]`` that bid's value, or 0.  Branches only grow up the
+    chain, so one pointer walked bottom-up over the ranking finds every
+    ``p`` in O(n) steps in total.
+    """
+    graph = induce_graph(profile)
+    if not graph.reachable:
+        raise EmptyMarketError("no agent is reachable from the sponsor")
+    tree = critical_tree(graph)
+    # a stable sort by descending value keeps equal values in id order
+    ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
+    chain = tree.ancestors(ranked[0])
+    pre, size = tree.pre, tree.size
+    firsts = [0] * len(chain)
+    p = 0
+    for k in reversed(range(len(chain))):
+        start = pre[chain[k]]
+        end = start + size[chain[k]]
+        while p < len(ranked) and start <= pre[ranked[p]] < end:
+            p += 1
+        firsts[k] = p
+    prices = [profile.value_of(ranked[p]) if p < len(ranked) else ZERO for p in firsts]
+    return ranked, chain, firsts, prices
 
 
 def idm(profile: ReportProfile) -> AuctionOutcome:
@@ -125,19 +147,9 @@ def idm(profile: ReportProfile) -> AuctionOutcome:
     exactly when she is the top bidder once the next ancestor's dependants
     are removed.
     """
-    graph = induce_graph(profile)
-    if not graph.reachable:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
-    tree = critical_tree(graph)
-    top = _argmax(graph.reachable, profile)
-    chain = tree.ancestors(top)
-    prices = _chain_prices(chain, tree, graph.reachable, profile)
-    m = len(chain) - 1
-    for k in range(len(chain) - 1):
-        succ_removed = graph.reachable - tree.branch_members(chain[k + 1])
-        if chain[k] == _argmax(succ_removed, profile):
-            m = k
-            break
+    ranked, chain, firsts, prices = _chain_walk(profile)
+    m = next((k for k in range(len(chain) - 1) if ranked[firsts[k + 1]] == chain[k]),
+             len(chain) - 1)
     allocation, payment = _zero_outcome(profile)
     allocation[chain[m]] = 1
     payment[chain[m]] = prices[m]
@@ -156,31 +168,14 @@ def tnm(profile: ReportProfile) -> AuctionOutcome:
     back exactly what she paid, so intermediaries net zero and the
     sponsor's revenue is the winner's payment.
     """
-    graph = induce_graph(profile)
-    if not graph.reachable:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
-    tree = critical_tree(graph)
-    top = _argmax(graph.reachable, profile)
-    chain = tree.ancestors(top)
-    prices = _chain_prices(chain, tree, graph.reachable, profile)
-    m = len(chain) - 1
-    for k in range(len(chain)):
-        own_removed = graph.reachable - tree.subtree[chain[k]]
-        if chain[k] == _argmax(own_removed, profile):
-            m = k
-            break
+    ranked, chain, firsts, prices = _chain_walk(profile)
+    rank = {i: r for r, i in enumerate(ranked)}
+    # the top bidder ranks first, so the last chain member always stops it
+    m = next(k for k in range(len(chain)) if rank[chain[k]] < firsts[k])
     allocation, payment = _zero_outcome(profile)
     allocation[chain[m]] = 1
     payment[chain[m]] = prices[m]
     return AuctionOutcome(allocation, payment, prices[m], chain[m])
-
-
-def _chain_prices(chain: list[str], tree: CriticalTree,
-                  reachable: frozenset[str], profile: ReportProfile) -> list[Fraction]:
-    """Price ladder along the chain: best bid without each member's dependants."""
-    return [
-        _max_value(reachable - tree.branch_members(c), profile) for c in chain
-    ]
 
 
 def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
@@ -198,7 +193,7 @@ def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
     if not willing:
         return AuctionOutcome(allocation, payment, ZERO, None)
     tree = critical_tree(graph)
-    winner = min(willing, key=lambda i: (tree.depth(i), i))
+    winner = min(willing, key=lambda i: (tree.depth[i], i))
     allocation[winner] = 1
     payment[winner] = price
     return AuctionOutcome(allocation, payment, price, winner)

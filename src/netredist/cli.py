@@ -320,7 +320,7 @@ def _cmd_tree(args) -> int:
             "agent": i,
             "parent": tree.parent[i],
             "branch": tree.root_branches[tree.branch_of[i]],
-            "subtree_size": len(tree.subtree[i]),
+            "subtree_size": tree.size[i] - 1,
         }
         for i in tree.agents
     ]

@@ -5,6 +5,12 @@ off from the sponsor; this is exactly the immediate-dominator tree of the
 induced graph rooted at the sponsor.  The tree is computed with the
 iterative data-flow algorithm (Cooper/Harvey/Kennedy): simple, easy to
 audit, and fast enough for desk-scale instances.
+
+One depth-first pass over the finished tree then indexes it by preorder
+intervals: every participant's preorder position, subtree size and depth.
+A branch (an agent together with everyone who depends on her) is the
+contiguous run of the preorder starting at her, so membership is one
+comparison of positions and the whole index takes O(n) memory.
 """
 
 from __future__ import annotations
@@ -19,17 +25,22 @@ from netredist.profiles import SPONSOR, InducedGraph
 class CriticalTree:
     """Immediate-dominator tree over the participant set.
 
-    ``subtree[i]`` holds the strict descendants of ``i`` (the agents that
-    participate only through ``i``).  ``root_branches`` are the sponsor's
-    children in canonical order and ``branch_of`` maps every participant to
-    the index of its branch in that list.
+    ``preorder`` lists the participants depth first, branch roots and
+    siblings in canonical order; ``pre[i]`` is ``i``'s position in it,
+    ``size[i]`` the number of agents in ``i``'s branch (``i`` included)
+    and ``depth[i]`` her number of critical ancestors, herself included.
+    ``root_branches`` are the sponsor's children in canonical order and
+    ``branch_of`` maps every participant to the index of its branch in
+    that list.
     """
 
     parent: Mapping[str, str]
-    children: Mapping[str, tuple[str, ...]]
-    subtree: Mapping[str, frozenset[str]]
     root_branches: tuple[str, ...]
     branch_of: Mapping[str, int]
+    preorder: tuple[str, ...]
+    pre: Mapping[str, int]
+    size: Mapping[str, int]
+    depth: Mapping[str, int]
 
     @property
     def agents(self) -> list[str]:
@@ -43,11 +54,14 @@ class CriticalTree:
         chain.reverse()
         return chain
 
-    def depth(self, i: str) -> int:
-        return len(self.ancestors(i))
-
     def branch_members(self, root: str) -> frozenset[str]:
-        return self.subtree[root] | {root}
+        """``root`` plus every agent that participates only through her."""
+        start = self.pre[root]
+        return frozenset(self.preorder[start:start + self.size[root]])
+
+    def subtree(self, i: str) -> frozenset[str]:
+        """The strict dependants of ``i``."""
+        return self.branch_members(i) - {i}
 
 
 def critical_tree(graph: InducedGraph) -> CriticalTree:
@@ -55,8 +69,8 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
     order = _reverse_postorder(graph)
     index = {v: k for k, v in enumerate(order)}
     preds: dict[str, list[str]] = {v: [] for v in order}
-    for u, v in graph.edges:
-        if u in index and v in index:
+    for u in order:
+        for v in graph.successors.get(u, ()):
             preds[v].append(u)
 
     idom: dict[str, str | None] = {v: None for v in order}
@@ -77,28 +91,30 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
     children: dict[str, list[str]] = {v: [] for v in order}
     for v in sorted(parent):
         children[parent[v]].append(v)
-
-    subtree: dict[str, frozenset[str]] = {}
-    for v in reversed(order):
-        acc: set[str] = set()
-        for c in children[v]:
-            acc.add(c)
-            acc.update(subtree[c])
-        subtree[v] = frozenset(acc)
-
     root_branches = tuple(children[SPONSOR])
-    branch_of = {}
-    for k, m in enumerate(root_branches):
-        branch_of[m] = k
-        for v in subtree[m]:
-            branch_of[v] = k
-    subtree.pop(SPONSOR)
+
+    preorder: list[str] = []
+    depth: dict[str, int] = {}
+    branch_of: dict[str, int] = {}
+    stack = [(root, 1, k) for k, root in reversed(list(enumerate(root_branches)))]
+    while stack:
+        v, d, k = stack.pop()
+        preorder.append(v)
+        depth[v] = d
+        branch_of[v] = k
+        stack.extend((c, d + 1, k) for c in reversed(children[v]))
+    size = dict.fromkeys(preorder, 1)
+    for v in reversed(preorder):
+        if parent[v] != SPONSOR:
+            size[parent[v]] += size[v]
     return CriticalTree(
         parent=parent,
-        children={v: tuple(cs) for v, cs in children.items()},
-        subtree=subtree,
         root_branches=root_branches,
         branch_of=branch_of,
+        preorder=tuple(preorder),
+        pre={v: k for k, v in enumerate(preorder)},
+        size=size,
+        depth=depth,
     )
 
 

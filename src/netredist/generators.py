@@ -19,7 +19,7 @@ from statistics import median
 from typing import Iterator, Optional, Sequence
 
 from netredist.auctions import MechanismId
-from netredist.critical_tree import critical_tree
+from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.profiles import SPONSOR, AgentType, ReportProfile, induce_graph
 from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
@@ -108,15 +108,10 @@ def generate(model: GrowthModel, n: int) -> ReportProfile:
     return ReportProfile(frozenset(children.get(SPONSOR, ())), reports)
 
 
-def branch_fractions(profile: ReportProfile) -> dict[str, Fraction]:
+def branch_fractions(tree: CriticalTree) -> dict[str, Fraction]:
     """Share of participants sitting in each branch of the critical tree."""
-    graph = induce_graph(profile)
-    tree = critical_tree(graph)
-    n = len(graph.reachable)
-    return {
-        root: Fraction(len(tree.branch_members(root)), n)
-        for root in tree.root_branches
-    }
+    n = len(tree.parent)
+    return {root: Fraction(tree.size[root], n) for root in tree.root_branches}
 
 
 # --- exhaustive enumeration of small tree instances ---------------------
@@ -258,6 +253,31 @@ class ExperimentResult:
         }
 
 
+def _sweep(mechanism: MechanismId,
+           model: GrowthModel,
+           sizes: Sequence[int],
+           seeds: Sequence[int],
+           alpha: Fraction,
+           bound: Optional[Fraction] = None,
+           ) -> Iterator[tuple[ExperimentRecord, ReportProfile, CriticalTree]]:
+    """Run the mechanism with redistribution on one generated network per
+    (size, seed), sizes ascending; yields each record with its profile and
+    critical tree."""
+    params = SharingParams(alpha)
+    for n in sorted(sizes):
+        for seed in seeds:
+            profile = generate(model.with_seed(seed), n)
+            outcome = run_nrmf(mechanism, profile, params)
+            tree = critical_tree(induce_graph(profile))
+            fractions = branch_fractions(tree)
+            record = ExperimentRecord(
+                n=n, seed=seed, surplus=outcome.surplus,
+                max_branch_fraction=max(fractions.values()),
+                branch_count=len(fractions), bound=bound,
+            )
+            yield record, profile, tree
+
+
 def abb_experiment(mechanism: MechanismId,
                    model: GrowthModel,
                    sizes: Sequence[int],
@@ -268,22 +288,11 @@ def abb_experiment(mechanism: MechanismId,
     For fixed-branch growth every record also carries the surplus bound
     ``2 / initial_branches * value_max``.
     """
-    params = SharingParams(alpha)
-    records = []
-    for n in sorted(sizes):
-        for seed in seeds:
-            profile = generate(model.with_seed(seed), n)
-            outcome = run_nrmf(mechanism, profile, params)
-            fractions = branch_fractions(profile)
-            bound = None
-            if model.kind == BRANCH_INDEPENDENT:
-                bound = Fraction(2, model.initial_branches) * model.value_max
-            records.append(ExperimentRecord(
-                n=n, seed=seed, surplus=outcome.surplus,
-                max_branch_fraction=max(fractions.values()),
-                branch_count=len(fractions), bound=bound,
-            ))
-    return ExperimentResult(tuple(records))
+    bound = None
+    if model.kind == BRANCH_INDEPENDENT:
+        bound = Fraction(2, model.initial_branches) * model.value_max
+    sweep = _sweep(mechanism, model, sizes, seeds, alpha, bound)
+    return ExperimentResult(tuple(record for record, _, _ in sweep))
 
 
 def bb_experiment(price: Fraction,
@@ -299,30 +308,18 @@ def bb_experiment(price: Fraction,
     which the surplus must vanish).
     """
     mechanism = MechanismId("fixed_price", price)
-    params = SharingParams(alpha)
     records = []
     two_branch_buyers = 0
     exact_zero = 0
-    for n in sorted(sizes):
-        for seed in seeds:
-            profile = generate(model.with_seed(seed), n)
-            outcome = run_nrmf(mechanism, profile, params)
-            fractions = branch_fractions(profile)
-            tree = critical_tree(induce_graph(profile))
-            branches_with_buyer = sum(
-                1 for root in tree.root_branches
-                if any(profile.value_of(i) >= price
-                       for i in tree.branch_members(root))
-            )
-            if branches_with_buyer >= 2:
-                two_branch_buyers += 1
-            if outcome.surplus == 0:
-                exact_zero += 1
-            records.append(ExperimentRecord(
-                n=n, seed=seed, surplus=outcome.surplus,
-                max_branch_fraction=max(fractions.values()),
-                branch_count=len(fractions),
-            ))
+    for record, profile, tree in _sweep(mechanism, model, sizes, seeds, alpha):
+        buyer_branches = {
+            tree.branch_of[i] for i in tree.parent if profile.value_of(i) >= price
+        }
+        if len(buyer_branches) >= 2:
+            two_branch_buyers += 1
+        if record.surplus == 0:
+            exact_zero += 1
+        records.append(record)
     summary = {
         "runs": len(records),
         "exact_zero": exact_zero,

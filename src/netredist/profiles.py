@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from netredist.render import exact_decimal_str
+
 #: Reserved identifier of the sponsor (the item owner / root of invitations).
 SPONSOR = "s"
 
@@ -98,14 +100,13 @@ def star_profile(values: Mapping[str, object]) -> ReportProfile:
 class InducedGraph:
     """The directed graph induced by a report profile.
 
-    ``reachable`` is the participant set: every vertex with a directed path
-    from the sponsor.
+    ``successors`` maps each vertex to its invitees in sorted order (the
+    sponsor included, edges into the sponsor dropped); ``reachable`` is the
+    participant set: every vertex with a directed path from the sponsor.
     """
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    successors: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False)
     reachable: frozenset[str]
-    successors: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False, default=None)
 
     def reachable_from(self, root: str, removed: frozenset[str] = frozenset()) -> frozenset[str]:
         """Vertices reachable from ``root`` when ``removed`` vertices are deleted."""
@@ -125,39 +126,11 @@ class InducedGraph:
 
 def induce_graph(profile: ReportProfile) -> InducedGraph:
     """Build the invitation graph of a profile and its participant set."""
-    edges = {(SPONSOR, j) for j in profile.sponsor_neighbors}
+    succ = {SPONSOR: tuple(sorted(profile.sponsor_neighbors))}
     for i, t in profile.reports.items():
-        edges.update((i, j) for j in t.neighbors if j != SPONSOR)
-    succ: dict[str, list[str]] = {}
-    for u, v in sorted(edges):
-        succ.setdefault(u, []).append(v)
-    graph = InducedGraph(
-        vertices=frozenset(profile.reports) | {SPONSOR},
-        edges=frozenset(edges),
-        reachable=frozenset(),
-        successors={u: tuple(vs) for u, vs in succ.items()},
-    )
-    reachable = graph.reachable_from(SPONSOR)
-    return InducedGraph(graph.vertices, graph.edges, reachable, graph.successors)
-
-
-def restrict_profile(profile: ReportProfile, blocked_branch: str) -> ReportProfile:
-    """Zero out the reports of one whole branch of the critical tree.
-
-    Every agent in the branch of ``blocked_branch`` (the branch root and the
-    agents it alone connects to the sponsor) is replaced by a (0, {})
-    report; everyone else is untouched.
-    """
-    from netredist.critical_tree import critical_tree  # cycle at import time
-
-    tree = critical_tree(induce_graph(profile))
-    if blocked_branch not in tree.root_branches:
-        raise ProfileError(f"{blocked_branch!r} is not a branch root of the critical tree")
-    blocked = {blocked_branch} | set(tree.subtree[blocked_branch])
-    reports = {
-        i: (NULL_TYPE if i in blocked else t) for i, t in profile.reports.items()
-    }
-    return ReportProfile(profile.sponsor_neighbors, reports)
+        succ[i] = tuple(sorted(j for j in t.neighbors if j != SPONSOR))
+    graph = InducedGraph(succ, frozenset())
+    return InducedGraph(succ, graph.reachable_from(SPONSOR))
 
 
 # --- JSON network format ------------------------------------------------
@@ -174,8 +147,10 @@ def profile_from_dict(data: dict) -> ReportProfile:
     try:
         sponsor_neighbors = data["sponsor_neighbors"]
         agents = data["agents"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise ProfileError(f"missing field: {e}") from None
+    if not isinstance(agents, list):
+        raise ProfileError("agents must be a list of agent entries")
     reports = {}
     for entry in agents:
         try:
@@ -184,6 +159,8 @@ def profile_from_dict(data: dict) -> ReportProfile:
             neighbors = entry.get("neighbors", [])
         except (KeyError, TypeError) as e:
             raise ProfileError(f"malformed agent entry {entry!r}: {e}") from None
+        if not isinstance(agent_id, str):
+            raise ProfileError(f"agent id {agent_id!r} must be a string")
         if not isinstance(raw_value, str):
             raise ProfileError(f"agent {agent_id!r}: value must be a decimal string")
         try:
@@ -192,8 +169,15 @@ def profile_from_dict(data: dict) -> ReportProfile:
             raise ProfileError(f"agent {agent_id!r}: bad value {raw_value!r}") from None
         if agent_id in reports:
             raise ProfileError(f"duplicate agent id {agent_id!r}")
-        reports[agent_id] = AgentType(value, frozenset(neighbors))
-    return ReportProfile(frozenset(sponsor_neighbors), reports)
+        neighbors = _id_set(neighbors, f"agent {agent_id!r}: neighbors")
+        reports[agent_id] = AgentType(value, neighbors)
+    return ReportProfile(_id_set(sponsor_neighbors, "sponsor_neighbors"), reports)
+
+
+def _id_set(raw, what: str) -> frozenset[str]:
+    if not isinstance(raw, list) or not all(isinstance(j, str) for j in raw):
+        raise ProfileError(f"{what} must be a list of string ids")
+    return frozenset(raw)
 
 
 def profile_to_dict(profile: ReportProfile) -> dict:
@@ -202,7 +186,7 @@ def profile_to_dict(profile: ReportProfile) -> dict:
         "agents": [
             {
                 "id": i,
-                "value": _decimal_string(profile.reports[i].value),
+                "value": exact_decimal_str(profile.reports[i].value),
                 "neighbors": sorted(profile.reports[i].neighbors),
             }
             for i in profile.agents
@@ -226,25 +210,3 @@ def save_profile(profile: ReportProfile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(profile_to_dict(profile), fh, indent=2)
         fh.write("\n")
-
-
-def _decimal_string(x: Fraction) -> str:
-    """Exact decimal rendering; falls back to p/q if the value is not decimal."""
-    den = x.denominator
-    two = 0
-    while den % 2 == 0:
-        den //= 2
-        two += 1
-    five = 0
-    while den % 5 == 0:
-        den //= 5
-        five += 1
-    if den != 1:
-        return f"{x.numerator}/{x.denominator}"
-    digits = max(two, five)
-    scaled = x * 10**digits
-    if digits == 0:
-        return str(scaled.numerator)
-    s = str(abs(scaled.numerator)).rjust(digits + 1, "0")
-    sign = "-" if x < 0 else ""
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"

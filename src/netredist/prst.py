@@ -74,22 +74,20 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
     alpha = params.alpha
-    sponsor_subtree = frozenset(tree.parent)  # all agents are below the sponsor
+    n = len(tree.parent)  # all agents are below the sponsor
 
     omega: dict[str, Fraction] = {}
     omega_pass: dict[str, Fraction] = {SPONSOR: ONE}
-    stack = list(reversed(tree.root_branches))
-    while stack:
-        i = stack.pop()
+    # preorder visits every parent before her children
+    for i in tree.preorder:
         p = tree.parent[i]
-        parent_count = len(sponsor_subtree) if p == SPONSOR else len(tree.subtree[p])
-        own_count = len(tree.subtree[i])
+        parent_count = n if p == SPONSOR else tree.size[p] - 1
+        own_count = tree.size[i] - 1
         total = Fraction(own_count + 1, parent_count)
         base = Fraction(1, parent_count - own_count)
         spread = total - base
         omega[i] = omega_pass[p] * (base + spread * alpha)
         omega_pass[i] = omega_pass[p] * spread * (1 - alpha)
-        stack.extend(reversed(tree.children[i]))
 
     share = {i: w * params.reward for i, w in omega.items()}
     return ShareVector(omega=omega, omega_pass=omega_pass, share=share,

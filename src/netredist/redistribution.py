@@ -19,6 +19,7 @@ from netredist.auctions import (
     EmptyMarketError,
     MechanismId,
     run_auction,
+    utility,
     vcg,
 )
 from netredist.critical_tree import critical_tree
@@ -54,9 +55,6 @@ class RedistributionOutcome:
     utilities: dict[str, Fraction]
     winner: Optional[str]
 
-    def utility(self, i: str) -> Fraction:
-        return self.utilities[i]
-
 
 def _finalize(profile: ReportProfile,
               auction: AuctionOutcome,
@@ -69,7 +67,8 @@ def _finalize(profile: ReportProfile,
     }
     values = dict(true_values) if true_values is not None else {}
     utilities = {
-        i: auction.allocation[i] * values.get(i, profile.value_of(i)) - final_payment[i]
+        i: utility(auction.allocation[i], values.get(i, profile.value_of(i)),
+                   final_payment[i])
         for i in profile.agents
     }
     return RedistributionOutcome(
@@ -111,12 +110,10 @@ def run_nrmf(mechanism: MechanismId,
     shares = prst(tree, SharingParams(params.alpha, Fraction(1)))
 
     branch_revenues: dict[str, Fraction] = {}
-    for root in tree.root_branches:
-        # same profile as restrict_profile(profile, root), without
-        # recomputing the tree per branch
-        members = tree.branch_members(root)
+    for k, root in enumerate(tree.root_branches):
+        # the whole branch stays silent: every member reports (0, {})
         blocked = ReportProfile(profile.sponsor_neighbors, {
-            i: (NULL_TYPE if i in members else t)
+            i: (NULL_TYPE if tree.branch_of.get(i) == k else t)
             for i, t in profile.reports.items()
         })
         try:

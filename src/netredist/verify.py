@@ -11,11 +11,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Optional, Sequence
 
 from netredist.profiles import AgentType, ReportProfile, induce_graph
-from netredist.auctions import AuctionOutcome, MechanismId, run_auction
+from netredist.auctions import (
+    AuctionOutcome,
+    EmptyMarketError,
+    MechanismId,
+    run_auction,
+    utility,
+)
 from netredist.critical_tree import critical_tree
 from netredist.prst import SharingParams
 from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
@@ -39,14 +45,10 @@ def cavallo_mechanism() -> Mechanism:
     return cavallo
 
 
-def _payment(outcome, i: str) -> Fraction:
-    if isinstance(outcome, RedistributionOutcome):
-        return outcome.final_payment[i]
-    return outcome.payment[i]
-
-
 def _utility(outcome, i: str, true_value: Fraction) -> Fraction:
-    return outcome.allocation[i] * true_value - _payment(outcome, i)
+    if isinstance(outcome, RedistributionOutcome):
+        return utility(outcome.allocation[i], true_value, outcome.final_payment[i])
+    return utility(outcome.allocation[i], true_value, outcome.payment[i])
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ def _no_new_potential_winner(mechanism: Mechanism,
             i, AgentType(ZERO, larger.reports[i].neighbors))
     try:
         shadow = mechanism(stripped)
-    except Exception:
+    except EmptyMarketError:
         return True
     return shadow.winner not in new_agents
 

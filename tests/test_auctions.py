@@ -17,7 +17,7 @@ from netredist.critical_tree import critical_tree
 from netredist.profiles import ReportProfile, induce_graph
 
 from networks import T, bidder_star, chain, reference_network_10
-from oracles import idm_oracle, random_tree_profile, tnm_oracle
+from oracles import idm_oracle, random_digraph_profile, random_tree_profile, tnm_oracle
 
 
 def test_mechanism_id_parse_and_str():
@@ -123,31 +123,50 @@ def test_tnm_stops_no_later_than_idm():
         # the threshold rule removes each holder's whole dependant set in
         # its winner check, so the item stops at the same hop or earlier
         tree = critical_tree(induce_graph(profile))
-        assert tree.depth(chain_tnm.winner) <= tree.depth(chain_idm.winner)
+        assert tree.depth[chain_tnm.winner] <= tree.depth[chain_idm.winner]
+
+
+def _assert_matches_oracle(mechanism, oracle, profiles):
+    checked = 0
+    for profile in profiles:
+        if not induce_graph(profile).reachable:
+            continue
+        winner, price, payments, revenue = oracle(profile)
+        outcome = mechanism(profile)
+        assert outcome.winner == winner
+        assert outcome.payment[winner] == price
+        assert dict(outcome.payment) == payments
+        assert outcome.surplus == revenue
+        checked += 1
+    assert checked > 0
+
+
+def _random_trees(seed, count=300):
+    rng = random.Random(seed)
+    return [random_tree_profile(rng, rng.randint(1, 8)) for _ in range(count)]
+
+
+def _random_digraphs(seed, count=300):
+    # few distinct values, so the ranking's id tie-break is exercised
+    rng = random.Random(seed)
+    return [random_digraph_profile(rng, rng.randint(1, 9), value_max=3)
+            for _ in range(count)]
 
 
 def test_idm_matches_resale_oracle_on_random_trees():
-    rng = random.Random(20240501)
-    for _ in range(300):
-        profile = random_tree_profile(rng, rng.randint(1, 8))
-        winner, price, payments, revenue = idm_oracle(profile)
-        outcome = idm(profile)
-        assert outcome.winner == winner
-        assert outcome.payment[winner] == price
-        assert dict(outcome.payment) == payments
-        assert outcome.surplus == revenue
+    _assert_matches_oracle(idm, idm_oracle, _random_trees(20240501))
 
 
 def test_tnm_matches_resale_oracle_on_random_trees():
-    rng = random.Random(20240502)
-    for _ in range(300):
-        profile = random_tree_profile(rng, rng.randint(1, 8))
-        winner, price, payments, revenue = tnm_oracle(profile)
-        outcome = tnm(profile)
-        assert outcome.winner == winner
-        assert outcome.payment[winner] == price
-        assert dict(outcome.payment) == payments
-        assert outcome.surplus == revenue
+    _assert_matches_oracle(tnm, tnm_oracle, _random_trees(20240502))
+
+
+def test_idm_matches_resale_oracle_on_random_digraphs():
+    _assert_matches_oracle(idm, idm_oracle, _random_digraphs(20240504))
+
+
+def test_tnm_matches_resale_oracle_on_random_digraphs():
+    _assert_matches_oracle(tnm, tnm_oracle, _random_digraphs(20240505))
 
 
 def test_fixed_price_prefers_shallow_then_low_id():

@@ -175,3 +175,28 @@ def test_precision_flag_controls_rendering(capsys, network_file):
     _, out = run_cli(capsys, "--output", "json", "--precision", "2",
                      "run", network_file)
     assert json.loads(out)["surplus"] == "1.80"
+
+
+@pytest.mark.parametrize("network", [
+    {"sponsor_neighbors": ["A"], "agents": 5},
+    {"sponsor_neighbors": ["B"],
+     "agents": [{"id": 1, "value": "1"}, {"id": "B", "value": "2"}]},
+    {"sponsor_neighbors": ["A"],
+     "agents": [{"id": "A", "value": "1", "neighbors": [["B"]]},
+                {"id": "B", "value": "2"}]},
+    {"sponsor_neighbors": ["A"],
+     "agents": [{"id": "A", "value": "1", "neighbors": "BC"},
+                {"id": "B", "value": "2"}, {"id": "C", "value": "3"}]},
+    {"sponsor_neighbors": "AB",
+     "agents": [{"id": "A", "value": "1"}, {"id": "B", "value": "2"}]},
+], ids=["agents-not-a-list", "numeric-id", "nested-neighbor", "neighbors-string",
+        "sponsor-neighbors-string"])
+def test_malformed_network_is_a_one_line_input_error(capsys, tmp_path, network):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(network))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

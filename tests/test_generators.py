@@ -43,8 +43,8 @@ def test_generated_profile_is_a_fully_reachable_tree():
         assert len(graph.reachable) == 40
         # tree: every agent has exactly one inviter
         inviters = {i: 0 for i in profile.agents}
-        for u, v in graph.edges:
-            if v != SPONSOR:
+        for targets in graph.successors.values():
+            for v in targets:
                 inviters[v] += 1
         assert all(c == 1 for c in inviters.values())
 
@@ -68,7 +68,7 @@ def test_values_live_on_the_configured_grid():
 
 def test_branch_fractions_sum_to_one():
     profile = generate(GrowthModel(seed=11), 60)
-    fractions = branch_fractions(profile)
+    fractions = branch_fractions(critical_tree(induce_graph(profile)))
     assert sum(fractions.values()) == 1
 
 
@@ -78,10 +78,9 @@ def test_max_branch_fraction_trends_down_for_evenly_growing():
     seeds = range(12)
     averages = []
     for n in (20, 100, 400):
-        fractions = [
-            max(branch_fractions(generate(GrowthModel(seed=s), n)).values())
-            for s in seeds
-        ]
+        trees = [critical_tree(induce_graph(generate(GrowthModel(seed=s), n)))
+                 for s in seeds]
+        fractions = [max(branch_fractions(tree).values()) for tree in trees]
         averages.append(mean(fractions))
     assert averages[0] > averages[1] > averages[2]
 

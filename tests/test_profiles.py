@@ -13,7 +13,6 @@ from netredist.profiles import (
     make_profile,
     profile_from_dict,
     profile_to_dict,
-    restrict_profile,
     save_profile,
     star_profile,
 )
@@ -78,7 +77,7 @@ def test_dropping_an_invitation_cuts_off_the_subtree():
 def test_unreachable_agents_are_in_vertices_but_not_reachable():
     profile = make_profile(["A"], {"A": T(1), "Z": T(9)})
     graph = induce_graph(profile)
-    assert "Z" in graph.vertices
+    assert graph.successors["Z"] == ()
     assert "Z" not in graph.reachable
 
 
@@ -86,24 +85,6 @@ def test_reachable_from_with_removals():
     graph = induce_graph(misreport_network())
     assert graph.reachable_from(SPONSOR, frozenset({"B"})) == frozenset("ACF")
     assert graph.reachable_from(SPONSOR, frozenset({SPONSOR})) == frozenset()
-
-
-def test_restrict_profile_blocks_a_whole_branch():
-    profile = reference_network_10()
-    blocked = restrict_profile(profile, "A")
-    reachable = induce_graph(blocked).reachable
-    # A stays reachable (the sponsor still invites her) but is silent;
-    # her whole former subtree is cut off
-    assert reachable == frozenset({"A", "M", "N"})
-    for i in ("A", "H", "J", "K", "L", "G", "E", "F"):
-        assert blocked.value_of(i) == 0
-        assert not blocked.reports[i].neighbors
-    assert blocked.value_of("M") == 9
-
-
-def test_restrict_profile_rejects_non_branch_root():
-    with pytest.raises(ProfileError, match="branch root"):
-        restrict_profile(reference_network_10(), "H")
 
 
 def test_round_trip_through_dict_is_identity():

@@ -115,5 +115,5 @@ def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
     tree = critical_tree(induce_graph(profile))
     shares = prst(tree, SharingParams.of(alpha))
     for i in tree.agents:
-        below = sum((shares.omega[j] for j in tree.subtree[i]), Fraction(0))
+        below = sum((shares.omega[j] for j in tree.subtree(i)), Fraction(0))
         assert shares.omega_pass[i] == below

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from netredist.auctions import MechanismId
+import pytest
+
+from netredist.auctions import MechanismId, vcg
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.verify import (
     DeviationSpace,
@@ -226,3 +228,16 @@ def test_revenue_invariant_skips_pairs_with_potential_winners():
     assert report.verdict
     assert report.checked == 0
     assert report.skipped == len(pairs)
+
+
+def test_revenue_invariant_propagates_mechanism_errors():
+    # Only an empty market may end the shadow run; any other error is a
+    # fault of the mechanism and must not make the pair count as qualifying.
+    def fragile(profile):
+        if any(profile.value_of(i) == 0 for i in profile.agents):
+            raise ValueError("zero bids unsupported")
+        return vcg(profile)
+
+    pairs = leaf_extension_pairs(bidder_star(), Fraction(1))
+    with pytest.raises(ValueError, match="zero bids"):
+        check_revenue_invariant(fragile, pairs)
