@@ -5,16 +5,20 @@ participant set (``vcg``), two diffusion auctions that walk the critical
 ancestor chain of the top bidder (``idm`` and ``tnm``), and a fixed-price
 sale.  Payments are net amounts, positive towards the sponsor; unreachable
 agents always end with zero allocation and zero payment.
+
+Each public auction builds a ``Market`` (graph, critical tree, ranked
+participants) and runs on it; ``auction`` runs on a market built once,
+so redistribution can share it with its counterfactuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from netredist.critical_tree import critical_tree
-from netredist.profiles import ReportProfile, induce_graph
+from netredist.critical_tree import CriticalTree, critical_tree
+from netredist.profiles import InducedGraph, ReportProfile, induce_graph
 
 ZERO = Fraction(0)
 
@@ -75,6 +79,28 @@ class MechanismId:
         return self.kind
 
 
+@dataclass(frozen=True)
+class Market:
+    """One profile's auction index, built once and read by every auction.
+
+    ``ranked`` lists the participants by descending value, ties by id, so
+    ``ranked[0]`` is the top bidder.
+    """
+
+    profile: ReportProfile
+    graph: InducedGraph
+    tree: CriticalTree
+    ranked: tuple[str, ...]
+
+
+def market(profile: ReportProfile) -> Market:
+    """Induce the graph, build its critical tree and rank the participants."""
+    graph = induce_graph(profile)
+    # a stable sort by descending value keeps equal values in id order
+    ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
+    return Market(profile, graph, critical_tree(graph), tuple(ranked))
+
+
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcome:
     """Dispatch to the named mechanism."""
     if mechanism.kind == "vcg":
@@ -86,56 +112,9 @@ def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcom
     return fixed_price(profile, mechanism.price)
 
 
-def _zero_outcome(profile: ReportProfile) -> tuple[dict[str, int], dict[str, Fraction]]:
-    allocation = {i: 0 for i in profile.agents}
-    payment = {i: ZERO for i in profile.agents}
-    return allocation, payment
-
-
 def vcg(profile: ReportProfile) -> AuctionOutcome:
     """Second-price auction over the participant set."""
-    reachable = induce_graph(profile).reachable
-    if not reachable:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
-    allocation, payment = _zero_outcome(profile)
-    # max keeps the first of equal values: ties go to the lowest id
-    winner = max(sorted(reachable), key=profile.value_of)
-    price = max((profile.value_of(i) for i in reachable if i != winner), default=ZERO)
-    allocation[winner] = 1
-    payment[winner] = price
-    return AuctionOutcome(allocation, payment, price, winner)
-
-
-def _chain_walk(profile: ReportProfile
-                ) -> tuple[list[str], list[str], list[int], list[Fraction]]:
-    """The top bidder's critical chain and its price ladder.
-
-    Participants are ranked once by (-value, id), so ``ranked[0]`` is the
-    top bidder.  ``chain`` runs from her first branch root down to her.
-    ``firsts[k]`` is ``p(chain[k])``, the rank of the best bid outside
-    ``chain[k]``'s branch (``len(ranked)`` if there is none), and
-    ``prices[k]`` that bid's value, or 0.  Branches only grow up the
-    chain, so one pointer walked bottom-up over the ranking finds every
-    ``p`` in O(n) steps in total.
-    """
-    graph = induce_graph(profile)
-    if not graph.reachable:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
-    tree = critical_tree(graph)
-    # a stable sort by descending value keeps equal values in id order
-    ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
-    chain = tree.ancestors(ranked[0])
-    pre, size = tree.pre, tree.size
-    firsts = [0] * len(chain)
-    p = 0
-    for k in reversed(range(len(chain))):
-        start = pre[chain[k]]
-        end = start + size[chain[k]]
-        while p < len(ranked) and start <= pre[ranked[p]] < end:
-            p += 1
-        firsts[k] = p
-    prices = [profile.value_of(ranked[p]) if p < len(ranked) else ZERO for p in firsts]
-    return ranked, chain, firsts, prices
+    return auction(MechanismId("vcg"), market(profile))
 
 
 def idm(profile: ReportProfile) -> AuctionOutcome:
@@ -147,15 +126,7 @@ def idm(profile: ReportProfile) -> AuctionOutcome:
     exactly when she is the top bidder once the next ancestor's dependants
     are removed.
     """
-    ranked, chain, firsts, prices = _chain_walk(profile)
-    m = next((k for k in range(len(chain) - 1) if ranked[firsts[k + 1]] == chain[k]),
-             len(chain) - 1)
-    allocation, payment = _zero_outcome(profile)
-    allocation[chain[m]] = 1
-    payment[chain[m]] = prices[m]
-    for k in range(m):
-        payment[chain[k]] = prices[k] - prices[k + 1]
-    return AuctionOutcome(allocation, payment, prices[0], chain[m])
+    return auction(MechanismId("idm"), market(profile))
 
 
 def tnm(profile: ReportProfile) -> AuctionOutcome:
@@ -168,14 +139,7 @@ def tnm(profile: ReportProfile) -> AuctionOutcome:
     back exactly what she paid, so intermediaries net zero and the
     sponsor's revenue is the winner's payment.
     """
-    ranked, chain, firsts, prices = _chain_walk(profile)
-    rank = {i: r for r, i in enumerate(ranked)}
-    # the top bidder ranks first, so the last chain member always stops it
-    m = next(k for k in range(len(chain)) if rank[chain[k]] < firsts[k])
-    allocation, payment = _zero_outcome(profile)
-    allocation[chain[m]] = 1
-    payment[chain[m]] = prices[m]
-    return AuctionOutcome(allocation, payment, prices[m], chain[m])
+    return auction(MechanismId("tnm"), market(profile))
 
 
 def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
@@ -185,15 +149,93 @@ def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
     at minimal critical-tree depth, ties broken by lowest id.  No willing
     buyer means no sale.
     """
-    if price < 0:
-        raise MechanismError("fixed price must be non-negative")
-    graph = induce_graph(profile)
-    allocation, payment = _zero_outcome(profile)
-    willing = [i for i in graph.reachable if profile.value_of(i) >= price]
-    if not willing:
-        return AuctionOutcome(allocation, payment, ZERO, None)
-    tree = critical_tree(graph)
-    winner = min(willing, key=lambda i: (tree.depth[i], i))
+    return auction(MechanismId("fixed_price", price), market(profile))
+
+
+def auction(mechanism: MechanismId, m: Market) -> AuctionOutcome:
+    """Run the named mechanism on an already indexed market."""
+    allocation = {i: 0 for i in m.profile.agents}
+    payment = {i: ZERO for i in m.profile.agents}
+    value = m.profile.value_of
+    if mechanism.kind == "fixed_price":
+        price = surplus = mechanism.price
+        willing = [i for i in m.ranked if value(i) >= price]
+        if not willing:
+            return AuctionOutcome(allocation, payment, ZERO, None)
+        winner = min(willing, key=lambda i: (m.tree.depth[i], i))
+    elif not m.ranked:
+        raise EmptyMarketError("no agent is reachable from the sponsor")
+    elif mechanism.kind == "vcg":
+        winner = m.ranked[0]
+        price = surplus = value(m.ranked[1]) if len(m.ranked) > 1 else ZERO
+    else:
+        chain, outsiders = chain_walk(m.tree, m.ranked, {})
+        prices = [ZERO if o is None else value(o) for o in outsiders]
+        if mechanism.kind == "idm":
+            # a link keeps the item when she tops the market without the
+            # next link's subtree; the top bidder keeps it otherwise
+            k = next((k for k in range(len(chain) - 1) if outsiders[k + 1] == chain[k]),
+                     len(chain) - 1)
+            for j in range(k):
+                payment[chain[j]] = prices[j] - prices[j + 1]
+            surplus = prices[0]
+        else:
+            k = tnm_stop(chain, outsiders, value)
+            surplus = prices[k]
+        winner, price = chain[k], prices[k]
     allocation[winner] = 1
     payment[winner] = price
-    return AuctionOutcome(allocation, payment, price, winner)
+    return AuctionOutcome(allocation, payment, surplus, winner)
+
+
+def chain_walk(tree: CriticalTree,
+               ranked: Iterable[str],
+               hang: Mapping[int, str]) -> tuple[list[str], list[Optional[str]]]:
+    """The top bidder's critical chain and the best bid outside each link.
+
+    ``ranked`` yields the participants best bid first; the first is the
+    top bidder.  ``hang`` re-hangs whole branches: the root of branch
+    ``k`` hangs under agent ``hang[k]`` instead of the sponsor, so a chain
+    may run through several branches.  ``chain`` runs from the topmost
+    critical ancestor down to the top bidder, and ``outsiders[k]`` is the
+    first bidder outside ``chain[k]``'s subtree, or None.  Subtrees only
+    grow up the chain, so one pointer walked bottom-up over the ranking
+    finds every outsider in one pass.
+    """
+    bidders = iter(ranked)
+    top = next(bidders)
+    chain: list[str] = []
+    link: Optional[str] = top
+    while link is not None:
+        segment = tree.ancestors(link)
+        chain[:0] = segment
+        link = hang.get(tree.branch_of[segment[0]])
+
+    pre, size, branch_of = tree.pre, tree.size, tree.branch_of
+    outsiders: list[Optional[str]] = [None] * len(chain)
+    bidder: Optional[str] = top
+    for k in reversed(range(len(chain))):
+        start = pre[chain[k]]
+        end = start + size[chain[k]]
+        branch = branch_of[chain[k]]
+        while bidder is not None:
+            # lift the bidder along re-hung roots into chain[k]'s branch
+            entry = bidder
+            while branch_of[entry] != branch and branch_of[entry] in hang:
+                entry = hang[branch_of[entry]]
+            if not start <= pre[entry] < end:
+                break
+            bidder = next(bidders, None)
+        outsiders[k] = bidder
+    return chain, outsiders
+
+
+def tnm_stop(chain: list[str], outsiders: list[Optional[str]],
+             value: Callable[[str], Fraction]) -> int:
+    """Where ``tnm`` stops: the first link that outbids everyone outside
+    her own subtree (the top bidder always does)."""
+    def key(i: str) -> tuple[Fraction, str]:
+        return -value(i), i
+
+    return next(k for k in range(len(chain))
+                if outsiders[k] is None or key(chain[k]) < key(outsiders[k]))

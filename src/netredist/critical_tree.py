@@ -4,7 +4,9 @@ Each participant's parent is the nearest agent whose absence would cut her
 off from the sponsor; this is exactly the immediate-dominator tree of the
 induced graph rooted at the sponsor.  The tree is computed with the
 iterative data-flow algorithm (Cooper/Harvey/Kennedy): simple, easy to
-audit, and fast enough for desk-scale instances.
+audit, and fast enough for desk-scale instances.  ``immediate_dominators``
+runs that pass on any successor map, so redistribution reuses it on a
+small skeleton graph.
 
 One depth-first pass over the finished tree then indexes it by preorder
 intervals: every participant's preorder position, subtree size and depth.
@@ -16,7 +18,7 @@ comparison of positions and the whole index takes O(n) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from netredist.profiles import SPONSOR, InducedGraph
 
@@ -66,29 +68,8 @@ class CriticalTree:
 
 def critical_tree(graph: InducedGraph) -> CriticalTree:
     """Build the critical tree of ``graph`` restricted to reachable agents."""
-    order = _reverse_postorder(graph)
-    index = {v: k for k, v in enumerate(order)}
-    preds: dict[str, list[str]] = {v: [] for v in order}
-    for u in order:
-        for v in graph.successors.get(u, ()):
-            preds[v].append(u)
-
-    idom: dict[str, str | None] = {v: None for v in order}
-    idom[SPONSOR] = SPONSOR
-    changed = True
-    while changed:
-        changed = False
-        for v in order[1:]:
-            candidates = [p for p in preds[v] if idom[p] is not None]
-            new = candidates[0]
-            for p in candidates[1:]:
-                new = _intersect(new, p, idom, index)
-            if idom[v] != new:
-                idom[v] = new
-                changed = True
-
-    parent = {v: idom[v] for v in order[1:]}
-    children: dict[str, list[str]] = {v: [] for v in order}
+    parent = immediate_dominators(graph.successors, SPONSOR)
+    children: dict[str, list[str]] = {v: [] for v in [SPONSOR, *parent]}
     for v in sorted(parent):
         children[parent[v]].append(v)
     root_branches = tuple(children[SPONSOR])
@@ -118,13 +99,40 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
     )
 
 
-def _reverse_postorder(graph: InducedGraph) -> list[str]:
+def immediate_dominators(successors: Mapping[str, Sequence[str]],
+                         root: str) -> dict[str, str]:
+    """Immediate dominator of every vertex reachable from ``root`` (itself
+    excluded), by the Cooper/Harvey/Kennedy iteration over ``successors``."""
+    order = _reverse_postorder(successors, root)
+    index = {v: k for k, v in enumerate(order)}
+    preds: dict[str, list[str]] = {v: [] for v in order}
+    for u in order:
+        for v in successors.get(u, ()):
+            preds[v].append(u)
+
+    idom: dict[str, str | None] = {v: None for v in order}
+    idom[root] = root
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            candidates = [p for p in preds[v] if idom[p] is not None]
+            new = candidates[0]
+            for p in candidates[1:]:
+                new = _intersect(new, p, idom, index)
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    return {v: idom[v] for v in order[1:]}
+
+
+def _reverse_postorder(successors: Mapping[str, Sequence[str]], root: str) -> list[str]:
     order: list[str] = []
-    seen = {SPONSOR}
-    stack: list[tuple[str, int]] = [(SPONSOR, 0)]
+    seen = {root}
+    stack: list[tuple[str, int]] = [(root, 0)]
     while stack:
         v, i = stack[-1]
-        succ = graph.successors.get(v, ())
+        succ = successors.get(v, ())
         if i < len(succ):
             stack[-1] = (v, i + 1)
             w = succ[i]

@@ -1,34 +1,42 @@
 """Composing an auction with reward sharing so revenue flows back.
 
 ``run_nrmf`` runs the auction, then for every branch hanging off the
-sponsor in the critical tree it simulates the same auction with that
-branch silenced; the revenue the sponsor would still have made is exactly
-what the branch's members may share, so no member can influence her own
-pot.  ``cavallo`` is the classical rebate scheme used as a baseline: on
-star networks the two coincide payment for payment.
+sponsor in the critical tree finds the revenue the same auction would
+make with that branch silenced; that revenue is exactly what the
+branch's members may share, so no member can influence her own pot.
+``cavallo`` is the classical rebate scheme used as a baseline: on star
+networks the two coincide payment for payment.
+
+No counterfactual re-runs the auction.  The sponsor reaches every agent
+outside a branch by a path that avoids the branch root (the root
+dominates its branch), so silencing the branch keeps each of them a
+participant, keeps every other branch's inner tree, and keeps the
+silenced root in at value 0 with no invitees; only roots the sponsor did
+not invite can re-hang, under an agent of another branch.  So each
+counterfactual is read off the one ``Market`` index built for the actual
+auction: the ranked bids with the branch skipped, and for the chain
+auctions the same chain walk over the tree with those roots re-hung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from netredist.auctions import (
     AuctionOutcome,
     EmptyMarketError,
+    Market,
     MechanismId,
-    run_auction,
+    auction,
+    chain_walk,
+    market,
+    tnm_stop,
     utility,
-    vcg,
 )
-from netredist.critical_tree import critical_tree
-from netredist.profiles import (
-    NULL_TYPE,
-    ProfileError,
-    ReportProfile,
-    induce_graph,
-)
+from netredist.critical_tree import immediate_dominators
+from netredist.profiles import SPONSOR, ProfileError, ReportProfile
 from netredist.prst import SharingParams, prst
 
 ZERO = Fraction(0)
@@ -94,8 +102,8 @@ def run_nrmf(mechanism: MechanismId,
     are pure proportions; ``params.reward`` is ignored here.  A profile
     with no reachable agent yields the all-zero outcome.
     """
-    graph = induce_graph(profile)
-    if not graph.reachable:
+    m = market(profile)
+    if not m.ranked:
         empty = AuctionOutcome(
             allocation={i: 0 for i in profile.agents},
             payment={i: ZERO for i in profile.agents},
@@ -105,29 +113,123 @@ def run_nrmf(mechanism: MechanismId,
         zero = {i: ZERO for i in profile.agents}
         return _finalize(profile, empty, zero, {}, (), true_values)
 
-    auction = run_auction(mechanism, profile)
-    tree = critical_tree(graph)
+    tree = m.tree
     shares = prst(tree, SharingParams(params.alpha, Fraction(1)))
-
-    branch_revenues: dict[str, Fraction] = {}
-    for k, root in enumerate(tree.root_branches):
-        # the whole branch stays silent: every member reports (0, {})
-        blocked = ReportProfile(profile.sponsor_neighbors, {
-            i: (NULL_TYPE if tree.branch_of.get(i) == k else t)
-            for i, t in profile.reports.items()
-        })
-        try:
-            branch_revenues[root] = run_auction(mechanism, blocked).surplus
-        except EmptyMarketError:
-            branch_revenues[root] = ZERO
-
+    branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m)))
     redistribution = {i: ZERO for i in profile.agents}
-    for i in graph.reachable:
+    for i in tree.preorder:
         root = tree.root_branches[tree.branch_of[i]]
         redistribution[i] = shares.omega[i] * branch_revenues[root]
 
-    return _finalize(profile, auction, redistribution, branch_revenues,
-                     tree.root_branches, true_values)
+    return _finalize(profile, auction(mechanism, m), redistribution,
+                     branch_revenues, tree.root_branches, true_values)
+
+
+def _branch_revenues(mechanism: MechanismId, m: Market) -> list[Fraction]:
+    """The auction's revenue with each sponsor branch silenced in turn.
+
+    Second-price and posted-price revenue need only the best two bids
+    once the branch root is silenced; the chain auctions walk the top
+    bidder's chain in the tree with the roots re-hung as ``_rehangs`` finds.
+    """
+    roots = m.tree.root_branches
+    if mechanism.kind == "vcg":
+        return [_best_two(m, root)[1] for root in roots]
+    if mechanism.kind == "fixed_price":
+        price = mechanism.price
+        return [price if _best_two(m, root)[0] >= price else ZERO for root in roots]
+    return [_chain_revenue(mechanism.kind, m, root, hang)
+            for root, hang in zip(roots, _rehangs(m))]
+
+
+def _chain_revenue(kind: str, m: Market, root: str, hang: dict[int, str]) -> Fraction:
+    """``idm`` or ``tnm`` revenue with the branch of ``root`` silenced."""
+    def value(i: Optional[str]) -> Fraction:
+        return _bid(m, root, i)
+
+    chain, outsiders = chain_walk(m.tree, _silenced_ranking(m, root), hang)
+    return value(outsiders[0 if kind == "idm" else tnm_stop(chain, outsiders, value)])
+
+
+def _silenced_ranking(m: Market, silenced: str) -> Iterator[str]:
+    """The participants best bid first once ``silenced`` reports nothing:
+    everyone depending on her drops out and she stays in, bidding 0."""
+    pre = m.tree.pre
+    start = pre[silenced]
+    end = start + m.tree.size[silenced]
+    waiting = True
+    for i in m.ranked:
+        if start <= pre[i] < end:
+            continue
+        # zero bids come last, in id order
+        if waiting and m.profile.value_of(i) == 0 and i > silenced:
+            waiting = False
+            yield silenced
+        yield i
+    if waiting:
+        yield silenced
+
+
+def _bid(m: Market, silenced: str, i: Optional[str]) -> Fraction:
+    """``i``'s bid once ``silenced`` reports nothing; 0 for no bidder."""
+    return ZERO if i is None or i == silenced else m.profile.value_of(i)
+
+
+def _best_two(m: Market, silenced: str) -> tuple[Fraction, Fraction]:
+    """The two best bids once ``silenced`` reports nothing, 0 where missing."""
+    bids = _silenced_ranking(m, silenced)
+    return _bid(m, silenced, next(bids)), _bid(m, silenced, next(bids, None))
+
+
+def _rehangs(m: Market) -> list[dict[int, str]]:
+    """For each silenced branch ``b``, where the branch roots hang.
+
+    A root the sponsor invites stays under her.  Another root may move
+    under an agent of another branch, and an invitation leaving a branch
+    can only enter another branch at its root.  So the new parents are
+    the dominators of a skeleton: the sponsor, the branch roots, the
+    agents inviting across branches and the tree LCAs of those, each
+    branch linked along its own tree, plus the crossing invitations, with
+    ``b``'s members other than its root left out.  ``result[b][c]`` is the
+    agent under which branch ``c``'s root hangs with ``b`` silenced;
+    roots left under the sponsor are absent.
+    """
+    tree, successors = m.tree, m.graph.successors
+    roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
+    if all(r in successors[SPONSOR] for r in roots):
+        return [{} for _ in roots]
+
+    def contains(a: str, i: str) -> bool:
+        return pre[a] <= pre[i] < pre[a] + size[a]
+
+    def lca(a: str, i: str) -> str:
+        while not contains(a, i):
+            a = tree.parent[a]
+        return a
+
+    crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
+                for i in tree.preorder}
+    crossing = {i: js for i, js in crossing.items() if js}
+    nodes = sorted({*roots, *crossing}, key=pre.__getitem__)
+    nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
+                              if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
+    edges = {v: list(crossing.get(v, ())) for v in nodes}
+    above: list[str] = []
+    for v in nodes:
+        while above and not contains(above[-1], v):
+            above.pop()
+        if above:
+            edges[above[-1]].append(v)
+        above.append(v)
+
+    rehangs = []
+    for b, silenced in enumerate(roots):
+        skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
+                    if branch_of[v] != b or v == silenced}
+        skeleton[SPONSOR] = successors[SPONSOR]
+        parent = immediate_dominators(skeleton, SPONSOR)
+        rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
+    return rehangs
 
 
 def cavallo(profile: ReportProfile,
@@ -136,23 +238,17 @@ def cavallo(profile: ReportProfile,
 
     Every participant is rebated 1/n of the second-price revenue computed
     with her report silenced; the highest bidder wins at the second price.
+    That revenue is the second best bid once ``i`` is silenced, or 0.
     """
-    graph = induce_graph(profile)
-    n = len(graph.reachable)
+    m = market(profile)
+    n = len(m.ranked)
     if n == 0:
         raise EmptyMarketError("no agent is reachable from the sponsor")
-    auction = vcg(profile)
-
     rebates = {i: ZERO for i in profile.agents}
-    for i in sorted(graph.reachable):
-        without = profile.replace(i, NULL_TYPE)
-        try:
-            revenue = vcg(without).surplus
-        except EmptyMarketError:
-            revenue = ZERO
-        rebates[i] = Fraction(revenue, n)
-
-    return _finalize(profile, auction, rebates, {}, (), true_values)
+    for i in m.ranked:
+        rebates[i] = _best_two(m, i)[1] / n
+    return _finalize(profile, auction(MechanismId("vcg"), m), rebates, {}, (),
+                     true_values)
 
 
 def check_cavallo_equivalence(profile: ReportProfile) -> bool:

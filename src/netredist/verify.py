@@ -198,10 +198,13 @@ def check_ic(mechanism: Mechanism,
         warnings = ("no instances supplied; vacuous pass",)
     checked = 0
     for profile in instances:
+        if not profile.reports:
+            continue
         grid = space.valuation_grid(profile)
+        truthful = mechanism(profile)
         for i in profile.agents:
             truth = profile.reports[i]
-            honest = _utility(mechanism(profile), i, truth.value)
+            honest = _utility(truthful, i, truth.value)
             for subset in space.neighbor_subsets(truth.neighbors):
                 for v in grid:
                     deviation = AgentType(v, subset)

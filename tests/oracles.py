@@ -1,8 +1,11 @@
 """Brute-force oracles used to cross-check the library implementations.
 
-Everything here is deliberately naive and built on raw reachability
-queries only, so it shares no code path with the dominator-tree or
-auction implementations it audits.
+Everything here is deliberately naive.  The cut-point and resale oracles
+are built on raw reachability queries only, so they share no code path
+with the dominator-tree or auction implementations they audit.  The
+re-run oracles for the redistribution counterfactuals rebuild a silenced
+copy of the profile and run the public auction on it once per branch or
+agent, so they share the auctions but not the counterfactual index.
 """
 
 from __future__ import annotations
@@ -10,13 +13,24 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from netredist.auctions import (
+    AuctionOutcome,
+    EmptyMarketError,
+    MechanismId,
+    run_auction,
+    vcg,
+)
+from netredist.critical_tree import critical_tree
 from netredist.profiles import (
+    NULL_TYPE,
     SPONSOR,
     AgentType,
     InducedGraph,
     ReportProfile,
     induce_graph,
 )
+from netredist.prst import SharingParams, prst
+from netredist.redistribution import _finalize
 
 ZERO = Fraction(0)
 
@@ -130,6 +144,55 @@ def tnm_oracle(profile: ReportProfile):
         payments[chain[k]] = paid - refunded
         revenue += paid - refunded
     return chain[m], prices[m], payments, revenue
+
+
+# --- re-run oracles for the redistribution counterfactuals --------------
+
+
+def _revenue(mechanism: MechanismId, profile: ReportProfile) -> Fraction:
+    try:
+        return run_auction(mechanism, profile).surplus
+    except EmptyMarketError:
+        return ZERO
+
+
+def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
+                      params: SharingParams):
+    """``run_nrmf`` by brute force: each branch's revenue comes from
+    re-running the auction on a copy of the profile in which every member
+    of that branch reports ``NULL_TYPE``."""
+    graph = induce_graph(profile)
+    if not graph.reachable:
+        empty = AuctionOutcome({i: 0 for i in profile.agents},
+                               {i: ZERO for i in profile.agents}, ZERO, None)
+        zero = {i: ZERO for i in profile.agents}
+        return _finalize(profile, empty, zero, {}, (), None)
+    tree = critical_tree(graph)
+    shares = prst(tree, SharingParams(params.alpha, Fraction(1)))
+    branch_revenues = {}
+    for k, root in enumerate(tree.root_branches):
+        blocked = ReportProfile(profile.sponsor_neighbors, {
+            i: (NULL_TYPE if tree.branch_of.get(i) == k else t)
+            for i, t in profile.reports.items()
+        })
+        branch_revenues[root] = _revenue(mechanism, blocked)
+    redistribution = {i: ZERO for i in profile.agents}
+    for i in graph.reachable:
+        root = tree.root_branches[tree.branch_of[i]]
+        redistribution[i] = shares.omega[i] * branch_revenues[root]
+    return _finalize(profile, run_auction(mechanism, profile), redistribution,
+                     branch_revenues, tree.root_branches, None)
+
+
+def cavallo_rerun_oracle(profile: ReportProfile):
+    """``cavallo`` by brute force: each rebate re-runs the second-price
+    auction with that one agent's report silenced."""
+    reachable = induce_graph(profile).reachable
+    rebates = {i: ZERO for i in profile.agents}
+    for i in sorted(reachable):
+        revenue = _revenue(MechanismId("vcg"), profile.replace(i, NULL_TYPE))
+        rebates[i] = Fraction(revenue, len(reachable))
+    return _finalize(profile, vcg(profile), rebates, {}, (), None)
 
 
 # --- random instance generation -----------------------------------------

@@ -3,19 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from netredist.auctions import MechanismId
-from netredist.profiles import ProfileError, ReportProfile, induce_graph
+from netredist import auctions
+from netredist.auctions import MechanismId, market
+from netredist.generators import EVENLY_GROWING, GrowthModel, generate
+from netredist.profiles import (
+    AgentType,
+    ProfileError,
+    ReportProfile,
+    induce_graph,
+    make_profile,
+)
 from netredist.prst import SharingParams
 from netredist.redistribution import (
+    _rehangs,
     cavallo,
     check_cavallo_equivalence,
     run_nrmf,
 )
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
-from oracles import random_tree_profile
+from oracles import (
+    cavallo_rerun_oracle,
+    nrmf_rerun_oracle,
+    random_digraph_profile,
+    random_tree_profile,
+)
 
 HALF = SharingParams.of(Fraction(1, 2))
+MECHANISMS = [MechanismId.parse(m) for m in ("vcg", "idm", "tnm", "fixed:3", "fixed:0")]
 
 
 def test_final_payment_identity_holds_exactly():
@@ -140,3 +155,96 @@ def test_redistribution_never_exceeds_auction_revenue_on_trees():
         outcome = run_nrmf(MechanismId("idm"), profile, HALF)
         auction_revenue = sum(outcome.auction_payment.values())
         assert sum(outcome.redistribution.values()) <= auction_revenue
+
+
+def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(auctions, name)
+
+        def wrapper(arg):
+            calls.append(name)
+            return real(arg)
+        return wrapper
+
+    for name in ("induce_graph", "critical_tree"):
+        monkeypatch.setattr(auctions, name, counted(name))
+    for mech in MECHANISMS:
+        calls.clear()
+        run_nrmf(mech, reference_network_10(), HALF)
+        assert calls == ["induce_graph", "critical_tree"]
+    calls.clear()
+    cavallo(reference_network_10())
+    assert calls == ["induce_graph", "critical_tree"]
+
+
+def test_silencing_a_branch_rehangs_a_root_under_another_branch():
+    # R is invited by A and B, not by the sponsor, so it roots its own
+    # branch; with A silenced it hangs under B, with B silenced under A
+    profile = make_profile(
+        ["A", "B", "C"],
+        {
+            "A": T(1, ["R"]),
+            "B": T(5, ["R"]),
+            "C": T(3),
+            "R": T(2, ["Rc"]),
+            "Rc": T(10),
+        },
+    )
+    assert _rehangs(market(profile)) == [{3: "B"}, {3: "A"}, {}, {}]
+    # with A silenced the chain is B, R, Rc: idm prices it at the best bid
+    # outside B's branch (C: 3) and tnm stops at B.  Left under the sponsor,
+    # R would head the chain, and both would charge B's 5 instead.
+    expected = {
+        "idm": {"A": 3, "B": 3, "C": 5, "R": 3},
+        "tnm": {"A": 3, "B": 3, "C": 5, "R": 3},
+        "vcg": {"A": 5, "B": 3, "C": 5, "R": 3},
+        "fixed:6": {"A": 6, "B": 6, "C": 6, "R": 0},
+    }
+    for mech, revenues in expected.items():
+        outcome = run_nrmf(MechanismId.parse(mech), profile, HALF)
+        assert outcome.branch_roots == ("A", "B", "C", "R")
+        assert outcome.branch_revenues == revenues, mech
+
+
+def test_nrmf_matches_rerun_oracle_on_random_digraphs():
+    rng = random.Random(20240701)
+    rehung = 0
+    for _ in range(2000):
+        profile = random_digraph_profile(rng, rng.randint(1, 9),
+                                         edge_prob=rng.choice((0.15, 0.3, 0.5)),
+                                         value_max=rng.choice((0, 1, 3, 20)))
+        m = market(profile)
+        rehung += bool(m.ranked) and any(_rehangs(m))
+        for mech in MECHANISMS:
+            assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
+    assert rehung > 200  # the counterfactual trees often differ from the actual one
+
+
+def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
+    rng = random.Random(20240702)
+    rehung = 0
+    for seed in range(60):
+        model = GrowthModel(kind=EVENLY_GROWING, initial_branches=rng.randint(1, 5),
+                            value_max=rng.choice((1, 3, 10)), seed=seed)
+        tree = generate(model, rng.randint(10, 50))
+        reports = dict(tree.reports)
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.sample(sorted(reports), 2)
+            reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
+        profile = ReportProfile(tree.sponsor_neighbors, reports)
+        rehung += any(_rehangs(market(profile)))
+        for mech in MECHANISMS:
+            assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
+    assert rehung > 10
+
+
+def test_cavallo_matches_rerun_oracle_on_random_digraphs():
+    rng = random.Random(20240703)
+    for _ in range(1000):
+        profile = random_digraph_profile(rng, rng.randint(1, 9),
+                                         edge_prob=rng.choice((0.15, 0.3, 0.5)),
+                                         value_max=rng.choice((0, 1, 3, 20)))
+        if induce_graph(profile).reachable:
+            assert cavallo(profile) == cavallo_rerun_oracle(profile)

@@ -106,6 +106,22 @@ def test_ic_passes_for_nrmf_chain_auctions_on_small_trees():
         assert report.verdict, report.to_dict()
 
 
+def test_ic_evaluates_the_truthful_profile_once_per_instance():
+    inner = nrmf_mechanism(MechanismId("idm"), HALF)
+    profiles = []
+
+    def counted(profile):
+        profiles.append(profile)
+        return inner(profile)
+
+    network = reference_network_10()
+    report = check_ic(counted, [network, ReportProfile(frozenset(), {})])
+    assert report.verdict
+    assert report.checked == 425
+    assert profiles.count(network) == 1
+    assert len(profiles) == 1 + report.checked
+
+
 def test_nd_passes_and_counts_instances():
     instances = small_instances()
     report = check_nd(nrmf_mechanism(MechanismId("idm"), HALF), instances)
