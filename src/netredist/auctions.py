@@ -102,14 +102,8 @@ def market(profile: ReportProfile) -> Market:
 
 
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcome:
-    """Dispatch to the named mechanism."""
-    if mechanism.kind == "vcg":
-        return vcg(profile)
-    if mechanism.kind == "idm":
-        return idm(profile)
-    if mechanism.kind == "tnm":
-        return tnm(profile)
-    return fixed_price(profile, mechanism.price)
+    """Run the named mechanism on ``profile``."""
+    return auction(mechanism, market(profile))
 
 
 def vcg(profile: ReportProfile) -> AuctionOutcome:

@@ -128,6 +128,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"error: bad --alpha {args.alpha!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.precision < 0:
+        print(f"error: --precision must be >= 0, got {args.precision}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         if args.command == "run":
             return _cmd_run(args, alpha)
@@ -341,11 +345,12 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     profile = load_profile(args.network)
     tree = critical_tree(induce_graph(profile))
     shares = prst(tree, SharingParams(alpha, reward))
+    share = shares.share
     rows = [
         {
             "agent": i,
             "omega": str(shares.omega[i]),
-            "share": decimal_str(shares.share[i], args.precision),
+            "share": decimal_str(share[i], args.precision),
         }
         for i in tree.agents
     ]

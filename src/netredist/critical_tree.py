@@ -61,10 +61,6 @@ class CriticalTree:
         start = self.pre[root]
         return frozenset(self.preorder[start:start + self.size[root]])
 
-    def subtree(self, i: str) -> frozenset[str]:
-        """The strict dependants of ``i``."""
-        return self.branch_members(i) - {i}
-
 
 def critical_tree(graph: InducedGraph) -> CriticalTree:
     """Build the critical tree of ``graph`` restricted to reachable agents."""

@@ -13,8 +13,9 @@ is its own critical tree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations
 from statistics import median
 from typing import Iterator, Optional, Sequence
 
@@ -25,6 +26,8 @@ from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
 
 ZERO = Fraction(0)
+
+VALUE_DENOMINATOR = 100
 
 EVENLY_GROWING = "evenly_growing"
 BRANCH_INDEPENDENT = "branch_independent"
@@ -38,14 +41,13 @@ class GenerationError(ValueError):
 class GrowthModel:
     """How a random invitation tree grows and how values are drawn.
 
-    Values are uniform on the grid {0, 1/denominator, ..., value_max};
-    the fixed denominator keeps them exact rationals.
+    Values are uniform on the multiples of ``1 / VALUE_DENOMINATOR`` from 0
+    to ``value_max``; the fixed denominator keeps them exact rationals.
     """
 
     kind: str = EVENLY_GROWING
     initial_branches: int = 4
     value_max: int = 100
-    value_denominator: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,12 +55,11 @@ class GrowthModel:
             raise GenerationError(f"unknown growth model {self.kind!r}")
         if self.initial_branches < 1:
             raise GenerationError("initial_branches must be >= 1")
-        if self.value_max <= 0 or self.value_denominator <= 0:
+        if self.value_max <= 0:
             raise GenerationError("value distribution bounds must be positive")
 
     def with_seed(self, seed: int) -> "GrowthModel":
-        return GrowthModel(self.kind, self.initial_branches, self.value_max,
-                           self.value_denominator, seed)
+        return replace(self, seed=seed)
 
 
 def _agent_id(k: int) -> str:
@@ -102,8 +103,8 @@ def generate(model: GrowthModel, n: int) -> ReportProfile:
         children.setdefault(p, set()).add(i)
     reports = {}
     for i in parents:
-        value = Fraction(rng.randint(0, model.value_max * model.value_denominator),
-                         model.value_denominator)
+        value = Fraction(rng.randint(0, model.value_max * VALUE_DENOMINATOR),
+                         VALUE_DENOMINATOR)
         reports[i] = AgentType(value, frozenset(children.get(i, ())))
     return ReportProfile(frozenset(children.get(SPONSOR, ())), reports)
 
@@ -168,27 +169,22 @@ def tree_profile(parents: Sequence[int], values: Sequence) -> ReportProfile:
     return ReportProfile(frozenset(children.get(-1, ())), reports)
 
 
-def small_tree_instances(max_agents: int,
-                         permutations_cap: int = 3,
-                         exhaustive_up_to: int = 4,
-                         seed: int = 0) -> list[ReportProfile]:
+def small_tree_instances(max_agents: int, seed: int = 0) -> list[ReportProfile]:
     """Every tree shape up to ``max_agents``, with valuation assignments.
 
-    Shapes are exhaustive; valuations are all permutations of {1..n} for
-    small n and a seeded sample of permutations beyond that.
+    Shapes are exhaustive; valuations are all permutations of {1..n} up
+    to four agents and three seeded permutations beyond that.
     """
-    from itertools import permutations
-
     rng = random.Random(seed)
     instances = []
     for parents in rooted_tree_shapes(max_agents):
         n = len(parents)
         base = list(range(1, n + 1))
-        if n <= exhaustive_up_to:
+        if n <= 4:
             assignments = list(permutations(base))
         else:
             assignments = []
-            for _ in range(permutations_cap):
+            for _ in range(3):
                 perm = base[:]
                 rng.shuffle(perm)
                 assignments.append(tuple(perm))

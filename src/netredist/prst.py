@@ -48,13 +48,19 @@ class ShareVector:
 
     ``omega[i]`` is the fraction of the reward kept by ``i``;
     ``omega_pass[i]`` the fraction handed on to ``i``'s subtree
-    (``omega_pass[s] == 1``); ``share[i] == omega[i] * reward``.
+    (``omega_pass[s] == 1``).  The coefficients do not depend on the
+    reward.
     """
 
     omega: Mapping[str, Fraction]
     omega_pass: Mapping[str, Fraction]
-    share: Mapping[str, Fraction]
     reward: Fraction
+
+    @property
+    def share(self) -> dict[str, Fraction]:
+        """Monetary shares, ``share[i] == omega[i] * reward``; built anew
+        on every access."""
+        return {i: w * self.reward for i, w in self.omega.items()}
 
 
 def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
@@ -89,9 +95,7 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
         omega[i] = omega_pass[p] * (base + spread * alpha)
         omega_pass[i] = omega_pass[p] * spread * (1 - alpha)
 
-    share = {i: w * params.reward for i, w in omega.items()}
-    return ShareVector(omega=omega, omega_pass=omega_pass, share=share,
-                       reward=params.reward)
+    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
 
 
 def share_totals(shares: ShareVector) -> Fraction:

@@ -98,9 +98,9 @@ def run_nrmf(mechanism: MechanismId,
              true_values: Optional[Mapping[str, Fraction]] = None) -> RedistributionOutcome:
     """Run the auction and share each branch's counterfactual revenue.
 
-    The reward inside the sharing step is fixed to 1, so the coefficients
-    are pure proportions; ``params.reward`` is ignored here.  A profile
-    with no reachable agent yields the all-zero outcome.
+    Only the sharing coefficients ``omega`` are used, and they are pure
+    proportions; ``params.reward`` is ignored here.  A profile with no
+    reachable agent yields the all-zero outcome.
     """
     m = market(profile)
     if not m.ranked:
@@ -114,7 +114,7 @@ def run_nrmf(mechanism: MechanismId,
         return _finalize(profile, empty, zero, {}, (), true_values)
 
     tree = m.tree
-    shares = prst(tree, SharingParams(params.alpha, Fraction(1)))
+    shares = prst(tree, params)
     branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m)))
     redistribution = {i: ZERO for i in profile.agents}
     for i in tree.preorder:

@@ -51,54 +51,47 @@ def _utility(outcome, i: str, true_value: Fraction) -> Fraction:
     return utility(outcome.allocation[i], true_value, outcome.payment[i])
 
 
-@dataclass(frozen=True)
-class DeviationSpace:
-    """Finite stand-in for "all possible reports" of a single agent.
+# The deviation space: a finite stand-in for "all possible reports" of a
+# single agent.  The valuation grid holds 0, every distinct value present in
+# the instance, and each of those shifted one unit up and down; the
+# implemented mechanisms are piecewise constant between the order
+# statistics of the reports, so this grid separates all outcome regions.
+# Neighbour deviations enumerate the full powerset up to the degree cap and
+# fall back to seeded sampling above it.
+UNIT_STEP = Fraction(1)
+POWERSET_DEGREE_CAP = 8
+SUBSET_SAMPLES = 32
+SUBSET_SEED = 0
+DEVIATION_SPACE = (
+    f"valuation grid = instance order statistics +/- {UNIT_STEP} and 0; "
+    f"neighbour powerset up to degree {POWERSET_DEGREE_CAP}, "
+    f"{SUBSET_SAMPLES} seeded samples beyond"
+)
 
-    The valuation grid always contains 0, every distinct value present in
-    the instance, and each of those shifted by one unit step up and down;
-    the implemented mechanisms are piecewise constant between the order
-    statistics of the reports, so this grid separates all outcome regions.
-    Neighbour deviations enumerate the full powerset up to the degree cap
-    and fall back to seeded sampling above it.
-    """
 
-    unit_step: Fraction = Fraction(1)
-    extra_values: tuple[Fraction, ...] = ()
-    powerset_degree_cap: int = 8
-    subset_samples: int = 32
-    seed: int = 0
+def valuation_grid(profile: ReportProfile) -> list[Fraction]:
+    values = {ZERO}
+    for i in profile.agents:
+        v = profile.value_of(i)
+        values.update((v, v + UNIT_STEP))
+        if v >= UNIT_STEP:
+            values.add(v - UNIT_STEP)
+    return sorted(values)
 
-    def valuation_grid(self, profile: ReportProfile) -> list[Fraction]:
-        values = {ZERO}
-        for i in profile.agents:
-            v = profile.value_of(i)
-            values.update((v, v + self.unit_step))
-            if v >= self.unit_step:
-                values.add(v - self.unit_step)
-        values.update(self.extra_values)
-        return sorted(values)
 
-    def neighbor_subsets(self, neighbors: frozenset[str]) -> list[frozenset[str]]:
-        items = sorted(neighbors)
-        if len(items) <= self.powerset_degree_cap:
-            return [
-                frozenset(c)
-                for r in range(len(items) + 1)
-                for c in combinations(items, r)
-            ]
-        rng = random.Random(self.seed)
-        subsets = {frozenset(), frozenset(items)}
-        while len(subsets) < self.subset_samples:
-            subsets.add(frozenset(i for i in items if rng.random() < 0.5))
-        return sorted(subsets, key=sorted)
-
-    def describe(self) -> str:
-        return (
-            f"valuation grid = instance order statistics +/- {self.unit_step} and 0; "
-            f"neighbour powerset up to degree {self.powerset_degree_cap}, "
-            f"{self.subset_samples} seeded samples beyond"
-        )
+def neighbor_subsets(neighbors: frozenset[str]) -> list[frozenset[str]]:
+    items = sorted(neighbors)
+    if len(items) <= POWERSET_DEGREE_CAP:
+        return [
+            frozenset(c)
+            for r in range(len(items) + 1)
+            for c in combinations(items, r)
+        ]
+    rng = random.Random(SUBSET_SEED)
+    subsets = {frozenset(), frozenset(items)}
+    while len(subsets) < SUBSET_SAMPLES:
+        subsets.add(frozenset(i for i in items if rng.random() < 0.5))
+    return sorted(subsets, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -169,12 +162,11 @@ def check_ir(mechanism: Mechanism,
     warnings = ()
     if not instances:
         warnings = ("no instances supplied; vacuous pass",)
-    space = DeviationSpace()
     checked = 0
     for profile in instances:
         for i in profile.agents:
             truth = profile.reports[i]
-            for subset in space.neighbor_subsets(truth.neighbors):
+            for subset in neighbor_subsets(truth.neighbors):
                 report = AgentType(truth.value, subset)
                 outcome = mechanism(profile.replace(i, report))
                 u = _utility(outcome, i, truth.value)
@@ -183,16 +175,14 @@ def check_ir(mechanism: Mechanism,
                     witness = Witness(profile, i, truth, report,
                                       _utility(mechanism(profile), i, truth.value), u)
                     return PropertyReport("IR", False, witness, checked,
-                                          space=space.describe())
-    return PropertyReport("IR", True, None, checked, space=space.describe(),
+                                          space=DEVIATION_SPACE)
+    return PropertyReport("IR", True, None, checked, space=DEVIATION_SPACE,
                           warnings=warnings)
 
 
 def check_ic(mechanism: Mechanism,
-             instances: Sequence[ReportProfile],
-             space: Optional[DeviationSpace] = None) -> PropertyReport:
+             instances: Sequence[ReportProfile]) -> PropertyReport:
     """Truthful reporting is utility-maximising within the deviation space."""
-    space = space or DeviationSpace()
     warnings = ()
     if not instances:
         warnings = ("no instances supplied; vacuous pass",)
@@ -200,12 +190,12 @@ def check_ic(mechanism: Mechanism,
     for profile in instances:
         if not profile.reports:
             continue
-        grid = space.valuation_grid(profile)
+        grid = valuation_grid(profile)
         truthful = mechanism(profile)
         for i in profile.agents:
             truth = profile.reports[i]
             honest = _utility(truthful, i, truth.value)
-            for subset in space.neighbor_subsets(truth.neighbors):
+            for subset in neighbor_subsets(truth.neighbors):
                 for v in grid:
                     deviation = AgentType(v, subset)
                     if deviation == truth:
@@ -216,8 +206,8 @@ def check_ic(mechanism: Mechanism,
                     if u > honest:
                         witness = Witness(profile, i, truth, deviation, honest, u)
                         return PropertyReport("IC", False, witness, checked,
-                                              space=space.describe())
-    return PropertyReport("IC", True, None, checked, space=space.describe(),
+                                              space=DEVIATION_SPACE)
+    return PropertyReport("IC", True, None, checked, space=DEVIATION_SPACE,
                           warnings=warnings)
 
 
@@ -351,20 +341,15 @@ def shrink_pairs(profile: ReportProfile) -> list[tuple[ReportProfile, ReportProf
 
 
 def leaf_extension_pairs(profile: ReportProfile,
-                         leaf_value: Fraction,
-                         count: int = 1) -> list[tuple[ReportProfile, ReportProfile]]:
-    """(original, extended) pairs appending low-value leaves to each agent."""
+                         leaf_value: Fraction) -> list[tuple[ReportProfile, ReportProfile]]:
+    """(original, extended) pairs appending one leaf to each participant."""
     pairs = []
     reachable = induce_graph(profile).reachable
     for host in sorted(reachable):
         reports = dict(profile.reports)
         host_type = reports[host]
-        new_ids = []
-        for k in range(count):
-            new_id = f"zz_{host}_{k}"
-            reports[new_id] = AgentType(leaf_value, frozenset())
-            new_ids.append(new_id)
-        reports[host] = AgentType(host_type.value,
-                                  host_type.neighbors | frozenset(new_ids))
+        leaf = f"zz_{host}_0"
+        reports[leaf] = AgentType(leaf_value, frozenset())
+        reports[host] = AgentType(host_type.value, host_type.neighbors | {leaf})
         pairs.append((profile, ReportProfile(profile.sponsor_neighbors, reports)))
     return pairs

@@ -200,3 +200,12 @@ def test_malformed_network_is_a_one_line_input_error(capsys, tmp_path, network):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_negative_precision_is_a_one_line_input_error(capsys, network_file):
+    code = main(["--precision", "-1", "run", network_file])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

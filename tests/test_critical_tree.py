@@ -28,8 +28,8 @@ def test_invitation_tree_is_its_own_critical_tree():
         "H": "A", "G": "A", "E": "A", "F": "A",
         "J": "H", "K": "H", "L": "K",
     }
-    assert tree.subtree("A") == frozenset("HGEFJKL")
-    assert tree.subtree("J") == frozenset()
+    assert tree.branch_members("A") - {"A"} == frozenset("HGEFJKL")
+    assert tree.branch_members("J") - {"J"} == frozenset()
     assert tree.branch_members("A") == frozenset("AHGEFJKL")
 
 
@@ -73,7 +73,7 @@ def test_subtree_matches_unreachability_oracle():
         tree = critical_tree(graph)
         for v in graph.reachable:
             cut = graph.reachable - graph.reachable_from(SPONSOR, frozenset({v}))
-            assert tree.subtree(v) == cut - {v}
+            assert tree.branch_members(v) - {v} == cut - {v}
 
 
 def _multi_chain_profile(rng, chains=7, length=60, leaves=100, extra_edges=40):

@@ -58,12 +58,12 @@ def test_branch_independent_model_fixes_the_root_branches():
 
 
 def test_values_live_on_the_configured_grid():
-    model = GrowthModel(value_max=10, value_denominator=4, seed=1)
+    model = GrowthModel(value_max=10, seed=1)
     profile = generate(model, 50)
     for i in profile.agents:
         v = profile.value_of(i)
         assert 0 <= v <= 10
-        assert (v * 4).denominator == 1
+        assert (v * 100).denominator == 1
 
 
 def test_branch_fractions_sum_to_one():

@@ -6,7 +6,6 @@ import pytest
 from netredist.auctions import MechanismId, vcg
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.verify import (
-    DeviationSpace,
     auction_mechanism,
     cavallo_mechanism,
     check_ic,
@@ -15,8 +14,10 @@ from netredist.verify import (
     check_revenue_invariant,
     check_revenue_monotonic,
     leaf_extension_pairs,
+    neighbor_subsets,
     nrmf_mechanism,
     shrink_pairs,
+    valuation_grid,
 )
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
@@ -31,8 +32,7 @@ def small_instances(count=20, seed=5, max_n=6):
 
 
 def test_valuation_grid_brackets_order_statistics():
-    space = DeviationSpace()
-    grid = space.valuation_grid(bidder_star())
+    grid = valuation_grid(bidder_star())
     assert Fraction(0) in grid
     for v in (2, 3, 4):
         assert {Fraction(v - 1), Fraction(v), Fraction(v + 1)} <= set(grid)
@@ -40,20 +40,27 @@ def test_valuation_grid_brackets_order_statistics():
 
 
 def test_neighbor_subsets_powerset_below_cap():
-    space = DeviationSpace()
-    subsets = space.neighbor_subsets(frozenset("XYZ"))
+    subsets = neighbor_subsets(frozenset("XYZ"))
     assert len(subsets) == 8
 
 
 def test_neighbor_subsets_sampled_above_cap():
-    space = DeviationSpace(powerset_degree_cap=3, subset_samples=10)
     big = frozenset(f"n{k}" for k in range(12))
-    subsets = space.neighbor_subsets(big)
-    assert len(subsets) == 10
+    subsets = neighbor_subsets(big)
+    assert len(subsets) == 32
     assert frozenset() in subsets and big in subsets
-    # deterministic under the same seed
-    assert subsets == DeviationSpace(powerset_degree_cap=3,
-                                     subset_samples=10).neighbor_subsets(big)
+    # deterministic under the fixed seed
+    assert subsets == neighbor_subsets(big)
+
+
+def test_reports_name_the_deviation_space():
+    space = ("valuation grid = instance order statistics +/- 1 and 0; "
+             "neighbour powerset up to degree 8, 32 seeded samples beyond")
+    mech = auction_mechanism(MechanismId("vcg"))
+    assert check_ir(mech, [bidder_star()]).space == space
+    assert check_ic(mech, [bidder_star()]).space == space
+    failed = check_ic(cavallo_mechanism(), [star_with_tail()])
+    assert not failed.verdict and failed.space == space
 
 
 def test_ir_passes_for_chain_auctions():
