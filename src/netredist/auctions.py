@@ -43,7 +43,7 @@ class AuctionOutcome:
 
 def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
     """Quasi-linear utility: the value if the item is allocated, less the payment."""
-    return allocated * value - payment
+    return value - payment if allocated else -payment
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,16 @@ class Market:
 def market(profile: ReportProfile) -> Market:
     """Induce the graph, build its critical tree and rank the participants."""
     graph = induce_graph(profile)
+    return ranked_market(profile, graph, critical_tree(graph))
+
+
+def ranked_market(profile: ReportProfile, graph: InducedGraph,
+                  tree: CriticalTree) -> Market:
+    """The market of ``profile`` over its already built graph and tree;
+    only the ranking reads the values."""
     # a stable sort by descending value keeps equal values in id order
     ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
-    return Market(profile, graph, critical_tree(graph), tuple(ranked))
+    return Market(profile, graph, tree, tuple(ranked))
 
 
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcome:

@@ -186,6 +186,12 @@ def _cmd_run(args, alpha: Fraction) -> int:
     true_values = None
     if args.true_values:
         truth = load_profile(args.true_values)
+        missing = profile.reports.keys() - truth.reports.keys()
+        unknown = truth.reports.keys() - profile.reports.keys()
+        if missing or unknown:
+            raise ProfileError(
+                f"{args.true_values}: agents differ from the network's "
+                f"({len(missing)} missing, {len(unknown)} unknown)")
         true_values = {i: truth.value_of(i) for i in truth.agents}
     if args.mechanism == "cavallo":
         outcome = cavallo(profile, true_values)

@@ -16,12 +16,18 @@ not invite can re-hang, under an agent of another branch.  So each
 counterfactual is read off the one ``Market`` index built for the actual
 auction: the ranked bids with the branch skipped, and for the chain
 auctions the same chain walk over the tree with those roots re-hung.
+
+Only the ranking reads the values.  The graph, the critical tree, the
+sharing coefficients and the re-hangs depend on who invites whom and on
+alpha alone, so they form an ``NrmfIndex`` that one profile builds and
+every profile with the same invitation structure may reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from netredist.auctions import (
@@ -32,11 +38,12 @@ from netredist.auctions import (
     auction,
     chain_walk,
     market,
+    ranked_market,
     tnm_stop,
     utility,
 )
-from netredist.critical_tree import immediate_dominators
-from netredist.profiles import SPONSOR, ProfileError, ReportProfile
+from netredist.critical_tree import CriticalTree, immediate_dominators
+from netredist.profiles import SPONSOR, InducedGraph, ProfileError, ReportProfile
 from netredist.prst import SharingParams, prst
 
 ZERO = Fraction(0)
@@ -62,6 +69,52 @@ class RedistributionOutcome:
     surplus: Fraction
     utilities: dict[str, Fraction]
     winner: Optional[str]
+
+
+@dataclass(frozen=True)
+class NrmfIndex:
+    """What ``run_nrmf`` reads off a profile that no valuation changes.
+
+    It is built from one profile and alpha, and serves every profile with
+    the same sponsor neighbours, agent ids and neighbour sets: the whole
+    valuation grid of one deviation.  ``neighbors`` maps each agent id to
+    her neighbour set; ``omega`` is empty when no agent participates.
+    """
+
+    sponsor_neighbors: frozenset[str]
+    neighbors: Mapping[str, frozenset[str]]
+    alpha: Fraction
+    graph: InducedGraph
+    tree: CriticalTree
+    omega: Mapping[str, Fraction]
+
+    @cached_property
+    def rehangs(self) -> list[dict[int, str]]:
+        """``_rehangs`` of the tree, found on first use: only the chain
+        auctions read them."""
+        return _rehangs(self.graph, self.tree)
+
+    def serves(self, profile: ReportProfile, params: SharingParams) -> bool:
+        """Whether ``profile`` and ``params`` have the invitation structure
+        and alpha this index was built from."""
+        reports = profile.reports
+        return (self.alpha == params.alpha
+                and self.sponsor_neighbors == profile.sponsor_neighbors
+                and self.neighbors.keys() == reports.keys()
+                and all(reports[i].neighbors == n for i, n in self.neighbors.items()))
+
+
+def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
+    """The value-free part of ``run_nrmf`` on ``m``'s profile."""
+    profile = m.profile
+    return NrmfIndex(
+        sponsor_neighbors=profile.sponsor_neighbors,
+        neighbors={i: t.neighbors for i, t in profile.reports.items()},
+        alpha=params.alpha,
+        graph=m.graph,
+        tree=m.tree,
+        omega=prst(m.tree, params).omega if m.ranked else {},
+    )
 
 
 def _finalize(profile: ReportProfile,
@@ -95,14 +148,24 @@ def _finalize(profile: ReportProfile,
 def run_nrmf(mechanism: MechanismId,
              profile: ReportProfile,
              params: SharingParams,
-             true_values: Optional[Mapping[str, Fraction]] = None) -> RedistributionOutcome:
+             true_values: Optional[Mapping[str, Fraction]] = None,
+             index: Optional[NrmfIndex] = None) -> RedistributionOutcome:
     """Run the auction and share each branch's counterfactual revenue.
 
     Only the sharing coefficients ``omega`` are used, and they are pure
     proportions; ``params.reward`` is ignored here.  A profile with no
-    reachable agent yields the all-zero outcome.
+    reachable agent yields the all-zero outcome.  ``index`` may carry the
+    value-free part, built for any profile of the same invitation
+    structure; without it it is built here.  An index that does not serve
+    ``profile`` and ``params`` raises ``ValueError``.
     """
-    m = market(profile)
+    if index is None:
+        m = market(profile)
+        index = nrmf_index(m, params)
+    elif index.serves(profile, params):
+        m = ranked_market(profile, index.graph, index.tree)
+    else:
+        raise ValueError("the index was built for another invitation structure or alpha")
     if not m.ranked:
         empty = AuctionOutcome(
             allocation={i: 0 for i in profile.agents},
@@ -114,23 +177,23 @@ def run_nrmf(mechanism: MechanismId,
         return _finalize(profile, empty, zero, {}, (), true_values)
 
     tree = m.tree
-    shares = prst(tree, params)
-    branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m)))
+    branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m, index)))
     redistribution = {i: ZERO for i in profile.agents}
     for i in tree.preorder:
         root = tree.root_branches[tree.branch_of[i]]
-        redistribution[i] = shares.omega[i] * branch_revenues[root]
+        redistribution[i] = index.omega[i] * branch_revenues[root]
 
     return _finalize(profile, auction(mechanism, m), redistribution,
                      branch_revenues, tree.root_branches, true_values)
 
 
-def _branch_revenues(mechanism: MechanismId, m: Market) -> list[Fraction]:
+def _branch_revenues(mechanism: MechanismId, m: Market,
+                     index: NrmfIndex) -> list[Fraction]:
     """The auction's revenue with each sponsor branch silenced in turn.
 
     Second-price and posted-price revenue need only the best two bids
     once the branch root is silenced; the chain auctions walk the top
-    bidder's chain in the tree with the roots re-hung as ``_rehangs`` finds.
+    bidder's chain in the tree with the roots re-hung as ``index.rehangs`` says.
     """
     roots = m.tree.root_branches
     if mechanism.kind == "vcg":
@@ -139,7 +202,7 @@ def _branch_revenues(mechanism: MechanismId, m: Market) -> list[Fraction]:
         price = mechanism.price
         return [price if _best_two(m, root)[0] >= price else ZERO for root in roots]
     return [_chain_revenue(mechanism.kind, m, root, hang)
-            for root, hang in zip(roots, _rehangs(m))]
+            for root, hang in zip(roots, index.rehangs)]
 
 
 def _chain_revenue(kind: str, m: Market, root: str, hang: dict[int, str]) -> Fraction:
@@ -181,7 +244,7 @@ def _best_two(m: Market, silenced: str) -> tuple[Fraction, Fraction]:
     return _bid(m, silenced, next(bids)), _bid(m, silenced, next(bids, None))
 
 
-def _rehangs(m: Market) -> list[dict[int, str]]:
+def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
     """For each silenced branch ``b``, where the branch roots hang.
 
     A root the sponsor invites stays under her.  Another root may move
@@ -194,7 +257,7 @@ def _rehangs(m: Market) -> list[dict[int, str]]:
     agent under which branch ``c``'s root hangs with ``b`` silenced;
     roots left under the sponsor are absent.
     """
-    tree, successors = m.tree, m.graph.successors
+    successors = graph.successors
     roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
     if all(r in successors[SPONSOR] for r in roots):
         return [{} for _ in roots]

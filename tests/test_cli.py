@@ -5,7 +5,7 @@ import json
 import pytest
 
 from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
-from netredist.profiles import save_profile
+from netredist.profiles import save_profile, star_profile
 
 from networks import bidder_star, reference_network_10, star_with_tail
 
@@ -66,6 +66,23 @@ def test_run_with_true_values(capsys, tmp_path, star_file):
     rows = {row["agent"]: row for row in data["agents"]}
     # winner C pays 3 minus her redistribution; utility uses true value 7
     assert rows["C"]["utility"].startswith("4.")
+
+
+@pytest.mark.parametrize("truth", [
+    reference_network_10(),                   # not one agent in common
+    star_profile({"A": 2, "B": 3}),           # C missing
+    star_profile({"A": 2, "B": 3, "C": 4, "D": 1}),  # D unknown
+])
+def test_true_values_for_other_agents_are_a_one_line_input_error(
+        capsys, tmp_path, star_file, truth):
+    truth_path = tmp_path / "truth.json"
+    save_profile(truth, truth_path)
+    code = main(["run", star_file, "--true-values", str(truth_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_missing_network_file_is_input_error(capsys, tmp_path):

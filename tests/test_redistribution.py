@@ -18,6 +18,7 @@ from netredist.redistribution import (
     _rehangs,
     cavallo,
     check_cavallo_equivalence,
+    nrmf_index,
     run_nrmf,
 )
 
@@ -179,6 +180,25 @@ def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
     assert calls == ["induce_graph", "critical_tree"]
 
 
+def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
+    network = reference_network_10()
+    index = nrmf_index(market(network), HALF)
+    revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
+    for mech in MECHANISMS:
+        assert run_nrmf(mech, revalued, HALF, None, index) == run_nrmf(mech, revalued, HALF)
+    agent = next(i for i in network.agents if network.reports[i].neighbors)
+    others = [
+        network.replace(agent, AgentType(network.value_of(agent), frozenset())),
+        ReportProfile(network.sponsor_neighbors - {"A"}, network.reports),
+        ReportProfile(network.sponsor_neighbors, {**network.reports, "Z": T(1)}),
+    ]
+    for other in others:
+        with pytest.raises(ValueError):
+            run_nrmf(MechanismId("idm"), other, HALF, None, index)
+    with pytest.raises(ValueError):
+        run_nrmf(MechanismId("idm"), network, SharingParams.of(Fraction(1, 5)), None, index)
+
+
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():
     # R is invited by A and B, not by the sponsor, so it roots its own
     # branch; with A silenced it hangs under B, with B silenced under A
@@ -192,7 +212,8 @@ def test_silencing_a_branch_rehangs_a_root_under_another_branch():
             "Rc": T(10),
         },
     )
-    assert _rehangs(market(profile)) == [{3: "B"}, {3: "A"}, {}, {}]
+    m = market(profile)
+    assert _rehangs(m.graph, m.tree) == [{3: "B"}, {3: "A"}, {}, {}]
     # with A silenced the chain is B, R, Rc: idm prices it at the best bid
     # outside B's branch (C: 3) and tnm stops at B.  Left under the sponsor,
     # R would head the chain, and both would charge B's 5 instead.
@@ -216,7 +237,7 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
                                          edge_prob=rng.choice((0.15, 0.3, 0.5)),
                                          value_max=rng.choice((0, 1, 3, 20)))
         m = market(profile)
-        rehung += bool(m.ranked) and any(_rehangs(m))
+        rehung += bool(m.ranked) and any(_rehangs(m.graph, m.tree))
         for mech in MECHANISMS:
             assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
     assert rehung > 200  # the counterfactual trees often differ from the actual one
@@ -234,7 +255,8 @@ def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
             a, b = rng.sample(sorted(reports), 2)
             reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
         profile = ReportProfile(tree.sponsor_neighbors, reports)
-        rehung += any(_rehangs(market(profile)))
+        m = market(profile)
+        rehung += any(_rehangs(m.graph, m.tree))
         for mech in MECHANISMS:
             assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
     assert rehung > 10

@@ -1,10 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from netredist import auctions
 from netredist.auctions import MechanismId, vcg
+from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
+from netredist.prst import SharingParams
+from netredist.redistribution import NrmfIndex, run_nrmf
 from netredist.verify import (
     auction_mechanism,
     cavallo_mechanism,
@@ -24,6 +29,7 @@ from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import random_tree_profile
 
 HALF = Fraction(1, 2)
+IDM = MechanismId("idm")
 
 
 def small_instances(count=20, seed=5, max_n=6):
@@ -127,6 +133,104 @@ def test_ic_evaluates_the_truthful_profile_once_per_instance():
     assert report.checked == 425
     assert profiles.count(network) == 1
     assert len(profiles) == 1 + report.checked
+
+
+def test_ic_builds_one_index_per_change_of_invitation_structure(monkeypatch):
+    builds = []
+    real = auctions.critical_tree
+
+    def counted_build(graph):
+        builds.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(auctions, "critical_tree", counted_build)
+    inner = nrmf_mechanism(MechanismId("idm"), HALF)
+    profiles = []
+
+    def counted(profile):
+        profiles.append(profile)
+        return inner(profile)
+
+    network = reference_network_10()
+    report = check_ic(counted, [network])
+    assert report.verdict
+    assert len(profiles) == 1 + 425
+    # the loop runs every value of the grid for one (agent, neighbour
+    # subset) in a row, and consecutive pairs may share a structure
+    pairs = sum(len(neighbor_subsets(t.neighbors)) for t in network.reports.values())
+    assert pairs == 29
+    assert len(builds) == 23
+
+
+def _exact(value):
+    """A field as a comparable whose numbers keep their type and whose
+    keys keep their order, so 0 and Fraction(0) differ."""
+    if isinstance(value, dict):
+        return [(k, type(v), v) for k, v in value.items()]
+    return type(value), value
+
+
+def _same_as_fresh_run(outcome, mechanism, profile, params) -> bool:
+    fresh = run_nrmf(mechanism, profile, params)
+    return all(_exact(getattr(outcome, f.name)) == _exact(getattr(fresh, f.name))
+               for f in dataclasses.fields(fresh))
+
+
+def _audit_against_fresh_runs(mechanism, alpha, instances) -> tuple[int, int]:
+    """Run ``check_ir`` and ``check_ic`` of ``nrmf_mechanism`` and compare
+    every outcome it gives with a fresh ``run_nrmf``: (profiles, mismatches)."""
+    evaluate = nrmf_mechanism(mechanism, alpha)
+    params = SharingParams(alpha)
+    seen = mismatched = 0
+
+    def compared(profile):
+        nonlocal seen, mismatched
+        outcome = evaluate(profile)
+        seen += 1
+        mismatched += not _same_as_fresh_run(outcome, mechanism, profile, params)
+        return outcome
+
+    check_ir(compared, instances)
+    check_ic(compared, instances)
+    return seen, mismatched
+
+
+@pytest.mark.parametrize("alpha", [HALF, Fraction(1, 5)])
+@pytest.mark.parametrize("mechanism", ["idm", "tnm", "vcg", "fixed:3", "fixed:0"])
+def test_reused_index_matches_a_fresh_run_on_every_audited_profile(mechanism, alpha):
+    instances = small_tree_instances(5) + [reference_network_10()]
+    seen, mismatched = _audit_against_fresh_runs(MechanismId.parse(mechanism),
+                                                 alpha, instances)
+    assert seen > 2000
+    assert mismatched == 0
+
+
+def _same_values_other_invitations() -> tuple[ReportProfile, ReportProfile]:
+    network = reference_network_10()
+    agent = next(i for i in network.agents if network.reports[i].neighbors)
+    silent = AgentType(network.value_of(agent), frozenset())
+    return network, network.replace(agent, silent)
+
+
+def test_alternating_invitation_structures_each_get_their_own_outcome():
+    first, second = _same_values_other_invitations()
+    params = SharingParams(HALF)
+    evaluate = nrmf_mechanism(IDM, HALF)
+    outcomes = [evaluate(p) for p in (first, second, first, second)]
+    assert outcomes[0] != outcomes[1]
+    for profile, outcome in zip((first, second) * 2, outcomes):
+        assert _same_as_fresh_run(outcome, IDM, profile, params)
+
+
+def test_a_serves_check_that_reads_only_the_sponsor_is_caught(monkeypatch):
+    monkeypatch.setattr(NrmfIndex, "serves", lambda self, profile, params:
+                        self.sponsor_neighbors == profile.sponsor_neighbors)
+    first, second = _same_values_other_invitations()
+    evaluate = nrmf_mechanism(IDM, HALF)
+    evaluate(first)
+    assert not _same_as_fresh_run(evaluate(second), IDM, second, SharingParams(HALF))
+    _, mismatched = _audit_against_fresh_runs(IDM, HALF, [reference_network_10()])
+    assert mismatched > 0
 
 
 def test_nd_passes_and_counts_instances():
