@@ -9,6 +9,12 @@ agents always end with zero allocation and zero payment.
 Each public auction builds a ``Market`` (graph, critical tree, ranked
 participants) and runs on it; ``auction`` runs on a market built once,
 so redistribution can share it with its counterfactuals.
+
+Only the ranking reads the values, so ``market`` reuses the graph and
+tree of its previous call while the invitation structure (sponsor
+neighbours, agent ids and neighbour sets) is equal.  That one-slot memo
+is the package's only structure cache; what it hands out is shared and
+never mutated.
 """
 
 from __future__ import annotations
@@ -93,16 +99,30 @@ class Market:
     ranked: tuple[str, ...]
 
 
+#: The last market's (invitation structure, graph, critical tree).
+_last_structure: Optional[tuple[tuple, InducedGraph, CriticalTree]] = None
+
+
+def _structure(profile: ReportProfile) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+    """What the graph and tree depend on, compared by equality."""
+    return profile.sponsor_neighbors, {i: t.neighbors for i, t in profile.reports.items()}
+
+
 def market(profile: ReportProfile) -> Market:
-    """Induce the graph, build its critical tree and rank the participants."""
-    graph = induce_graph(profile)
-    return ranked_market(profile, graph, critical_tree(graph))
+    """Induce the graph, build its critical tree and rank the participants.
 
-
-def ranked_market(profile: ReportProfile, graph: InducedGraph,
-                  tree: CriticalTree) -> Market:
-    """The market of ``profile`` over its already built graph and tree;
-    only the ranking reads the values."""
+    The graph and tree of the previous call are reused when the invitation
+    structure is unchanged.
+    """
+    global _last_structure
+    structure = _structure(profile)
+    # read the slot once: a concurrent call may cost a rebuild, but an
+    # entry's structure, graph and tree always belong together
+    last = _last_structure
+    if last is None or last[0] != structure:
+        graph = induce_graph(profile)
+        last = _last_structure = structure, graph, critical_tree(graph)
+    _, graph, tree = last
     # a stable sort by descending value keeps equal values in id order
     ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
     return Market(profile, graph, tree, tuple(ranked))

@@ -133,6 +133,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
+        SharingParams(alpha)  # every subcommand rejects an alpha outside (0, 1)
         if args.command == "run":
             return _cmd_run(args, alpha)
         if args.command == "verify":

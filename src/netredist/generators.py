@@ -19,9 +19,9 @@ from itertools import permutations
 from statistics import median
 from typing import Iterator, Optional, Sequence
 
-from netredist.auctions import MechanismId
-from netredist.critical_tree import CriticalTree, critical_tree
-from netredist.profiles import SPONSOR, AgentType, ReportProfile, induce_graph
+from netredist.auctions import MechanismId, market
+from netredist.critical_tree import CriticalTree
+from netredist.profiles import SPONSOR, AgentType, ReportProfile
 from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
 
@@ -264,7 +264,7 @@ def _sweep(mechanism: MechanismId,
         for seed in seeds:
             profile = generate(model.with_seed(seed), n)
             outcome = run_nrmf(mechanism, profile, params)
-            tree = critical_tree(induce_graph(profile))
+            tree = market(profile).tree
             fractions = branch_fractions(tree)
             record = ExperimentRecord(
                 n=n, seed=seed, surplus=outcome.surplus,

@@ -17,10 +17,11 @@ counterfactual is read off the one ``Market`` index built for the actual
 auction: the ranked bids with the branch skipped, and for the chain
 auctions the same chain walk over the tree with those roots re-hung.
 
-Only the ranking reads the values.  The graph, the critical tree, the
-sharing coefficients and the re-hangs depend on who invites whom and on
-alpha alone, so they form an ``NrmfIndex`` that one profile builds and
-every profile with the same invitation structure may reuse.
+Only the ranking reads the values.  ``market`` reuses the graph and
+critical tree while the invitation structure is unchanged; the sharing
+coefficients and the re-hangs depend on that tree and on alpha alone, so
+they form an ``NrmfIndex`` kept in one slot too, keyed by the tree's
+identity and alpha.  Like the tree, an index is shared and never mutated.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from netredist.auctions import (
     auction,
     chain_walk,
     market,
-    ranked_market,
     tnm_stop,
     utility,
 )
@@ -73,19 +73,11 @@ class RedistributionOutcome:
 
 @dataclass(frozen=True)
 class NrmfIndex:
-    """What ``run_nrmf`` reads off a profile that no valuation changes.
+    """What ``run_nrmf`` reads off a nonempty critical tree at one alpha."""
 
-    It is built from one profile and alpha, and serves every profile with
-    the same sponsor neighbours, agent ids and neighbour sets: the whole
-    valuation grid of one deviation.  ``neighbors`` maps each agent id to
-    her neighbour set; ``omega`` is empty when no agent participates.
-    """
-
-    sponsor_neighbors: frozenset[str]
-    neighbors: Mapping[str, frozenset[str]]
-    alpha: Fraction
     graph: InducedGraph
     tree: CriticalTree
+    alpha: Fraction
     omega: Mapping[str, Fraction]
 
     @cached_property
@@ -94,27 +86,21 @@ class NrmfIndex:
         auctions read them."""
         return _rehangs(self.graph, self.tree)
 
-    def serves(self, profile: ReportProfile, params: SharingParams) -> bool:
-        """Whether ``profile`` and ``params`` have the invitation structure
-        and alpha this index was built from."""
-        reports = profile.reports
-        return (self.alpha == params.alpha
-                and self.sponsor_neighbors == profile.sponsor_neighbors
-                and self.neighbors.keys() == reports.keys()
-                and all(reports[i].neighbors == n for i, n in self.neighbors.items()))
+
+#: The last index built.  A market whose structure ``market`` reused holds
+#: the very tree object of the previous one, so the tree's identity is a key.
+_last_index: Optional[NrmfIndex] = None
 
 
 def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
-    """The value-free part of ``run_nrmf`` on ``m``'s profile."""
-    profile = m.profile
-    return NrmfIndex(
-        sponsor_neighbors=profile.sponsor_neighbors,
-        neighbors={i: t.neighbors for i, t in profile.reports.items()},
-        alpha=params.alpha,
-        graph=m.graph,
-        tree=m.tree,
-        omega=prst(m.tree, params).omega if m.ranked else {},
-    )
+    """The index of ``m``'s tree at ``params.alpha``; the last one is
+    reused while the tree and alpha stay the same."""
+    global _last_index
+    index = _last_index
+    if index is None or index.tree is not m.tree or index.alpha != params.alpha:
+        index = _last_index = NrmfIndex(m.graph, m.tree, params.alpha,
+                                        prst(m.tree, params).omega)
+    return index
 
 
 def _finalize(profile: ReportProfile,
@@ -148,24 +134,14 @@ def _finalize(profile: ReportProfile,
 def run_nrmf(mechanism: MechanismId,
              profile: ReportProfile,
              params: SharingParams,
-             true_values: Optional[Mapping[str, Fraction]] = None,
-             index: Optional[NrmfIndex] = None) -> RedistributionOutcome:
+             true_values: Optional[Mapping[str, Fraction]] = None) -> RedistributionOutcome:
     """Run the auction and share each branch's counterfactual revenue.
 
     Only the sharing coefficients ``omega`` are used, and they are pure
     proportions; ``params.reward`` is ignored here.  A profile with no
-    reachable agent yields the all-zero outcome.  ``index`` may carry the
-    value-free part, built for any profile of the same invitation
-    structure; without it it is built here.  An index that does not serve
-    ``profile`` and ``params`` raises ``ValueError``.
+    reachable agent yields the all-zero outcome.
     """
-    if index is None:
-        m = market(profile)
-        index = nrmf_index(m, params)
-    elif index.serves(profile, params):
-        m = ranked_market(profile, index.graph, index.tree)
-    else:
-        raise ValueError("the index was built for another invitation structure or alpha")
+    m = market(profile)
     if not m.ranked:
         empty = AuctionOutcome(
             allocation={i: 0 for i in profile.agents},
@@ -176,6 +152,7 @@ def run_nrmf(mechanism: MechanismId,
         zero = {i: ZERO for i in profile.agents}
         return _finalize(profile, empty, zero, {}, (), true_values)
 
+    index = nrmf_index(m, params)
     tree = m.tree
     branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m, index)))
     redistribution = {i: ZERO for i in profile.agents}

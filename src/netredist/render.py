@@ -7,21 +7,28 @@ the exact rendering, which round-trips.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 DEFAULT_PRECISION = 6
 
 
 def decimal_str(x: Fraction, digits: int = DEFAULT_PRECISION) -> str:
-    """Round-half-even decimal rendering of a rational, as a string."""
+    """Round-half-even decimal rendering of a rational, as a string.
+
+    The rounding is exact, done once on integers; a negative amount keeps
+    its sign even when it rounds to zero.
+    """
     if digits < 0:
         raise ValueError("precision must be non-negative")
-    with localcontext() as ctx:
-        ctx.prec = max(28, digits + 10)
-        q = Decimal(x.numerator) / Decimal(x.denominator)
-        quantum = Decimal(1).scaleb(-digits)
-        return str(q.quantize(quantum, rounding=ROUND_HALF_EVEN))
+    den = x.denominator
+    q, r = divmod(abs(x.numerator) * 10**digits, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    sign = "-" if x < 0 else ""
+    if digits == 0:
+        return f"{sign}{q}"
+    s = str(q).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
 def exact_decimal_str(x: Fraction) -> str:
@@ -37,10 +44,4 @@ def exact_decimal_str(x: Fraction) -> str:
         five += 1
     if den != 1:
         return f"{x.numerator}/{x.denominator}"
-    digits = max(two, five)
-    scaled = x * 10**digits
-    if digits == 0:
-        return str(scaled.numerator)
-    s = str(abs(scaled.numerator)).rjust(digits + 1, "0")
-    sign = "-" if x < 0 else ""
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return decimal_str(x, max(two, five))

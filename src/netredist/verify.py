@@ -23,14 +23,8 @@ from netredist.auctions import (
     run_auction,
     utility,
 )
-from netredist.critical_tree import critical_tree
 from netredist.prst import SharingParams
-from netredist.redistribution import (
-    RedistributionOutcome,
-    cavallo,
-    nrmf_index,
-    run_nrmf,
-)
+from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
 
 ZERO = Fraction(0)
 
@@ -43,21 +37,8 @@ def auction_mechanism(mechanism: MechanismId) -> Mechanism:
 
 
 def nrmf_mechanism(mechanism: MechanismId, alpha: Fraction) -> Mechanism:
-    """``run_nrmf`` under audit.
-
-    A value-only deviation changes nothing of the ``nrmf_index``, so the
-    mechanism keeps the last index it built and reuses it while
-    consecutive profiles share their invitation structure.
-    """
     params = SharingParams(alpha)
-    index = None
-
-    def evaluate(profile: ReportProfile) -> RedistributionOutcome:
-        nonlocal index
-        if index is None or not index.serves(profile, params):
-            index = nrmf_index(market(profile), params)
-        return run_nrmf(mechanism, profile, params, None, index)
-    return evaluate
+    return lambda profile: run_nrmf(mechanism, profile, params)
 
 
 def cavallo_mechanism() -> Mechanism:
@@ -301,7 +282,7 @@ def _no_new_potential_winner(mechanism: Mechanism,
     base = mechanism(smaller)
     if base.winner is None:
         return True
-    tree = critical_tree(induce_graph(smaller))
+    tree = market(smaller).tree
     removed = set(tree.ancestors(base.winner))
     stripped = larger
     for i in removed:

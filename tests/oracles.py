@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from netredist import auctions, redistribution
 from netredist.auctions import (
     AuctionOutcome,
     EmptyMarketError,
@@ -193,6 +194,41 @@ def cavallo_rerun_oracle(profile: ReportProfile):
         revenue = _revenue(MechanismId("vcg"), profile.replace(i, NULL_TYPE))
         rebates[i] = Fraction(revenue, len(reachable))
     return _finalize(profile, vcg(profile), rebates, {}, (), None)
+
+
+# --- memo-free reference runs --------------------------------------------
+
+
+def clear_memo() -> None:
+    """Forget the structure ``market`` and the index ``run_nrmf`` reuse."""
+    auctions._last_structure = None
+    redistribution._last_index = None
+
+
+def counted_builds(monkeypatch) -> list:
+    """Record every critical tree ``market`` builds, from an empty memo on."""
+    builds = []
+    real = auctions.critical_tree
+
+    def counted_build(graph):
+        builds.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(auctions, "critical_tree", counted_build)
+    clear_memo()
+    return builds
+
+
+def memo_free(run, *args):
+    """``run(*args)`` with both memos cleared, so it can read nothing the
+    run under test left there; the memos are restored afterwards, so the
+    run under test cannot read this one either."""
+    saved = auctions._last_structure, redistribution._last_index
+    clear_memo()
+    try:
+        return run(*args)
+    finally:
+        auctions._last_structure, redistribution._last_index = saved
 
 
 # --- random instance generation -----------------------------------------

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,28 @@ def test_missing_network_file_is_input_error(capsys, tmp_path):
 def test_bad_alpha_is_input_error(capsys, network_file):
     code = main(["--alpha", "zero", "run", network_file])
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{network}", "--mechanism", "cavallo"],
+    ["run", "{network}", "--mechanism", "idm"],
+    ["verify", "--property", "ic", "--mechanism", "vcg", "--instances", "{directory}"],
+    ["verify", "--property", "ic", "--mechanism", "cavallo", "--instances", "{directory}"],
+    ["generate", "--n", "5"],
+    ["experiment", "abb", "--sizes", "5", "--num-seeds", "1"],
+    ["tree", "{network}"],
+    ["shares", "{network}"],
+], ids=["run-cavallo", "run-idm", "verify-vcg", "verify-cavallo", "generate",
+        "experiment", "tree", "shares"])
+def test_alpha_outside_the_unit_interval_is_a_one_line_input_error(
+        capsys, network_file, command):
+    directory = str(Path(network_file).parent)
+    argv = [arg.format(network=network_file, directory=directory) for arg in command]
+    code = main(["--alpha", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: alpha must lie in (0, 1), got 2\n"
 
 
 def test_bad_mechanism_is_input_error(capsys, network_file):
@@ -192,6 +216,19 @@ def test_precision_flag_controls_rendering(capsys, network_file):
     _, out = run_cli(capsys, "--output", "json", "--precision", "2",
                      "run", network_file)
     assert json.loads(out)["surplus"] == "1.80"
+
+
+def test_high_precision_renders_large_amounts_in_plain_digits(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    save_profile(star_profile({"A": 2 * 10**10, "B": 10**10}), path)
+    code, out = run_cli(capsys, "--output", "json", "--precision", "20",
+                        "run", str(path), "--mechanism", "vcg")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    rows = {row["agent"]: row for row in data["agents"]}
+    assert rows["A"]["auction_payment"] == "10000000000.00000000000000000000"
+    assert rows["B"]["auction_payment"] == "0.00000000000000000000"
+    assert Fraction(data["surplus"]) == Fraction(data["surplus_exact"])
 
 
 @pytest.mark.parametrize("network", [

@@ -20,6 +20,8 @@ from netredist.generators import (
 )
 from netredist.profiles import SPONSOR, induce_graph
 
+from oracles import counted_builds
+
 
 def test_model_validation():
     with pytest.raises(GenerationError):
@@ -121,6 +123,13 @@ def test_abb_experiment_records_and_aggregates():
         assert 0 < record.max_branch_fraction <= 1
     data = result.to_dict()
     assert {a["n"] for a in data["aggregates"]} == {10, 20}
+
+
+def test_abb_experiment_builds_one_tree_per_network(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    result = abb_experiment(MechanismId("idm"), GrowthModel(seed=0), [10, 20], range(3))
+    assert len(result.records) == 6
+    assert len(builds) == 6
 
 
 def test_abb_experiment_reports_bound_for_branch_independent():

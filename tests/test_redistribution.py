@@ -18,13 +18,14 @@ from netredist.redistribution import (
     _rehangs,
     cavallo,
     check_cavallo_equivalence,
-    nrmf_index,
     run_nrmf,
 )
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import (
     cavallo_rerun_oracle,
+    clear_memo,
+    memo_free,
     nrmf_rerun_oracle,
     random_digraph_profile,
     random_tree_profile,
@@ -171,32 +172,37 @@ def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
 
     for name in ("induce_graph", "critical_tree"):
         monkeypatch.setattr(auctions, name, counted(name))
+    network = reference_network_10()
+    revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
     for mech in MECHANISMS:
+        clear_memo()
         calls.clear()
-        run_nrmf(mech, reference_network_10(), HALF)
+        run_nrmf(mech, network, HALF)
         assert calls == ["induce_graph", "critical_tree"]
+        # the same invitation structure with other values builds nothing
+        run_nrmf(mech, revalued, HALF)
+        assert calls == ["induce_graph", "critical_tree"]
+    clear_memo()
     calls.clear()
-    cavallo(reference_network_10())
+    cavallo(network)
+    assert calls == ["induce_graph", "critical_tree"]
+    cavallo(revalued)
     assert calls == ["induce_graph", "critical_tree"]
 
 
 def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
     network = reference_network_10()
-    index = nrmf_index(market(network), HALF)
-    revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
-    for mech in MECHANISMS:
-        assert run_nrmf(mech, revalued, HALF, None, index) == run_nrmf(mech, revalued, HALF)
     agent = next(i for i in network.agents if network.reports[i].neighbors)
     others = [
-        network.replace(agent, AgentType(network.value_of(agent), frozenset())),
-        ReportProfile(network.sponsor_neighbors - {"A"}, network.reports),
-        ReportProfile(network.sponsor_neighbors, {**network.reports, "Z": T(1)}),
+        (network.replace(agent, AgentType(network.value_of(agent), frozenset())), HALF),
+        (ReportProfile(network.sponsor_neighbors - {"A"}, network.reports), HALF),
+        (ReportProfile(network.sponsor_neighbors, {**network.reports, "Z": T(1)}), HALF),
+        (network, SharingParams.of(Fraction(1, 5))),
     ]
-    for other in others:
-        with pytest.raises(ValueError):
-            run_nrmf(MechanismId("idm"), other, HALF, None, index)
-    with pytest.raises(ValueError):
-        run_nrmf(MechanismId("idm"), network, SharingParams.of(Fraction(1, 5)), None, index)
+    for mech in MECHANISMS:
+        for other, params in others:
+            run_nrmf(mech, network, HALF)
+            assert run_nrmf(mech, other, params) == memo_free(run_nrmf, mech, other, params)
 
 
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():

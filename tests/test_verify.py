@@ -1,15 +1,16 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from netredist import auctions
-from netredist.auctions import MechanismId, vcg
+from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.prst import SharingParams
-from netredist.redistribution import NrmfIndex, run_nrmf
+from netredist.redistribution import cavallo, run_nrmf
 from netredist.verify import (
     auction_mechanism,
     cavallo_mechanism,
@@ -26,7 +27,7 @@ from netredist.verify import (
 )
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
-from oracles import random_tree_profile
+from oracles import clear_memo, counted_builds, memo_free, random_tree_profile
 
 HALF = Fraction(1, 2)
 IDM = MechanismId("idm")
@@ -136,14 +137,7 @@ def test_ic_evaluates_the_truthful_profile_once_per_instance():
 
 
 def test_ic_builds_one_index_per_change_of_invitation_structure(monkeypatch):
-    builds = []
-    real = auctions.critical_tree
-
-    def counted_build(graph):
-        builds.append(graph)
-        return real(graph)
-
-    monkeypatch.setattr(auctions, "critical_tree", counted_build)
+    builds = counted_builds(monkeypatch)
     inner = nrmf_mechanism(MechanismId("idm"), HALF)
     profiles = []
 
@@ -162,6 +156,16 @@ def test_ic_builds_one_index_per_change_of_invitation_structure(monkeypatch):
     assert len(builds) == 23
 
 
+def test_every_audited_mechanism_reuses_the_structure(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    assert check_ic(auction_mechanism(IDM), [reference_network_10()]).checked == 425
+    assert len(builds) == 23
+    builds.clear()
+    clear_memo()
+    assert not check_ic(cavallo_mechanism(), [star_with_tail()]).verdict
+    assert len(builds) == 2
+
+
 def _exact(value):
     """A field as a comparable whose numbers keep their type and whose
     keys keep their order, so 0 and Fraction(0) differ."""
@@ -170,38 +174,60 @@ def _exact(value):
     return type(value), value
 
 
-def _same_as_fresh_run(outcome, mechanism, profile, params) -> bool:
-    fresh = run_nrmf(mechanism, profile, params)
+def _same_as_fresh_run(outcome, reference, profile) -> bool:
+    fresh = memo_free(reference, profile)
     return all(_exact(getattr(outcome, f.name)) == _exact(getattr(fresh, f.name))
                for f in dataclasses.fields(fresh))
 
 
-def _audit_against_fresh_runs(mechanism, alpha, instances) -> tuple[int, int]:
-    """Run ``check_ir`` and ``check_ic`` of ``nrmf_mechanism`` and compare
-    every outcome it gives with a fresh ``run_nrmf``: (profiles, mismatches)."""
-    evaluate = nrmf_mechanism(mechanism, alpha)
-    params = SharingParams(alpha)
+def _audit_against_fresh_runs(evaluate, reference, instances) -> tuple[int, int]:
+    """Run ``check_ir`` and ``check_ic`` of ``evaluate`` one instance at a
+    time, and compare every outcome it gives with a memo-free run of
+    ``reference``: (profiles, mismatches)."""
     seen = mismatched = 0
 
     def compared(profile):
         nonlocal seen, mismatched
         outcome = evaluate(profile)
         seen += 1
-        mismatched += not _same_as_fresh_run(outcome, mechanism, profile, params)
+        mismatched += not _same_as_fresh_run(outcome, reference, profile)
         return outcome
 
-    check_ir(compared, instances)
-    check_ic(compared, instances)
+    for instance in instances:
+        check_ir(compared, [instance])
+        check_ic(compared, [instance])
     return seen, mismatched
+
+
+def _nrmf_reference(mechanism, alpha):
+    params = SharingParams(alpha)
+    return lambda profile: run_nrmf(mechanism, profile, params)
+
+
+def _audited_instances():
+    return small_tree_instances(5) + [reference_network_10()]
 
 
 @pytest.mark.parametrize("alpha", [HALF, Fraction(1, 5)])
 @pytest.mark.parametrize("mechanism", ["idm", "tnm", "vcg", "fixed:3", "fixed:0"])
 def test_reused_index_matches_a_fresh_run_on_every_audited_profile(mechanism, alpha):
-    instances = small_tree_instances(5) + [reference_network_10()]
-    seen, mismatched = _audit_against_fresh_runs(MechanismId.parse(mechanism),
-                                                 alpha, instances)
+    mechanism = MechanismId.parse(mechanism)
+    seen, mismatched = _audit_against_fresh_runs(nrmf_mechanism(mechanism, alpha),
+                                                 _nrmf_reference(mechanism, alpha),
+                                                 _audited_instances())
     assert seen > 2000
+    assert mismatched == 0
+
+
+@pytest.mark.parametrize("mechanism", ["cavallo", "vcg", "idm", "tnm", "fixed:3"])
+def test_reused_structure_matches_a_fresh_run_on_every_audited_profile(mechanism):
+    if mechanism == "cavallo":
+        evaluate, reference = cavallo_mechanism(), cavallo
+    else:
+        evaluate = auction_mechanism(MechanismId.parse(mechanism))
+        reference = partial(run_auction, MechanismId.parse(mechanism))
+    seen, mismatched = _audit_against_fresh_runs(evaluate, reference, _audited_instances())
+    assert seen > 4000
     assert mismatched == 0
 
 
@@ -214,23 +240,27 @@ def _same_values_other_invitations() -> tuple[ReportProfile, ReportProfile]:
 
 def test_alternating_invitation_structures_each_get_their_own_outcome():
     first, second = _same_values_other_invitations()
-    params = SharingParams(HALF)
     evaluate = nrmf_mechanism(IDM, HALF)
+    reference = _nrmf_reference(IDM, HALF)
     outcomes = [evaluate(p) for p in (first, second, first, second)]
     assert outcomes[0] != outcomes[1]
     for profile, outcome in zip((first, second) * 2, outcomes):
-        assert _same_as_fresh_run(outcome, IDM, profile, params)
+        assert _same_as_fresh_run(outcome, reference, profile)
 
 
-def test_a_serves_check_that_reads_only_the_sponsor_is_caught(monkeypatch):
-    monkeypatch.setattr(NrmfIndex, "serves", lambda self, profile, params:
-                        self.sponsor_neighbors == profile.sponsor_neighbors)
+def test_a_memo_key_that_reads_only_the_sponsor_is_caught(monkeypatch):
+    monkeypatch.setattr(auctions, "_structure", lambda profile: profile.sponsor_neighbors)
     first, second = _same_values_other_invitations()
     evaluate = nrmf_mechanism(IDM, HALF)
     evaluate(first)
-    assert not _same_as_fresh_run(evaluate(second), IDM, second, SharingParams(HALF))
-    _, mismatched = _audit_against_fresh_runs(IDM, HALF, [reference_network_10()])
-    assert mismatched > 0
+    assert not _same_as_fresh_run(evaluate(second), _nrmf_reference(IDM, HALF), second)
+    for evaluate, reference in [
+        (nrmf_mechanism(IDM, HALF), _nrmf_reference(IDM, HALF)),
+        (auction_mechanism(IDM), partial(run_auction, IDM)),
+    ]:
+        _, mismatched = _audit_against_fresh_runs(evaluate, reference,
+                                                  [reference_network_10()])
+        assert mismatched > 0
 
 
 def test_nd_passes_and_counts_instances():
