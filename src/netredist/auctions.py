@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Optional
 
 from netredist.critical_tree import CriticalTree, critical_tree
@@ -49,6 +50,8 @@ class AuctionOutcome:
 
 def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
     """Quasi-linear utility: the value if the item is allocated, less the payment."""
+    if not payment:  # most agents pay nothing: skip the Fraction arithmetic
+        return value if allocated else payment
     return value - payment if allocated else -payment
 
 
@@ -123,8 +126,13 @@ def market(profile: ReportProfile) -> Market:
         graph = induce_graph(profile)
         last = _last_structure = structure, graph, critical_tree(graph)
     _, graph, tree = last
-    # a stable sort by descending value keeps equal values in id order
-    ranked = sorted(sorted(graph.reachable), key=profile.value_of, reverse=True)
+    # rank by exact integer images of the values over their common
+    # denominator, so the sort compares ints, not Fractions; a stable sort
+    # by descending image keeps equal values in id order
+    values = {i: profile.value_of(i) for i in sorted(graph.reachable)}
+    common = lcm(*{v.denominator for v in values.values()})
+    image = {i: v.numerator * (common // v.denominator) for i, v in values.items()}
+    ranked = sorted(image, key=image.__getitem__, reverse=True)
     return Market(profile, graph, tree, tuple(ranked))
 
 

@@ -280,9 +280,12 @@ def _cmd_generate(args) -> int:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x]
+        sizes = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise GenerationError(f"bad --sizes {text!r}") from None
+    if not sizes:
+        raise GenerationError(f"--sizes {text!r} names no size")
+    return sizes
 
 
 def _experiment_rows(result, digits: int) -> list[dict]:
@@ -300,6 +303,8 @@ def _experiment_rows(result, digits: int) -> list[dict]:
 
 def _cmd_experiment(args, alpha: Fraction) -> int:
     sizes = _parse_sizes(args.sizes)
+    if args.num_seeds < 1:
+        raise GenerationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     seeds = [args.seed + k for k in range(args.num_seeds)]
     model = _growth_model(args)
     if args.experiment == "abb":

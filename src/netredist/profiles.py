@@ -200,6 +200,8 @@ def load_profile(path) -> ReportProfile:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ProfileError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError as e:
+            raise ProfileError(f"{path}: not UTF-8 text ({e})") from None
     try:
         return profile_from_dict(data)
     except ProfileError as e:

@@ -17,6 +17,7 @@ from typing import Mapping
 from netredist.critical_tree import CriticalTree
 from netredist.profiles import SPONSOR
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -76,24 +77,44 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     ``total - base`` is always >= 0 and vanishes exactly when an agent is
     an only child with all of her parent's descendants below her, in which
     case her whole line keeps nothing back for deeper agents.
+
+    With ``P = n_sib``, ``o = n_own`` and ``alpha = a/b`` the spread is
+    ``total - base = o * (P - o - 1) / (P * (P - o))``, so each agent
+    costs one exact fraction per output:
+
+        omega_i = pass_parent * (b*P + a*o*(P - o - 1)) / (b*P*(P - o))
+        pass_i  = pass_parent * o*(P - o - 1)*(b - a) / (b*P*(P - o))
+
+    A leaf has ``o = 0``: she keeps ``pass_parent / P`` and passes nothing
+    on, whatever alpha is.  That value depends on her parent alone, so all
+    leaf children of one parent share one coefficient, computed once.
     """
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
-    alpha = params.alpha
+    a, b = params.alpha.numerator, params.alpha.denominator
     n = len(tree.parent)  # all agents are below the sponsor
+    parent, size = tree.parent, tree.size
 
     omega: dict[str, Fraction] = {}
     omega_pass: dict[str, Fraction] = {SPONSOR: ONE}
+    leaf_omega: dict[str, Fraction] = {}  # parent -> her leaf children's omega
     # preorder visits every parent before her children
     for i in tree.preorder:
-        p = tree.parent[i]
-        parent_count = n if p == SPONSOR else tree.size[p] - 1
-        own_count = tree.size[i] - 1
-        total = Fraction(own_count + 1, parent_count)
-        base = Fraction(1, parent_count - own_count)
-        spread = total - base
-        omega[i] = omega_pass[p] * (base + spread * alpha)
-        omega_pass[i] = omega_pass[p] * spread * (1 - alpha)
+        p = parent[i]
+        parent_count = n if p == SPONSOR else size[p] - 1
+        own_count = size[i] - 1
+        if not own_count:
+            w = leaf_omega.get(p)
+            if w is None:
+                w = leaf_omega[p] = omega_pass[p] / parent_count
+            omega[i] = w
+            omega_pass[i] = ZERO
+            continue
+        spread = own_count * (parent_count - own_count - 1)
+        den = b * parent_count * (parent_count - own_count)
+        pass_p = omega_pass[p]
+        omega[i] = pass_p * Fraction(b * parent_count + a * spread, den)
+        omega_pass[i] = pass_p * Fraction(spread * (b - a), den) if spread else ZERO
 
     return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
 

@@ -109,9 +109,12 @@ def _finalize(profile: ReportProfile,
               branch_revenues: dict[str, Fraction],
               branch_roots: tuple[str, ...],
               true_values: Optional[Mapping[str, Fraction]]) -> RedistributionOutcome:
-    final_payment = {
-        i: auction.payment[i] - redistribution[i] for i in profile.agents
-    }
+    # no Fraction arithmetic on zeros: all but a few agents pay nothing,
+    # and agents outside the tree or below a chain head get no rebate
+    final_payment = {}
+    for i in profile.agents:
+        paid, rebate = auction.payment[i], redistribution[i]
+        final_payment[i] = (paid - rebate if paid else -rebate) if rebate else paid
     values = dict(true_values) if true_values is not None else {}
     utilities = {
         i: utility(auction.allocation[i], values.get(i, profile.value_of(i)),
@@ -125,7 +128,7 @@ def _finalize(profile: ReportProfile,
         final_payment=final_payment,
         branch_revenues=branch_revenues,
         branch_roots=branch_roots,
-        surplus=sum(final_payment.values(), ZERO),
+        surplus=sum(filter(None, final_payment.values()), ZERO),
         utilities=utilities,
         winner=auction.winner,
     )

@@ -24,7 +24,7 @@ def decimal_str(x: Fraction, digits: int = DEFAULT_PRECISION) -> str:
     q, r = divmod(abs(x.numerator) * 10**digits, den)
     if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    sign = "-" if x < 0 else ""
+    sign = "-" if x.numerator < 0 else ""
     if digits == 0:
         return f"{sign}{q}"
     s = str(q).rjust(digits + 1, "0")

@@ -21,7 +21,7 @@ from netredist.auctions import (
     run_auction,
     vcg,
 )
-from netredist.critical_tree import critical_tree
+from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.profiles import (
     NULL_TYPE,
     SPONSOR,
@@ -30,7 +30,7 @@ from netredist.profiles import (
     ReportProfile,
     induce_graph,
 )
-from netredist.prst import SharingParams, prst
+from netredist.prst import ShareVector, SharingError, SharingParams
 from netredist.redistribution import _finalize
 
 ZERO = Fraction(0)
@@ -147,6 +147,34 @@ def tnm_oracle(profile: ReportProfile):
     return chain[m], prices[m], payments, revenue
 
 
+# --- per-node reward-sharing recursion ----------------------------------
+
+
+def prst_oracle(tree: CriticalTree, params: SharingParams) -> ShareVector:
+    """``prst`` as the recursion its docstring states, term by term: every
+    agent builds ``total``, ``base`` and ``spread`` as fractions, leaves
+    included."""
+    if not tree.parent:
+        raise SharingError("cannot share a reward over an empty tree")
+    alpha = params.alpha
+    n = len(tree.parent)  # all agents are below the sponsor
+
+    omega: dict[str, Fraction] = {}
+    omega_pass: dict[str, Fraction] = {SPONSOR: Fraction(1)}
+    # preorder visits every parent before her children
+    for i in tree.preorder:
+        p = tree.parent[i]
+        parent_count = n if p == SPONSOR else tree.size[p] - 1
+        own_count = tree.size[i] - 1
+        total = Fraction(own_count + 1, parent_count)
+        base = Fraction(1, parent_count - own_count)
+        spread = total - base
+        omega[i] = omega_pass[p] * (base + spread * alpha)
+        omega_pass[i] = omega_pass[p] * spread * (1 - alpha)
+
+    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
+
+
 # --- re-run oracles for the redistribution counterfactuals --------------
 
 
@@ -169,7 +197,7 @@ def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
         zero = {i: ZERO for i in profile.agents}
         return _finalize(profile, empty, zero, {}, (), None)
     tree = critical_tree(graph)
-    shares = prst(tree, SharingParams(params.alpha, Fraction(1)))
+    shares = prst_oracle(tree, SharingParams(params.alpha, Fraction(1)))
     branch_revenues = {}
     for k, root in enumerate(tree.root_branches):
         blocked = ReportProfile(profile.sponsor_neighbors, {

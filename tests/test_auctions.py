@@ -9,6 +9,7 @@ from netredist.auctions import (
     MechanismId,
     fixed_price,
     idm,
+    market,
     run_auction,
     tnm,
     vcg,
@@ -217,3 +218,24 @@ def test_run_auction_dispatch():
     profile = bidder_star()
     assert run_auction(MechanismId("vcg"), profile).winner == "C"
     assert run_auction(MechanismId.parse("fixed:2"), profile).payment["A"] == 2
+
+
+MIXED_VALUES = [Fraction(1, 3), Fraction(2, 7), Fraction("0.5"), Fraction("0.3333"),
+                Fraction(1, 2), Fraction("0.50"), Fraction(0), Fraction("0.0"),
+                Fraction(3), Fraction(10**20 + 1, 10**20 + 3)]
+
+
+def test_integer_ranking_orders_like_the_fractions():
+    rng = random.Random(5)
+    for k in range(400):
+        n = rng.randint(1, 25)
+        if k % 2:
+            profile = random_tree_profile(rng, n)
+        else:
+            profile = random_digraph_profile(rng, n, edge_prob=0.15)
+        profile = ReportProfile(profile.sponsor_neighbors, {
+            i: T(rng.choice(MIXED_VALUES), t.neighbors)
+            for i, t in profile.reports.items()})
+        reachable = induce_graph(profile).reachable
+        want = sorted(sorted(reachable), key=profile.value_of, reverse=True)
+        assert market(profile).ranked == tuple(want)

@@ -263,3 +263,38 @@ def test_negative_precision_is_a_one_line_input_error(capsys, network_file):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{bad}"],
+    ["run", "{network}", "--true-values", "{bad}"],
+    ["verify", "--property", "ir", "--mechanism", "vcg", "--instances", "{directory}"],
+], ids=["run", "run-true-values", "verify"])
+def test_network_file_not_in_utf8_is_a_one_line_input_error(
+        capsys, tmp_path, network_file, command):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    bad = directory / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = [arg.format(bad=bad, network=network_file, directory=directory)
+            for arg in command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment", [["abb"], ["bb", "--price", "30"]],
+                         ids=["abb", "bb"])
+@pytest.mark.parametrize("sweep", [["--num-seeds", "0"], ["--num-seeds", "-2"],
+                                   ["--sizes", ",,"], ["--sizes", ""]],
+                         ids=["no-seeds", "negative-seeds", "only-commas", "empty"])
+def test_empty_sweep_is_a_one_line_input_error(capsys, experiment, sweep):
+    code = main(["experiment", *experiment, *sweep])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -10,6 +10,7 @@ from netredist.profiles import induce_graph
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 
 from networks import chain, share_tree_18
+from oracles import prst_oracle, random_digraph_profile, random_tree_profile
 
 
 def shares_of(profile, alpha, reward=1):
@@ -118,3 +119,47 @@ def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
         below = sum((shares.omega[j] for j in tree.branch_members(i) - {i}),
                     Fraction(0))
         assert shares.omega_pass[i] == below
+
+
+ALPHAS = (Fraction(1, 2), Fraction(1, 5), Fraction(7, 9), Fraction(99, 100))
+
+
+def _oracle_cases():
+    rng = random.Random(7)
+    yield share_tree_18()
+    for n in (1, 2, 3, 10, 60):
+        yield chain([1] * n)
+        yield tree_profile([-1] * n, [1] * n)  # star
+    for _ in range(120):
+        yield _random_tree(rng, rng.randint(1, 60))
+
+
+def test_closed_form_equals_the_per_node_recursion():
+    for profile in _oracle_cases():
+        tree = critical_tree(induce_graph(profile))
+        for alpha in ALPHAS:
+            fast = prst(tree, SharingParams(alpha))
+            slow = prst_oracle(tree, SharingParams(alpha))
+            for field in ("omega", "omega_pass"):
+                got, want = getattr(fast, field), getattr(slow, field)
+                assert got == want
+                assert all(type(got[i]) is type(want[i]) for i in want)
+
+
+def test_every_sponsor_branch_keeps_its_share_of_the_agents():
+    # Redistribution shares a branch's counterfactual revenue among its
+    # members, so what a branch keeps must be exactly its size over n.
+    rng = random.Random(11)
+    profiles = [random_tree_profile(rng, rng.randint(1, 40)) for _ in range(100)]
+    profiles += [random_digraph_profile(rng, rng.randint(1, 30), edge_prob=p)
+                 for p in (0.05, 0.1, 0.3) for _ in range(40)]
+    for profile in profiles:
+        tree = critical_tree(induce_graph(profile))
+        if not tree.parent:
+            continue
+        n = len(tree.parent)
+        for alpha in ALPHAS:
+            omega = prst(tree, SharingParams(alpha)).omega
+            for root in tree.root_branches:
+                kept = sum((omega[i] for i in tree.branch_members(root)), Fraction(0))
+                assert kept == Fraction(tree.size[root], n)
