@@ -102,8 +102,9 @@ class Market:
     ranked: tuple[str, ...]
 
 
-#: The last market's (invitation structure, graph, critical tree).
-_last_structure: Optional[tuple[tuple, InducedGraph, CriticalTree]] = None
+#: The last market's (invitation structure, graph, critical tree, sorted
+#: participants).
+_last_structure: Optional[tuple[tuple, InducedGraph, CriticalTree, tuple[str, ...]]] = None
 
 
 def _structure(profile: ReportProfile) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
@@ -124,12 +125,13 @@ def market(profile: ReportProfile) -> Market:
     last = _last_structure
     if last is None or last[0] != structure:
         graph = induce_graph(profile)
-        last = _last_structure = structure, graph, critical_tree(graph)
-    _, graph, tree = last
+        last = _last_structure = (structure, graph, critical_tree(graph),
+                                  tuple(sorted(graph.reachable)))
+    _, graph, tree, participants = last
     # rank by exact integer images of the values over their common
     # denominator, so the sort compares ints, not Fractions; a stable sort
     # by descending image keeps equal values in id order
-    values = {i: profile.value_of(i) for i in sorted(graph.reachable)}
+    values = {i: profile.value_of(i) for i in participants}
     common = lcm(*{v.denominator for v in values.values()})
     image = {i: v.numerator * (common // v.denominator) for i, v in values.items()}
     ranked = sorted(image, key=image.__getitem__, reverse=True)
@@ -183,8 +185,9 @@ def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
 
 def auction(mechanism: MechanismId, m: Market) -> AuctionOutcome:
     """Run the named mechanism on an already indexed market."""
-    allocation = {i: 0 for i in m.profile.agents}
-    payment = {i: ZERO for i in m.profile.agents}
+    agents = m.profile.agents
+    allocation = dict.fromkeys(agents, 0)
+    payment = dict.fromkeys(agents, ZERO)
     value = m.profile.value_of
     if mechanism.kind == "fixed_price":
         price = surplus = mechanism.price
@@ -262,9 +265,12 @@ def chain_walk(tree: CriticalTree,
 def tnm_stop(chain: list[str], outsiders: list[Optional[str]],
              value: Callable[[str], Fraction]) -> int:
     """Where ``tnm`` stops: the first link that outbids everyone outside
-    her own subtree (the top bidder always does)."""
-    def key(i: str) -> tuple[Fraction, str]:
-        return -value(i), i
-
-    return next(k for k in range(len(chain))
-                if outsiders[k] is None or key(chain[k]) < key(outsiders[k]))
+    her own subtree, ties going to the lower id (the top bidder always does)."""
+    for k in range(len(chain) - 1):
+        link, outsider = chain[k], outsiders[k]
+        if outsider is None:
+            return k
+        bid, rival = value(link), value(outsider)
+        if bid > rival or bid == rival and link < outsider:
+            return k
+    return len(chain) - 1

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from netredist.auctions import MechanismError, MechanismId
+from netredist.auctions import MechanismError, MechanismId, utility
 from netredist.critical_tree import critical_tree
 from netredist.generators import (
     BRANCH_INDEPENDENT,
@@ -184,7 +184,7 @@ def _emit(args, data: dict, rows: list[dict]) -> None:
 
 def _cmd_run(args, alpha: Fraction) -> int:
     profile = load_profile(args.network)
-    true_values = None
+    truth = profile
     if args.true_values:
         truth = load_profile(args.true_values)
         missing = profile.reports.keys() - truth.reports.keys()
@@ -193,12 +193,11 @@ def _cmd_run(args, alpha: Fraction) -> int:
             raise ProfileError(
                 f"{args.true_values}: agents differ from the network's "
                 f"({len(missing)} missing, {len(unknown)} unknown)")
-        true_values = {i: truth.value_of(i) for i in truth.agents}
     if args.mechanism == "cavallo":
-        outcome = cavallo(profile, true_values)
+        outcome = cavallo(profile)
     else:
         mech = MechanismId.parse(args.mechanism)
-        outcome = run_nrmf(mech, profile, SharingParams(alpha), true_values)
+        outcome = run_nrmf(mech, profile, SharingParams(alpha))
     digits = args.precision
     rows = [
         {
@@ -207,7 +206,8 @@ def _cmd_run(args, alpha: Fraction) -> int:
             "auction_payment": decimal_str(outcome.auction_payment[i], digits),
             "redistribution": decimal_str(outcome.redistribution[i], digits),
             "final_payment": decimal_str(outcome.final_payment[i], digits),
-            "utility": decimal_str(outcome.utilities[i], digits),
+            "utility": decimal_str(utility(outcome.allocation[i], truth.value_of(i),
+                                           outcome.final_payment[i]), digits),
         }
         for i in profile.agents
     ]

@@ -22,18 +22,23 @@ critical tree while the invitation structure is unchanged; the sharing
 coefficients and the re-hangs depend on that tree and on alpha alone, so
 they form an ``NrmfIndex`` kept in one slot too, keyed by the tree's
 identity and alpha.  Like the tree, an index is shared and never mutated.
+
+The arithmetic is per branch, not per agent.  Only the members of a
+branch with nonzero revenue get a rebate, and reward sharing gives branch
+``b``'s members exactly the mass ``size[b] / n``, so the surplus is the
+auction's revenue less ``sum(R_b * size[b]) / n``, one term per branch.
+Utilities are at the reported values and computed on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from netredist.auctions import (
     AuctionOutcome,
-    EmptyMarketError,
     Market,
     MechanismId,
     auction,
@@ -47,6 +52,7 @@ from netredist.profiles import SPONSOR, InducedGraph, ProfileError, ReportProfil
 from netredist.prst import SharingParams, prst
 
 ZERO = Fraction(0)
+VCG = MechanismId("vcg")
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,10 @@ class RedistributionOutcome:
     ``final_payment[i] == auction_payment[i] - redistribution[i]`` holds
     exactly for every agent, and ``surplus`` is the exact sum of final
     payments.  ``branch_revenues`` is keyed by branch root id, in the order
-    given by ``branch_roots``.  Utilities are measured against true values
-    when those were supplied, otherwise against reported values.
+    given by ``branch_roots``.  ``utilities`` are measured against the
+    reported values in ``profile`` and computed on first read; the utility
+    at a true value ``v`` is ``auctions.utility(allocation[i], v,
+    final_payment[i])``.
     """
 
     allocation: dict[str, int]
@@ -67,8 +75,15 @@ class RedistributionOutcome:
     branch_revenues: dict[str, Fraction]
     branch_roots: tuple[str, ...]
     surplus: Fraction
-    utilities: dict[str, Fraction]
     winner: Optional[str]
+    profile: ReportProfile = field(compare=False, repr=False)
+
+    @cached_property
+    def utilities(self) -> dict[str, Fraction]:
+        """Every agent's utility at her reported value."""
+        value_of = self.profile.value_of
+        return {i: utility(allocated, value_of(i), self.final_payment[i])
+                for i, allocated in self.allocation.items()}
 
 
 @dataclass(frozen=True)
@@ -103,41 +118,46 @@ def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
     return index
 
 
+def _empty_outcome(profile: ReportProfile) -> RedistributionOutcome:
+    """The all-zero outcome of a profile with no reachable agent."""
+    agents = profile.agents
+    nothing = AuctionOutcome(dict.fromkeys(agents, 0), dict.fromkeys(agents, ZERO),
+                             ZERO, None)
+    return _finalize(profile, nothing, dict.fromkeys(agents, ZERO), ZERO, {}, ())
+
+
 def _finalize(profile: ReportProfile,
               auction: AuctionOutcome,
               redistribution: dict[str, Fraction],
+              redistributed: Fraction,
               branch_revenues: dict[str, Fraction],
-              branch_roots: tuple[str, ...],
-              true_values: Optional[Mapping[str, Fraction]]) -> RedistributionOutcome:
+              branch_roots: tuple[str, ...]) -> RedistributionOutcome:
+    """``auction``'s outcome with ``redistribution``, which sums to
+    ``redistributed``, paid back; the auction's maps are taken over."""
     # no Fraction arithmetic on zeros: all but a few agents pay nothing,
     # and agents outside the tree or below a chain head get no rebate
-    final_payment = {}
-    for i in profile.agents:
-        paid, rebate = auction.payment[i], redistribution[i]
-        final_payment[i] = (paid - rebate if paid else -rebate) if rebate else paid
-    values = dict(true_values) if true_values is not None else {}
-    utilities = {
-        i: utility(auction.allocation[i], values.get(i, profile.value_of(i)),
-                   final_payment[i])
-        for i in profile.agents
-    }
+    final_payment = auction.payment.copy()
+    for i, rebate in redistribution.items():
+        if rebate:
+            paid = final_payment[i]
+            final_payment[i] = paid - rebate if paid else -rebate
     return RedistributionOutcome(
-        allocation=dict(auction.allocation),
-        auction_payment=dict(auction.payment),
+        allocation=auction.allocation,
+        auction_payment=auction.payment,
         redistribution=redistribution,
         final_payment=final_payment,
         branch_revenues=branch_revenues,
         branch_roots=branch_roots,
-        surplus=sum(filter(None, final_payment.values()), ZERO),
-        utilities=utilities,
+        # the auction's revenue is the sum of its payments
+        surplus=auction.surplus - redistributed,
         winner=auction.winner,
+        profile=profile,
     )
 
 
 def run_nrmf(mechanism: MechanismId,
              profile: ReportProfile,
-             params: SharingParams,
-             true_values: Optional[Mapping[str, Fraction]] = None) -> RedistributionOutcome:
+             params: SharingParams) -> RedistributionOutcome:
     """Run the auction and share each branch's counterfactual revenue.
 
     Only the sharing coefficients ``omega`` are used, and they are pure
@@ -146,25 +166,24 @@ def run_nrmf(mechanism: MechanismId,
     """
     m = market(profile)
     if not m.ranked:
-        empty = AuctionOutcome(
-            allocation={i: 0 for i in profile.agents},
-            payment={i: ZERO for i in profile.agents},
-            surplus=ZERO,
-            winner=None,
-        )
-        zero = {i: ZERO for i in profile.agents}
-        return _finalize(profile, empty, zero, {}, (), true_values)
+        return _empty_outcome(profile)
 
     index = nrmf_index(m, params)
     tree = m.tree
-    branch_revenues = dict(zip(tree.root_branches, _branch_revenues(mechanism, m, index)))
-    redistribution = {i: ZERO for i in profile.agents}
-    for i in tree.preorder:
-        root = tree.root_branches[tree.branch_of[i]]
-        redistribution[i] = index.omega[i] * branch_revenues[root]
-
-    return _finalize(profile, auction(mechanism, m), redistribution,
-                     branch_revenues, tree.root_branches, true_values)
+    roots, preorder, pre, size = tree.root_branches, tree.preorder, tree.pre, tree.size
+    revenues = _branch_revenues(mechanism, m, index)
+    outcome = auction(mechanism, m)
+    redistribution = dict.fromkeys(outcome.payment, ZERO)
+    # branch b's members share its revenue with total mass size[b] / n
+    mass = ZERO
+    for root, revenue in zip(roots, revenues):
+        if revenue:
+            start = pre[root]
+            for i in preorder[start:start + size[root]]:
+                redistribution[i] = index.omega[i] * revenue
+            mass += revenue * size[root]
+    return _finalize(profile, outcome, redistribution, mass / len(preorder),
+                     dict(zip(roots, revenues)), roots)
 
 
 def _branch_revenues(mechanism: MechanismId, m: Market,
@@ -200,12 +219,13 @@ def _silenced_ranking(m: Market, silenced: str) -> Iterator[str]:
     pre = m.tree.pre
     start = pre[silenced]
     end = start + m.tree.size[silenced]
+    value_of = m.profile.value_of
     waiting = True
     for i in m.ranked:
         if start <= pre[i] < end:
             continue
         # zero bids come last, in id order
-        if waiting and m.profile.value_of(i) == 0 and i > silenced:
+        if waiting and not value_of(i) and i > silenced:
             waiting = False
             yield silenced
         yield i
@@ -275,23 +295,27 @@ def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
     return rehangs
 
 
-def cavallo(profile: ReportProfile,
-            true_values: Optional[Mapping[str, Fraction]] = None) -> RedistributionOutcome:
+def cavallo(profile: ReportProfile) -> RedistributionOutcome:
     """Classical rebate scheme applied to the participant set.
 
     Every participant is rebated 1/n of the second-price revenue computed
     with her report silenced; the highest bidder wins at the second price.
-    That revenue is the second best bid once ``i`` is silenced, or 0.
+    That revenue is the second best bid once ``i`` is silenced, or 0.  A
+    profile with no reachable agent yields the all-zero outcome.
     """
     m = market(profile)
     n = len(m.ranked)
-    if n == 0:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
-    rebates = {i: ZERO for i in profile.agents}
+    if not n:
+        return _empty_outcome(profile)
+    outcome = auction(VCG, m)
+    rebates = dict.fromkeys(outcome.payment, ZERO)
+    total = ZERO
     for i in m.ranked:
-        rebates[i] = _best_two(m, i)[1] / n
-    return _finalize(profile, auction(MechanismId("vcg"), m), rebates, {}, (),
-                     true_values)
+        revenue = _best_two(m, i)[1]
+        if revenue:
+            rebates[i] = revenue / n
+            total += revenue
+    return _finalize(profile, outcome, rebates, total / n, {}, ())
 
 
 def check_cavallo_equivalence(profile: ReportProfile) -> bool:
@@ -301,6 +325,6 @@ def check_cavallo_equivalence(profile: ReportProfile) -> bool:
     )
     if not is_star:
         raise ProfileError("equivalence check only applies to star profiles")
-    nrmf = run_nrmf(MechanismId("vcg"), profile, SharingParams.of(Fraction(1, 2)))
+    nrmf = run_nrmf(VCG, profile, SharingParams.of(Fraction(1, 2)))
     classical = cavallo(profile)
     return nrmf.final_payment == classical.final_payment

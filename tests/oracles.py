@@ -31,7 +31,7 @@ from netredist.profiles import (
     induce_graph,
 )
 from netredist.prst import ShareVector, SharingError, SharingParams
-from netredist.redistribution import _finalize
+from netredist.redistribution import RedistributionOutcome
 
 ZERO = Fraction(0)
 
@@ -185,6 +185,31 @@ def _revenue(mechanism: MechanismId, profile: ReportProfile) -> Fraction:
         return ZERO
 
 
+def _outcome_by_terms(profile: ReportProfile, auction: AuctionOutcome,
+                      redistribution: dict, branch_revenues: dict,
+                      branch_roots: tuple) -> RedistributionOutcome:
+    """The outcome by its definition, agent by agent: every final payment
+    is the auction payment less the redistribution, and the surplus is the
+    plain sum of the final payments."""
+    final_payment = {i: auction.payment[i] - redistribution[i] for i in profile.agents}
+    return RedistributionOutcome(
+        allocation={i: auction.allocation[i] for i in profile.agents},
+        auction_payment={i: auction.payment[i] for i in profile.agents},
+        redistribution=redistribution,
+        final_payment=final_payment,
+        branch_revenues=branch_revenues,
+        branch_roots=branch_roots,
+        surplus=sum(final_payment.values(), ZERO),
+        winner=auction.winner,
+        profile=profile,
+    )
+
+
+def _no_sale(profile: ReportProfile) -> AuctionOutcome:
+    return AuctionOutcome({i: 0 for i in profile.agents},
+                          {i: ZERO for i in profile.agents}, ZERO, None)
+
+
 def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
                       params: SharingParams):
     """``run_nrmf`` by brute force: each branch's revenue comes from
@@ -192,10 +217,8 @@ def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
     of that branch reports ``NULL_TYPE``."""
     graph = induce_graph(profile)
     if not graph.reachable:
-        empty = AuctionOutcome({i: 0 for i in profile.agents},
-                               {i: ZERO for i in profile.agents}, ZERO, None)
         zero = {i: ZERO for i in profile.agents}
-        return _finalize(profile, empty, zero, {}, (), None)
+        return _outcome_by_terms(profile, _no_sale(profile), zero, {}, ())
     tree = critical_tree(graph)
     shares = prst_oracle(tree, SharingParams(params.alpha, Fraction(1)))
     branch_revenues = {}
@@ -209,8 +232,8 @@ def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
     for i in graph.reachable:
         root = tree.root_branches[tree.branch_of[i]]
         redistribution[i] = shares.omega[i] * branch_revenues[root]
-    return _finalize(profile, run_auction(mechanism, profile), redistribution,
-                     branch_revenues, tree.root_branches, None)
+    return _outcome_by_terms(profile, run_auction(mechanism, profile), redistribution,
+                             branch_revenues, tree.root_branches)
 
 
 def cavallo_rerun_oracle(profile: ReportProfile):
@@ -218,13 +241,23 @@ def cavallo_rerun_oracle(profile: ReportProfile):
     auction with that one agent's report silenced."""
     reachable = induce_graph(profile).reachable
     rebates = {i: ZERO for i in profile.agents}
+    if not reachable:
+        return _outcome_by_terms(profile, _no_sale(profile), rebates, {}, ())
     for i in sorted(reachable):
         revenue = _revenue(MechanismId("vcg"), profile.replace(i, NULL_TYPE))
         rebates[i] = Fraction(revenue, len(reachable))
-    return _finalize(profile, vcg(profile), rebates, {}, (), None)
+    return _outcome_by_terms(profile, vcg(profile), rebates, {}, ())
 
 
 # --- memo-free reference runs --------------------------------------------
+
+
+def exact(value):
+    """A field as a comparable whose numbers keep their type and whose
+    keys keep their order, so 0 and Fraction(0) differ."""
+    if isinstance(value, dict):
+        return [(k, type(v), v) for k, v in value.items()]
+    return type(value), value
 
 
 def clear_memo() -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
-from netredist.profiles import save_profile, star_profile
+from netredist.profiles import AgentType, ReportProfile, save_profile, star_profile
 
 from networks import bidder_star, reference_network_10, star_with_tail
 
@@ -95,6 +95,40 @@ def test_missing_network_file_is_input_error(capsys, tmp_path):
 def test_bad_alpha_is_input_error(capsys, network_file):
     code = main(["--alpha", "zero", "run", network_file])
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.fixture()
+def unreached_file(tmp_path):
+    """A network whose sponsor invites nobody, alone in its directory."""
+    directory = tmp_path / "unreached"
+    directory.mkdir()
+    path = directory / "unreached.json"
+    save_profile(ReportProfile(frozenset(), {"A": AgentType.of(5, ["B"]),
+                                             "B": AgentType.of(3)}), path)
+    return str(path)
+
+
+def test_run_cavallo_on_an_empty_market_matches_vcg(capsys, unreached_file):
+    outputs = {}
+    for mechanism in ("cavallo", "vcg"):
+        code = main(["--output", "json", "run", unreached_file, "--mechanism", mechanism])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        outputs[mechanism] = json.loads(captured.out)
+    assert outputs["cavallo"].pop("mechanism") == "cavallo"
+    assert outputs["vcg"].pop("mechanism") == "vcg"
+    assert outputs["cavallo"] == outputs["vcg"]
+    assert outputs["cavallo"]["winner"] is None
+    assert outputs["cavallo"]["surplus_exact"] == "0"
+
+
+@pytest.mark.parametrize("prop", ["ir", "ic", "nd"])
+def test_verify_cavallo_on_an_empty_market_passes(capsys, unreached_file, prop):
+    code = main(["verify", "--property", prop, "--mechanism", "cavallo",
+                 "--instances", str(Path(unreached_file).parent)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+    assert json.loads(captured.out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("command", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from netredist import auctions
-from netredist.auctions import MechanismId, market
+from netredist.auctions import MechanismId, market, utility
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
     AgentType,
@@ -25,6 +25,7 @@ from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import (
     cavallo_rerun_oracle,
     clear_memo,
+    exact,
     memo_free,
     nrmf_rerun_oracle,
     random_digraph_profile,
@@ -32,7 +33,24 @@ from oracles import (
 )
 
 HALF = SharingParams.of(Fraction(1, 2))
+ALPHAS = [HALF, SharingParams.of(Fraction(1, 5))]
 MECHANISMS = [MechanismId.parse(m) for m in ("vcg", "idm", "tnm", "fixed:3", "fixed:0")]
+
+
+def assert_by_definition(outcome, profile):
+    """The surplus is the plain sum of the final payments and every utility
+    is ``utility`` at the reported value, equal in value and type."""
+    assert exact(outcome.surplus) == exact(sum(outcome.final_payment.values(), Fraction(0)))
+    assert exact(outcome.utilities) == exact({
+        i: utility(outcome.allocation[i], profile.value_of(i), outcome.final_payment[i])
+        for i in profile.agents
+    })
+
+
+def assert_matches_oracle(outcome, oracle, profile):
+    assert outcome == oracle
+    assert_by_definition(outcome, profile)
+    assert exact(outcome.utilities) == exact(oracle.utilities)
 
 
 def test_final_payment_identity_holds_exactly():
@@ -74,12 +92,16 @@ def test_utilities_against_reported_values_by_default():
 
 
 def test_utilities_against_supplied_true_values():
-    truth = {"A": Fraction(9), "B": Fraction(3), "C": Fraction(4)}
-    outcome = run_nrmf(MechanismId("vcg"), bidder_star(), HALF, truth)
+    truth = {"A": Fraction(9), "B": Fraction(3), "C": Fraction(7)}
+    outcome = run_nrmf(MechanismId("vcg"), bidder_star(), HALF)
+    at_truth = {i: utility(outcome.allocation[i], v, outcome.final_payment[i])
+                for i, v in truth.items()}
     # C still wins on reports, but her utility is measured at her true value
     assert outcome.winner == "C"
+    assert at_truth["C"] == 7 - outcome.final_payment["C"]
+    assert at_truth["A"] == -outcome.final_payment["A"] == outcome.utilities["A"]
+    # the outcome's own utilities stay at the reported values
     assert outcome.utilities["C"] == 4 - outcome.final_payment["C"]
-    assert outcome.utilities["A"] == -outcome.final_payment["A"]
 
 
 def test_empty_participant_set_degenerates_to_all_zero():
@@ -97,6 +119,15 @@ def test_single_branch_redistributes_the_counterfactual_revenue():
     outcome = run_nrmf(MechanismId("idm"), profile, HALF)
     assert outcome.branch_revenues == {"A": 0}
     assert outcome.redistribution == {"A": 0, "B": 0}
+
+
+def test_cavallo_on_an_empty_market_is_all_zero():
+    profile = ReportProfile(frozenset(), {"A": T(5, ["B"]), "B": T(3)})
+    outcome = cavallo(profile)
+    assert outcome == run_nrmf(MechanismId("vcg"), profile, HALF)
+    assert outcome.winner is None
+    assert outcome.surplus == 0
+    assert outcome.redistribution == outcome.final_payment == {"A": 0, "B": 0}
 
 
 def test_cavallo_rebates_on_three_agent_star():
@@ -245,7 +276,10 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
         m = market(profile)
         rehung += bool(m.ranked) and any(_rehangs(m.graph, m.tree))
         for mech in MECHANISMS:
-            assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
+            for params in ALPHAS:
+                assert_matches_oracle(run_nrmf(mech, profile, params),
+                                      nrmf_rerun_oracle(mech, profile, params), profile)
+        assert_by_definition(cavallo(profile), profile)
     assert rehung > 200  # the counterfactual trees often differ from the actual one
 
 
@@ -264,7 +298,10 @@ def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
         m = market(profile)
         rehung += any(_rehangs(m.graph, m.tree))
         for mech in MECHANISMS:
-            assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
+            for params in ALPHAS:
+                assert_matches_oracle(run_nrmf(mech, profile, params),
+                                      nrmf_rerun_oracle(mech, profile, params), profile)
+        assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
     assert rehung > 10
 
 
@@ -274,5 +311,4 @@ def test_cavallo_matches_rerun_oracle_on_random_digraphs():
         profile = random_digraph_profile(rng, rng.randint(1, 9),
                                          edge_prob=rng.choice((0.15, 0.3, 0.5)),
                                          value_max=rng.choice((0, 1, 3, 20)))
-        if induce_graph(profile).reachable:
-            assert cavallo(profile) == cavallo_rerun_oracle(profile)
+        assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)

@@ -10,7 +10,7 @@ from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.prst import SharingParams
-from netredist.redistribution import cavallo, run_nrmf
+from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
 from netredist.verify import (
     auction_mechanism,
     cavallo_mechanism,
@@ -27,7 +27,7 @@ from netredist.verify import (
 )
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
-from oracles import clear_memo, counted_builds, memo_free, random_tree_profile
+from oracles import clear_memo, counted_builds, exact, memo_free, random_tree_profile
 
 HALF = Fraction(1, 2)
 IDM = MechanismId("idm")
@@ -136,6 +136,19 @@ def test_ic_evaluates_the_truthful_profile_once_per_instance():
     assert len(profiles) == 1 + report.checked
 
 
+def test_ic_leaves_the_utilities_of_every_outcome_uncomputed():
+    inner = nrmf_mechanism(IDM, HALF)
+    outcomes = []
+
+    def recorded(profile):
+        outcomes.append(inner(profile))
+        return outcomes[-1]
+
+    assert check_ic(recorded, [reference_network_10()]).checked == 425
+    assert len(outcomes) == 1 + 425
+    assert not any("utilities" in vars(outcome) for outcome in outcomes)
+
+
 def test_ic_builds_one_index_per_change_of_invitation_structure(monkeypatch):
     builds = counted_builds(monkeypatch)
     inner = nrmf_mechanism(MechanismId("idm"), HALF)
@@ -166,18 +179,13 @@ def test_every_audited_mechanism_reuses_the_structure(monkeypatch):
     assert len(builds) == 2
 
 
-def _exact(value):
-    """A field as a comparable whose numbers keep their type and whose
-    keys keep their order, so 0 and Fraction(0) differ."""
-    if isinstance(value, dict):
-        return [(k, type(v), v) for k, v in value.items()]
-    return type(value), value
-
-
 def _same_as_fresh_run(outcome, reference, profile) -> bool:
     fresh = memo_free(reference, profile)
-    return all(_exact(getattr(outcome, f.name)) == _exact(getattr(fresh, f.name))
-               for f in dataclasses.fields(fresh))
+    names = [f.name for f in dataclasses.fields(fresh)]
+    if isinstance(fresh, RedistributionOutcome):
+        names.append("utilities")  # computed on read, so not a field
+    return all(exact(getattr(outcome, name)) == exact(getattr(fresh, name))
+               for name in names)
 
 
 def _audit_against_fresh_runs(evaluate, reference, instances) -> tuple[int, int]:
