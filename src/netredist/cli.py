@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from netredist.auctions import MechanismError, MechanismId, utility
 from netredist.critical_tree import critical_tree
@@ -36,7 +37,7 @@ from netredist.profiles import (
 )
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 from netredist.redistribution import cavallo, run_nrmf
-from netredist.render import DEFAULT_PRECISION, decimal_str
+from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
 from netredist.verify import (
     auction_mechanism,
     cavallo_mechanism,
@@ -162,7 +163,7 @@ def _growth_model(args) -> GrowthModel:
 def _emit(args, data: dict, rows: list[dict]) -> None:
     """Emit one result as JSON (structured), CSV or a text table (rows)."""
     if args.output == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(_json_text(data))
     elif args.output == "csv":
         if rows:
             buf = io.StringIO()
@@ -182,6 +183,86 @@ def _emit(args, data: dict, rows: list[dict]) -> None:
             print("  ".join(str(r[h]).ljust(w) for h, w in zip(headers, widths)))
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``.
+
+    With ``indent=2`` the ``json`` module falls back to its pure-Python
+    encoder, which is slow on long lists.  So strings, dicts with str keys
+    and lists are written here, a list of flat records (the rows) from one
+    template, and every other value by ``json.dumps``.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list and obj:
+        items = _json_records(obj, inner) or [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+
+
+def _json_records(items: list, indent: str):
+    """The JSON text of each of ``items`` from one template, or None unless
+    they are dicts with the same str keys whose values are, key by key,
+    all str or all int."""
+    keys = items[0].keys() if type(items[0]) is dict else None
+    if not keys or not all(type(k) is str for k in keys) or not all(
+            type(row) is dict and row.keys() == keys for row in items):
+        return None
+    inner = indent + "  "
+    fields, columns = [], []
+    for k in sorted(keys):
+        column = [row[k] for row in items]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            spec, column = "%s", list(map(encode_basestring_ascii, column))
+        elif kinds == {int}:
+            spec = "%d"
+        else:
+            return None
+        fields.append(f"{inner}{encode_basestring_ascii(k)}: ".replace("%", "%%") + spec)
+        columns.append(column)
+    template = "{" + ",".join(fields) + indent + "}"
+    return [template % values for values in zip(*columns)]
+
+
+def _run_rows(outcome, truth, digits: int) -> list[dict]:
+    """One row per agent of the outcome's profile, amounts rendered at
+    ``digits``, utilities at the values in ``truth``."""
+    zero = decimal_str(Fraction(0), digits)
+    rows = []
+    for i in outcome.profile.agents:
+        allocated = outcome.allocation[i]
+        paid = outcome.auction_payment[i]
+        rebate = outcome.redistribution[i]
+        if allocated or paid:
+            final = outcome.final_payment[i]
+            rows.append({
+                "agent": i,
+                "allocation": allocated,
+                "auction_payment": decimal_str(paid, digits),
+                "redistribution": decimal_str(rebate, digits),
+                "final_payment": decimal_str(final, digits),
+                "utility": decimal_str(utility(allocated, truth.value_of(i), final),
+                                       digits),
+            })
+            continue
+        # With nothing won and nothing paid at auction, the final payment is
+        # -rebate and the utility +rebate at any value.  A rebate is never
+        # negative and rounding keeps the sign, so a nonzero rebate's final
+        # payment renders as the rebate with a minus sign.
+        given = decimal_str(rebate, digits) if rebate else zero
+        taken = "-" + given if rebate else zero
+        rows.append({"agent": i, "allocation": allocated, "auction_payment": zero,
+                     "redistribution": given, "final_payment": taken,
+                     "utility": given})
+    return rows
+
+
 def _cmd_run(args, alpha: Fraction) -> int:
     profile = load_profile(args.network)
     truth = profile
@@ -198,35 +279,22 @@ def _cmd_run(args, alpha: Fraction) -> int:
     else:
         mech = MechanismId.parse(args.mechanism)
         outcome = run_nrmf(mech, profile, SharingParams(alpha))
-    digits = args.precision
-    rows = [
-        {
-            "agent": i,
-            "allocation": outcome.allocation[i],
-            "auction_payment": decimal_str(outcome.auction_payment[i], digits),
-            "redistribution": decimal_str(outcome.redistribution[i], digits),
-            "final_payment": decimal_str(outcome.final_payment[i], digits),
-            "utility": decimal_str(utility(outcome.allocation[i], truth.value_of(i),
-                                           outcome.final_payment[i]), digits),
-        }
-        for i in profile.agents
-    ]
+    rows = _run_rows(outcome, truth, args.precision)
     data = {
         "mechanism": args.mechanism,
-        "alpha": str(alpha),
+        "alpha": fraction_str(alpha),
         "winner": outcome.winner,
-        "surplus": decimal_str(outcome.surplus, digits),
-        "surplus_exact": str(outcome.surplus),
+        "surplus": decimal_str(outcome.surplus, args.precision),
+        "surplus_exact": fraction_str(outcome.surplus),
         "branch_revenues": {
-            root: str(outcome.branch_revenues[root])
+            root: fraction_str(outcome.branch_revenues[root])
             for root in outcome.branch_roots
         },
         "agents": rows,
     }
     _emit(args, data, rows)
     if args.output == "table":
-        print(f"winner: {outcome.winner}  "
-              f"surplus: {decimal_str(outcome.surplus, digits)}")
+        print(f"winner: {outcome.winner}  surplus: {data['surplus']}")
     return EXIT_OK
 
 
@@ -268,7 +336,7 @@ def _cmd_verify(args, alpha: Fraction) -> int:
         ]
         report = check_revenue_invariant(mechanism, pairs)
 
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(report.to_dict()))
     return EXIT_OK if report.verdict else EXIT_PROPERTY_FAILURE
 
 
@@ -361,15 +429,15 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     rows = [
         {
             "agent": i,
-            "omega": str(shares.omega[i]),
+            "omega": fraction_str(shares.omega[i]),
             "share": decimal_str(share[i], args.precision),
         }
         for i in tree.agents
     ]
     data = {
-        "alpha": str(alpha),
-        "reward": str(reward),
-        "total": str(share_totals(shares)),
+        "alpha": fraction_str(alpha),
+        "reward": fraction_str(reward),
+        "total": fraction_str(share_totals(shares)),
         "shares": rows,
     }
     _emit(args, data, rows)

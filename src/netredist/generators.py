@@ -24,6 +24,7 @@ from netredist.critical_tree import CriticalTree
 from netredist.profiles import SPONSOR, AgentType, ReportProfile
 from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
+from netredist.render import fraction_str
 
 ZERO = Fraction(0)
 
@@ -209,12 +210,12 @@ class ExperimentRecord:
         data = {
             "n": self.n,
             "seed": self.seed,
-            "surplus": str(self.surplus),
-            "max_branch_fraction": str(self.max_branch_fraction),
+            "surplus": fraction_str(self.surplus),
+            "max_branch_fraction": fraction_str(self.max_branch_fraction),
             "branch_count": self.branch_count,
         }
         if self.bound is not None:
-            data["bound"] = str(self.bound)
+            data["bound"] = fraction_str(self.bound)
         return data
 
 
@@ -241,8 +242,8 @@ class ExperimentResult:
             "aggregates": [
                 {
                     "n": n,
-                    "median_surplus": str(self.median_surplus(n)),
-                    "mean_surplus": str(self.mean_surplus(n)),
+                    "median_surplus": fraction_str(self.median_surplus(n)),
+                    "mean_surplus": fraction_str(self.mean_surplus(n)),
                 }
                 for n in self.sizes()
             ],

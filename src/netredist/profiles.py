@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from netredist.render import exact_decimal_str
@@ -68,10 +69,10 @@ class ReportProfile:
                 if j != SPONSOR and j not in self.reports:
                     raise ProfileError(f"agent {i!r} references unknown agent {j!r}")
 
-    @property
-    def agents(self) -> list[str]:
-        """All agent ids in canonical (sorted) order."""
-        return sorted(self.reports)
+    @cached_property
+    def agents(self) -> tuple[str, ...]:
+        """All agent ids in canonical (sorted) order, sorted once."""
+        return tuple(sorted(self.reports))
 
     def value_of(self, i: str) -> Fraction:
         return self.reports[i].value
@@ -82,7 +83,9 @@ class ReportProfile:
             raise ProfileError(f"unknown agent {i!r}")
         reports = dict(self.reports)
         reports[i] = report
-        return ReportProfile(self.sponsor_neighbors, reports)
+        changed = ReportProfile(self.sponsor_neighbors, reports)
+        changed.__dict__["agents"] = self.agents  # the same ids, already sorted
+        return changed
 
 
 def make_profile(sponsor_neighbors: Iterable[str],
@@ -164,7 +167,7 @@ def profile_from_dict(data: dict) -> ReportProfile:
         if not isinstance(raw_value, str):
             raise ProfileError(f"agent {agent_id!r}: value must be a decimal string")
         try:
-            value = Fraction(raw_value)
+            value = parse_value(raw_value)
         except (ValueError, ZeroDivisionError):
             raise ProfileError(f"agent {agent_id!r}: bad value {raw_value!r}") from None
         if agent_id in reports:
@@ -172,6 +175,24 @@ def profile_from_dict(data: dict) -> ReportProfile:
         neighbors = _id_set(neighbors, f"agent {agent_id!r}: neighbors")
         reports[agent_id] = AgentType(value, neighbors)
     return ReportProfile(_id_set(sponsor_neighbors, "sponsor_neighbors"), reports)
+
+
+def parse_value(text: str) -> Fraction:
+    """``Fraction(text)``, read directly when ``text`` is a plain decimal.
+
+    ASCII digits with at most one point become an integer over a power of
+    ten, without ``Fraction``'s pattern match.  Any other string, or one
+    with more digits than the interpreter reads as an int at once, goes to
+    ``Fraction(text)``, which accepts or rejects it as it always has.
+    """
+    whole, _, frac = text.partition(".")
+    digits = whole + frac
+    if digits.isascii() and digits.isdigit():
+        try:
+            return Fraction(int(digits), 10 ** len(frac))
+        except ValueError:
+            pass
+    return Fraction(text)
 
 
 def _id_set(raw, what: str) -> frozenset[str]:
@@ -198,10 +219,10 @@ def load_profile(path) -> ReportProfile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ProfileError(f"{path}: invalid JSON ({e})") from None
         except UnicodeDecodeError as e:
             raise ProfileError(f"{path}: not UTF-8 text ({e})") from None
+        except ValueError as e:  # bad JSON, or an integer literal too long to read
+            raise ProfileError(f"{path}: invalid JSON ({e})") from None
     try:
         return profile_from_dict(data)
     except ProfileError as e:

@@ -112,7 +112,8 @@ def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
     reused while the tree and alpha stay the same."""
     global _last_index
     index = _last_index
-    if index is None or index.tree is not m.tree or index.alpha != params.alpha:
+    if (index is None or index.tree is not m.tree
+            or index.alpha is not params.alpha and index.alpha != params.alpha):
         index = _last_index = NrmfIndex(m.graph, m.tree, params.alpha,
                                         prst(m.tree, params).omega)
     return index

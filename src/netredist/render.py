@@ -2,7 +2,8 @@
 
 Mechanism code never touches floats.  Output is rounded here, with
 banker's rounding at a configurable number of digits; network files get
-the exact rendering, which round-trips.
+the exact rendering, which round-trips.  Amounts of any size render: an
+integer past the interpreter's int-to-text digit limit is written in parts.
 """
 
 from __future__ import annotations
@@ -25,10 +26,31 @@ def decimal_str(x: Fraction, digits: int = DEFAULT_PRECISION) -> str:
     if 2 * r > den or (2 * r == den and q % 2):
         q += 1
     sign = "-" if x.numerator < 0 else ""
+    s = _long_digits(q)
     if digits == 0:
-        return f"{sign}{q}"
-    s = str(q).rjust(digits + 1, "0")
+        return sign + s
+    s = s.rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def fraction_str(x: Fraction) -> str:
+    """``str(x)``, that is ``p`` or ``p/q``, for a rational of any size."""
+    sign = "-" if x.numerator < 0 else ""
+    num = _long_digits(abs(x.numerator))
+    if x.denominator == 1:
+        return sign + num
+    return f"{sign}{num}/{_long_digits(x.denominator)}"
+
+
+def _long_digits(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, split in halves while it has more digits
+    than the interpreter converts at once (4,300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # log10(2) / 2 ~ 0.15
+        high, low = divmod(n, 10**half)
+        return _long_digits(high) + _long_digits(low).rjust(half, "0")
 
 
 def exact_decimal_str(x: Fraction) -> str:
@@ -43,5 +65,5 @@ def exact_decimal_str(x: Fraction) -> str:
         den //= 5
         five += 1
     if den != 1:
-        return f"{x.numerator}/{x.denominator}"
+        return fraction_str(x)
     return decimal_str(x, max(two, five))

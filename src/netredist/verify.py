@@ -25,6 +25,7 @@ from netredist.auctions import (
 )
 from netredist.prst import SharingParams
 from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
+from netredist.render import fraction_str
 
 ZERO = Fraction(0)
 
@@ -143,11 +144,11 @@ class PropertyReport:
             w = self.witness
             data["witness"] = {
                 "agent": w.agent,
-                "deviation_value": str(w.deviation.value),
+                "deviation_value": fraction_str(w.deviation.value),
                 "deviation_neighbors": sorted(w.deviation.neighbors),
-                "truthful_utility": str(w.truthful_utility),
-                "deviation_utility": str(w.deviation_utility),
-                "gain": str(w.gain),
+                "truthful_utility": fraction_str(w.truthful_utility),
+                "deviation_utility": fraction_str(w.deviation_utility),
+                "gain": fraction_str(w.gain),
             }
         return data
 

@@ -10,7 +10,9 @@ agent, so they share the auctions but not the counterfactual index.
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from fractions import Fraction
 
 from netredist import auctions, redistribution
@@ -19,6 +21,7 @@ from netredist.auctions import (
     EmptyMarketError,
     MechanismId,
     run_auction,
+    utility,
     vcg,
 )
 from netredist.critical_tree import CriticalTree, critical_tree
@@ -27,11 +30,13 @@ from netredist.profiles import (
     SPONSOR,
     AgentType,
     InducedGraph,
+    ProfileError,
     ReportProfile,
     induce_graph,
 )
 from netredist.prst import ShareVector, SharingError, SharingParams
 from netredist.redistribution import RedistributionOutcome
+from netredist.render import decimal_str
 
 ZERO = Fraction(0)
 
@@ -290,6 +295,55 @@ def memo_free(run, *args):
         return run(*args)
     finally:
         auctions._last_structure, redistribution._last_index = saved
+
+
+# --- the command line's former input and output paths -------------------
+
+
+def agent_value_oracle(agent_id: str, raw: str) -> Fraction:
+    """An agent entry's value as ``profile_from_dict`` read it with
+    ``Fraction(str)`` on every string, its error text included."""
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ProfileError(f"agent {agent_id!r}: bad value {raw!r}") from None
+    return AgentType(value, frozenset()).value
+
+
+def run_rows_oracle(outcome: RedistributionOutcome, truth: ReportProfile,
+                    digits: int) -> list[dict]:
+    """``netredist run``'s rows with four ``decimal_str`` calls per agent."""
+    return [
+        {
+            "agent": i,
+            "allocation": outcome.allocation[i],
+            "auction_payment": decimal_str(outcome.auction_payment[i], digits),
+            "redistribution": decimal_str(outcome.redistribution[i], digits),
+            "final_payment": decimal_str(outcome.final_payment[i], digits),
+            "utility": decimal_str(utility(outcome.allocation[i], truth.value_of(i),
+                                           outcome.final_payment[i]), digits),
+        }
+        for i in outcome.profile.agents
+    ]
+
+
+def without_digit_limit(run, *args):
+    """``run(*args)`` with the interpreter's int-to-text digit limit lifted,
+    where ``str`` of any int is its exact decimal text."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # an interpreter without the limit
+        return run(*args)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return run(*args)
+    finally:
+        set_limit(limit)
+
+
+def json_text_oracle(data) -> str:
+    """The command line's JSON text: the standard library's indented encoder."""
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 # --- random instance generation -----------------------------------------

@@ -1,15 +1,34 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from netredist import cli
+from netredist.auctions import MechanismId
 from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
-from netredist.profiles import AgentType, ReportProfile, save_profile, star_profile
+from netredist.generators import EVENLY_GROWING, GrowthModel, generate
+from netredist.profiles import (
+    AgentType,
+    ReportProfile,
+    make_profile,
+    profile_to_dict,
+    save_profile,
+    star_profile,
+)
+from netredist.prst import SharingParams
+from netredist.redistribution import cavallo, run_nrmf
 
-from networks import bidder_star, reference_network_10, star_with_tail
+from networks import T, bidder_star, reference_network_10, star_with_tail
+from oracles import (
+    json_text_oracle,
+    random_digraph_profile,
+    run_rows_oracle,
+    without_digit_limit,
+)
 
 
 @pytest.fixture()
@@ -332,3 +351,225 @@ def test_empty_sweep_is_a_one_line_input_error(capsys, experiment, sweep):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# --- huge values ----------------------------------------------------------
+
+
+def _same_as_unlimited(capsys, argv):
+    """Run ``argv`` as is and with the digit limit lifted: (exit code, stdout)
+    of the first, after checking that both runs print the same bytes."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (without_digit_limit(main, argv), capsys.readouterr().out) == (code, captured.out)
+    return code, captured.out
+
+
+@pytest.mark.parametrize("values", [("1e5000", "2", "3", "1"),
+                                    ("3", "2", "1e-5000", "1e-5000"),
+                                    ("2e4000", "1e4000", "1e-4000", "1e-4000")],
+                         ids=["1e5000", "1e-5000", "1e4000-and-1e-4000"])
+@pytest.mark.parametrize("output", ["json", "csv", "table"])
+def test_values_past_the_int_text_limit_render_exactly(capsys, tmp_path, values, output):
+    # next to 1e4000 and 1e-4000 no value has more than 4,001 digits, but
+    # the surplus has 12,003
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "sponsor_neighbors": ["A", "B", "C"],
+        "agents": [{"id": i, "value": v, "neighbors": ["D"] if i == "A" else []}
+                   for i, v in zip("ABCD", values)]}))
+    for mechanism in ("idm", "vcg", "fixed:1", "cavallo"):
+        code, out = _same_as_unlimited(
+            capsys, ["--output", output, "run", str(path), "--mechanism", mechanism])
+        assert code == EXIT_OK
+        if output == "json":
+            assert len(json.loads(out)["agents"]) == 4
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+@pytest.mark.parametrize("mechanism", ["nrmf:idm", "nrmf:tnm", "idm"])
+def test_verify_on_values_past_the_int_text_limit(capsys, tmp_path, value, mechanism):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    (directory / "huge.json").write_text(json.dumps({
+        "sponsor_neighbors": ["A", "B"],
+        "agents": [{"id": "A", "value": value, "neighbors": ["C"]},
+                   {"id": "B", "value": "2"}, {"id": "C", "value": "3"}]}))
+    for prop in ("ir", "ic"):
+        code, out = _same_as_unlimited(capsys, [
+            "verify", "--property", prop, "--mechanism", mechanism,
+            "--instances", str(directory)])
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "pass"
+
+
+def test_a_witness_past_the_int_text_limit_renders_exactly(capsys, tmp_path):
+    # star_with_tail scaled by 10**5000: cavallo's IC witness is 10**5000 / 6
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    network = profile_to_dict(star_with_tail())
+    for agent in network["agents"]:
+        agent["value"] += "e5000"
+    (directory / "tail.json").write_text(json.dumps(network))
+    code, out = _same_as_unlimited(capsys, [
+        "verify", "--property", "ic", "--mechanism", "cavallo",
+        "--instances", str(directory)])
+    assert code == EXIT_PROPERTY_FAILURE
+    assert json.loads(out)["witness"]["gain"] == "5" + "0" * 4999 + "/3"
+
+
+def test_a_json_integer_past_the_int_text_limit_is_a_one_line_input_error(
+        capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"sponsor_neighbors": ["A"], "agents": [{"id": "A", "value": '
+                    + "1" * 5000 + "}]}")
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    assert captured.err.startswith(f"error: {path}: invalid JSON (")
+    assert len(captured.err.splitlines()) == 1
+
+
+# --- the run path against the slow oracles ---------------------------------
+
+HALF = SharingParams.of(Fraction(1, 2))
+RUN_MECHANISMS = ("idm", "tnm", "vcg", "fixed:30", "fixed:3", "cavallo")
+
+
+def _outcome(profile, mechanism):
+    if mechanism == "cavallo":
+        return cavallo(profile)
+    return run_nrmf(MechanismId.parse(mechanism), profile, HALF)
+
+
+def _revalued(profile):
+    """The same agents and invitations with other values, as a truth file."""
+    return ReportProfile(profile.sponsor_neighbors, {
+        i: AgentType(t.value * 3 + Fraction(1, 7), t.neighbors)
+        for i, t in profile.reports.items()})
+
+
+def _row_networks():
+    rng = random.Random(5)
+    # every rebate rounds to zero at 6 digits: final payments of -0.000000
+    tiny = star_profile({"A": Fraction(3, 10**7), "B": Fraction(2, 10**7),
+                         "C": Fraction(1, 10**7), "D": Fraction(1, 10**7)})
+    generated = [generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=4,
+                                      value_max=100, seed=seed), 60) for seed in (3, 4)]
+    digraphs = [random_digraph_profile(rng, rng.randint(1, 9), value_max=rng.choice([3, 20]))
+                for _ in range(40)]
+    return [reference_network_10(), bidder_star(), star_with_tail(), tiny,
+            *generated, *digraphs]
+
+
+@pytest.mark.parametrize("digits", [0, 6, 20])
+def test_run_rows_match_four_renders_per_agent(digits):
+    for profile in _row_networks():
+        for mechanism in RUN_MECHANISMS:
+            outcome = _outcome(profile, mechanism)
+            for truth in (profile, _revalued(profile)):
+                assert cli._run_rows(outcome, truth, digits) == run_rows_oracle(
+                    outcome, truth, digits)
+
+
+@pytest.mark.parametrize("digits,minus_zero", [(6, "-0.000000"), (0, "-0")])
+def test_a_rebate_that_rounds_to_zero_is_paid_as_minus_zero(
+        capsys, tmp_path, digits, minus_zero):
+    path = tmp_path / "tiny.json"
+    values = {"A": "0.0000003", "B": "0.0000002", "C": "0.0000001", "D": "0.0000001"}
+    save_profile(star_profile({i: Fraction(v) for i, v in values.items()}), path)
+    code, out = run_cli(capsys, "--output", "json", "--precision", str(digits),
+                        "run", str(path), "--mechanism", "vcg")
+    assert code == EXIT_OK
+    rows = {row["agent"]: row for row in json.loads(out)["agents"]}
+    assert rows["B"]["final_payment"] == minus_zero
+    assert rows["B"]["redistribution"] == minus_zero[1:]
+    assert rows["B"]["utility"] == minus_zero[1:]
+
+
+def _recorded_json_texts(monkeypatch):
+    """Every payload the command line writes as JSON, with its text."""
+    texts = []
+    real = cli._json_text
+
+    def recording(obj, indent="\n"):
+        text = real(obj, indent)
+        if indent == "\n":
+            texts.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    return texts
+
+
+def test_every_json_payload_matches_the_standard_encoder(capsys, monkeypatch, tmp_path):
+    texts = _recorded_json_texts(monkeypatch)
+    network = tmp_path / "network.json"
+    save_profile(generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=4,
+                                      value_max=100, seed=3), 60), network)
+    truth = tmp_path / "truth.json"
+    save_profile(_revalued(reference_network_10()), truth)
+    escapes = tmp_path / "escapes.json"
+    save_profile(make_profile(["Å", 'q"', "b\\"], {
+        "Å": T(3, ["50%"]), 'q"': T(5), "b\\": T(4, [" \n"]),
+        "50%": T(2), " \n": T(6)}), escapes)
+    empty = tmp_path / "empty.json"
+    save_profile(ReportProfile(frozenset(), {}), empty)
+    reference = tmp_path / "reference.json"
+    save_profile(reference_network_10(), reference)
+    commands = [
+        *(["run", str(path), "--mechanism", mechanism]
+          for path in (network, escapes, empty) for mechanism in RUN_MECHANISMS),
+        ["run", str(reference), "--true-values", str(truth)],
+        ["--precision", "0", "run", str(network)],
+        *(["tree", str(path)] for path in (network, escapes, empty)),
+        *(["--alpha", "1/5", "shares", str(path), "--reward", "10"]
+          for path in (network, escapes)),
+        ["experiment", "abb", "--sizes", "10,15", "--num-seeds", "3"],
+        ["experiment", "bb", "--price", "30", "--sizes", "12", "--num-seeds", "4"],
+    ]
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    save_profile(star_with_tail(), instances / "tail.json")
+    verdicts = [  # a PASS and a FAIL with its witness
+        (["verify", "--property", "ir", "--mechanism", "nrmf:idm",
+          "--instances", str(instances)], EXIT_OK),
+        (["verify", "--property", "ic", "--mechanism", "cavallo",
+          "--instances", str(instances)], EXIT_PROPERTY_FAILURE),
+    ]
+    for argv, code in [(argv, EXIT_OK) for argv in commands] + verdicts:
+        assert main(["--output", "json", *argv]) == code
+        obj, text = texts[-1]
+        assert text == json_text_oracle(obj)
+        assert capsys.readouterr().out == text + "\n"
+    assert len(texts) == len(commands) + len(verdicts)
+
+
+def _random_json(rng, depth):
+    strings = ["", "A", "Å", 'q"', "b\\", "%s", "50%", "\n\t", " ", "\x00", "\U0001f600"]
+    scalars = [lambda: rng.choice(strings), lambda: rng.randint(-10**6, 10**6),
+               lambda: None, lambda: rng.random() < 0.5, lambda: rng.random() * 100]
+    kind = rng.randrange(len(scalars) + (6 if depth else 0))
+    if kind < len(scalars):
+        return scalars[kind]()
+    size = rng.randint(0, 4)
+    if kind == len(scalars):  # str keys
+        return {rng.choice(strings): _random_json(rng, depth - 1) for _ in range(size)}
+    if kind == len(scalars) + 1:  # other keys
+        return {rng.randint(0, 9): _random_json(rng, depth - 1) for _ in range(size)}
+    if kind == len(scalars) + 2:
+        return [_random_json(rng, depth - 1) for _ in range(size)]
+    if kind == len(scalars) + 3:
+        return tuple(_random_json(rng, depth - 1) for _ in range(size))
+    # a list of records: same keys, values mostly int or str
+    keys = rng.sample(strings, rng.randint(0, 4))
+    make = [rng.choice(scalars[:2] + scalars[:2] + scalars) for _ in keys]
+    return [{k: f() for k, f in zip(keys, make)} for _ in range(size)]
+
+
+def test_random_payloads_match_the_standard_encoder():
+    rng = random.Random(12)
+    for _ in range(3000):
+        obj = _random_json(rng, 3)
+        assert cli._json_text(obj) == json_text_oracle(obj)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from netredist.profiles import (
     induce_graph,
     load_profile,
     make_profile,
+    parse_value,
     profile_from_dict,
     profile_to_dict,
     save_profile,
@@ -18,6 +20,7 @@ from netredist.profiles import (
 )
 
 from networks import T, misreport_deviation, misreport_network, reference_network_10
+from oracles import agent_value_oracle
 
 
 def test_agent_type_rejects_negative_value():
@@ -47,7 +50,17 @@ def test_sponsor_inviting_unknown_agent_rejected():
 
 def test_agents_are_sorted():
     profile = star_profile({"C": 1, "A": 2, "B": 3})
-    assert profile.agents == ["A", "B", "C"]
+    assert profile.agents == ("A", "B", "C")
+
+
+def test_agents_are_sorted_once_and_cannot_be_mutated():
+    profile = star_profile({"C": 1, "A": 2, "B": 3})
+    assert isinstance(profile.agents, tuple)
+    assert profile.agents is profile.agents
+    changed = profile.replace("B", T(9))
+    assert changed.agents is profile.agents  # the same ids, passed on
+    assert changed == ReportProfile(profile.sponsor_neighbors,
+                                    {**profile.reports, "B": T(9)})
 
 
 def test_replace_swaps_a_single_report():
@@ -127,3 +140,61 @@ def test_duplicate_agent_ids_rejected():
             "agents": [{"id": "A", "value": "1"}, {"id": "A", "value": "2"}]}
     with pytest.raises(ProfileError, match="duplicate"):
         profile_from_dict(data)
+
+
+# A plain decimal (ASCII digits[.digits]) is read without Fraction's
+# pattern match; everything else still goes through Fraction(str).
+VALUE_TEXTS = ["0", "7", "3.5", "0.25", "007.100", "1.", ".5", "+1.5", " 2.5 ",
+               "1_000", "1e3", "1E-2", "\u0661\u0662", "\u00b2", "1/3", "-0", "-1", "-1.5",
+               "", ".", "1..2", "1.2.3", "abc", "1/0", "nan", "inf", "0x10",
+               "1" * 5000, "1" * 3000 + "." + "1" * 3000, "0." + "0" * 4999 + "1"]
+
+
+def _read_value(text):
+    """(value, error text) of agent A in a one-agent network."""
+    network = {"sponsor_neighbors": ["A"], "agents": [{"id": "A", "value": text}]}
+    try:
+        return profile_from_dict(network).value_of("A"), None
+    except ProfileError as e:
+        return None, str(e)
+
+
+def _oracle_value(text):
+    try:
+        return agent_value_oracle("A", text), None
+    except ProfileError as e:
+        return None, str(e)
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS,
+                         ids=[repr(t) if len(t) < 20 else f"{len(t)}-chars" for t in VALUE_TEXTS])
+def test_values_read_as_fraction_of_the_string_reads_them(text):
+    value, error = _read_value(text)
+    expected, expected_error = _oracle_value(text)
+    assert error == expected_error
+    if expected is not None:
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (
+            expected.numerator, expected.denominator)
+
+
+def test_random_value_strings_parse_as_fraction_parses_them():
+    rng = random.Random(11)
+    alphabet = "0123456789" * 3 + "._+-e/ \u0661"
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)):
+                parse_value(text)
+        else:
+            value = parse_value(text)
+            assert (type(value), value) == (Fraction, expected), text
+
+
+def test_a_json_integer_past_the_int_text_limit_is_a_profile_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"sponsor_neighbors": [], "agents": [], "n": ' + "1" * 5000 + "}")
+    with pytest.raises(ProfileError, match="invalid JSON"):
+        load_profile(path)

@@ -18,6 +18,7 @@ from netredist.redistribution import (
     _rehangs,
     cavallo,
     check_cavallo_equivalence,
+    nrmf_index,
     run_nrmf,
 )
 
@@ -234,6 +235,16 @@ def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
         for other, params in others:
             run_nrmf(mech, network, HALF)
             assert run_nrmf(mech, other, params) == memo_free(run_nrmf, mech, other, params)
+
+
+def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
+    clear_memo()
+    m = market(reference_network_10())
+    index = nrmf_index(m, HALF)
+    assert nrmf_index(m, HALF) is index
+    assert nrmf_index(m, SharingParams(Fraction(2, 4))) is index
+    other = nrmf_index(m, ALPHAS[1])
+    assert other is not index and other.alpha == Fraction(1, 5)
 
 
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():

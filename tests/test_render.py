@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from netredist.render import decimal_str, exact_decimal_str
+from netredist.render import decimal_str, exact_decimal_str, fraction_str
+
+from oracles import without_digit_limit
 
 
 def test_rounds_half_to_even_at_the_exact_midpoint():
@@ -58,3 +60,21 @@ def test_exact_rendering_round_trips_or_falls_back_to_a_ratio():
     for _ in range(500):
         x = Fraction(rng.randint(-10**6, 10**6), 2**rng.randint(0, 9) * 5**rng.randint(0, 9))
         assert Fraction(exact_decimal_str(x)) == x
+
+
+def test_amounts_past_the_int_text_limit_render_exactly():
+    rng = random.Random(9)
+    amounts = [Fraction(10**5000), Fraction(-10**5000), Fraction(-1, 10**5000),
+               Fraction(10**8000 + 1, 10**4000),
+               Fraction(10**4300 - 1), Fraction(10**4300), Fraction(-7, 3) * 10**6000]
+    amounts += [Fraction(rng.randint(-10**9000, 10**9000), rng.randint(1, 10**rng.randint(1, 9000)))
+                for _ in range(30)]
+    for x in amounts:
+        # plain str() is the exact rendering once the limit is lifted
+        assert fraction_str(x) == without_digit_limit(str, x)
+        for digits in (0, 6, 20):
+            assert decimal_str(x, digits) == without_digit_limit(decimal_str, x, digits)
+    assert exact_decimal_str(Fraction(1, 10**5000)) == "0." + "0" * 4999 + "1"
+    assert exact_decimal_str(Fraction(10**5000, 3)) == without_digit_limit(str, Fraction(10**5000, 3))
+    for x in (Fraction(-3, 2), Fraction(4), Fraction(-5), Fraction(0)):
+        assert fraction_str(x) == str(x)
