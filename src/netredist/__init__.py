@@ -18,8 +18,8 @@ from netredist.profiles import (
 from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.prst import SharingParams, ShareVector, prst, share_totals
 from netredist.auctions import (
-    AuctionOutcome,
     MechanismId,
+    Outcome,
     fixed_price,
     idm,
     run_auction,
@@ -27,7 +27,6 @@ from netredist.auctions import (
     vcg,
 )
 from netredist.redistribution import (
-    RedistributionOutcome,
     cavallo,
     check_cavallo_equivalence,
     run_nrmf,
@@ -36,12 +35,11 @@ from netredist.redistribution import (
 __all__ = [
     "SPONSOR",
     "AgentType",
-    "AuctionOutcome",
     "CriticalTree",
     "InducedGraph",
     "MechanismId",
+    "Outcome",
     "ProfileError",
-    "RedistributionOutcome",
     "ReportProfile",
     "SharingParams",
     "ShareVector",

@@ -1,26 +1,28 @@
-"""Single-item auctions over an invitation graph.
+"""Single-item auctions over an invitation graph, and the one outcome type.
 
-Four mechanisms share one outcome shape: a second-price auction over the
-participant set (``vcg``), two diffusion auctions that walk the critical
-ancestor chain of the top bidder (``idm`` and ``tnm``), and a fixed-price
-sale.  Payments are net amounts, positive towards the sponsor; unreachable
-agents always end with zero allocation and zero payment.
+Four auctions: a second-price auction over the participant set (``vcg``),
+two diffusion auctions that walk the critical ancestor chain of the top
+bidder (``idm`` and ``tnm``), and a fixed-price sale.  Payments are net
+amounts, positive towards the sponsor; unreachable agents always end with
+zero allocation and zero payment.  Every mechanism in the package, with
+or without redistribution, returns an ``Outcome``; a plain auction is one
+that redistributes nothing.
 
 Each public auction builds a ``Market`` (graph, critical tree, ranked
-participants) and runs on it; ``auction`` runs on a market built once,
-so redistribution can share it with its counterfactuals.
+participants) and runs on it; ``sale`` runs on a market built once, so
+redistribution can share it with its counterfactuals.
 
 Only the ranking reads the values, so ``market`` reuses the graph and
 tree of its previous call while the invitation structure (sponsor
-neighbours, agent ids and neighbour sets) is equal.  That one-slot memo
-is the package's only structure cache; what it hands out is shared and
-never mutated.
+neighbours, agent ids and neighbour sets) is equal.  What that one-slot
+memo hands out is shared and never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -39,13 +41,34 @@ class EmptyMarketError(MechanismError):
 
 
 @dataclass(frozen=True)
-class AuctionOutcome:
-    """Allocation, net payments and sponsor surplus of one auction run."""
+class Outcome:
+    """Outcome of an auction and the redistribution layered on top.
+
+    ``final_payment[i] == auction_payment[i] - redistribution[i]`` holds
+    exactly for every agent, and ``surplus`` is the exact sum of final
+    payments.  ``branch_revenues`` is keyed by branch root id, in the order
+    given by ``branch_roots``.  A plain auction redistributes 0 to every
+    agent and has no branches.  ``utilities`` are measured against the
+    reported values in ``profile`` and computed on first read; the utility
+    at a true value ``v`` is ``utility(allocation[i], v, final_payment[i])``.
+    """
 
     allocation: dict[str, int]
-    payment: dict[str, Fraction]
+    auction_payment: dict[str, Fraction]
+    redistribution: dict[str, Fraction]
+    final_payment: dict[str, Fraction]
+    branch_revenues: dict[str, Fraction]
+    branch_roots: tuple[str, ...]
     surplus: Fraction
     winner: Optional[str]
+    profile: ReportProfile = field(compare=False, repr=False)
+
+    @cached_property
+    def utilities(self) -> dict[str, Fraction]:
+        """Every agent's utility at her reported value."""
+        value_of = self.profile.value_of
+        return {i: utility(allocated, value_of(i), self.final_payment[i])
+                for i, allocated in self.allocation.items()}
 
 
 def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
@@ -138,17 +161,17 @@ def market(profile: ReportProfile) -> Market:
     return Market(profile, graph, tree, tuple(ranked))
 
 
-def run_auction(mechanism: MechanismId, profile: ReportProfile) -> AuctionOutcome:
+def run_auction(mechanism: MechanismId, profile: ReportProfile) -> Outcome:
     """Run the named mechanism on ``profile``."""
     return auction(mechanism, market(profile))
 
 
-def vcg(profile: ReportProfile) -> AuctionOutcome:
+def vcg(profile: ReportProfile) -> Outcome:
     """Second-price auction over the participant set."""
     return auction(MechanismId("vcg"), market(profile))
 
 
-def idm(profile: ReportProfile) -> AuctionOutcome:
+def idm(profile: ReportProfile) -> Outcome:
     """Diffusion auction walking the top bidder's critical ancestor chain.
 
     Each critical ancestor buys the item at the highest bid available once
@@ -160,7 +183,7 @@ def idm(profile: ReportProfile) -> AuctionOutcome:
     return auction(MechanismId("idm"), market(profile))
 
 
-def tnm(profile: ReportProfile) -> AuctionOutcome:
+def tnm(profile: ReportProfile) -> Outcome:
     """Threshold variant of the critical-chain auction.
 
     The winner check at each critical ancestor removes her *own* whole
@@ -173,7 +196,7 @@ def tnm(profile: ReportProfile) -> AuctionOutcome:
     return auction(MechanismId("tnm"), market(profile))
 
 
-def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
+def fixed_price(profile: ReportProfile, price: Fraction) -> Outcome:
     """Sell at a posted price to the willing buyer closest to the sponsor.
 
     Among reachable agents bidding at least the price, the winner is the one
@@ -183,8 +206,18 @@ def fixed_price(profile: ReportProfile, price: Fraction) -> AuctionOutcome:
     return auction(MechanismId("fixed_price", price), market(profile))
 
 
-def auction(mechanism: MechanismId, m: Market) -> AuctionOutcome:
-    """Run the named mechanism on an already indexed market."""
+def auction(mechanism: MechanismId, m: Market) -> Outcome:
+    """Run the named mechanism on an already indexed market; nothing is
+    redistributed, so the final payments are the auction's."""
+    allocation, payment, surplus, winner = sale(mechanism, m)
+    return Outcome(allocation, payment, dict.fromkeys(payment, ZERO), payment,
+                   {}, (), surplus, winner, m.profile)
+
+
+def sale(mechanism: MechanismId, m: Market
+         ) -> tuple[dict[str, int], dict[str, Fraction], Fraction, Optional[str]]:
+    """The named auction's allocation, net payments, revenue and winner on
+    an indexed market, for redistribution to build its ``Outcome`` on."""
     agents = m.profile.agents
     allocation = dict.fromkeys(agents, 0)
     payment = dict.fromkeys(agents, ZERO)
@@ -193,7 +226,7 @@ def auction(mechanism: MechanismId, m: Market) -> AuctionOutcome:
         price = surplus = mechanism.price
         willing = [i for i in m.ranked if value(i) >= price]
         if not willing:
-            return AuctionOutcome(allocation, payment, ZERO, None)
+            return allocation, payment, ZERO, None
         winner = min(willing, key=lambda i: (m.tree.depth[i], i))
     elif not m.ranked:
         raise EmptyMarketError("no agent is reachable from the sponsor")
@@ -217,7 +250,7 @@ def auction(mechanism: MechanismId, m: Market) -> AuctionOutcome:
         winner, price = chain[k], prices[k]
     allocation[winner] = 1
     payment[winner] = price
-    return AuctionOutcome(allocation, payment, surplus, winner)
+    return allocation, payment, surplus, winner
 
 
 def chain_walk(tree: CriticalTree,

@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from netredist.auctions import MechanismError, MechanismId, utility
-from netredist.critical_tree import critical_tree
+from netredist.auctions import MechanismError, MechanismId, market, utility
 from netredist.generators import (
     BRANCH_INDEPENDENT,
     EVENLY_GROWING,
@@ -31,7 +30,6 @@ from netredist.generators import (
 )
 from netredist.profiles import (
     ProfileError,
-    induce_graph,
     load_profile,
     profile_to_dict,
 )
@@ -398,7 +396,7 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
 
 def _cmd_tree(args) -> int:
     profile = load_profile(args.network)
-    tree = critical_tree(induce_graph(profile))
+    tree = market(profile).tree
     rows = [
         {
             "agent": i,
@@ -423,7 +421,7 @@ def _cmd_shares(args, alpha: Fraction) -> int:
         print(f"error: bad --reward {args.reward!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     profile = load_profile(args.network)
-    tree = critical_tree(induce_graph(profile))
+    tree = market(profile).tree
     shares = prst(tree, SharingParams(alpha, reward))
     share = shares.share
     rows = [

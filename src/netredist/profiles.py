@@ -181,18 +181,27 @@ def parse_value(text: str) -> Fraction:
     """``Fraction(text)``, read directly when ``text`` is a plain decimal.
 
     ASCII digits with at most one point become an integer over a power of
-    ten, without ``Fraction``'s pattern match.  Any other string, or one
-    with more digits than the interpreter reads as an int at once, goes to
-    ``Fraction(text)``, which accepts or rejects it as it always has.
+    ten, without ``Fraction``'s pattern match, however many digits they
+    have, so every value ``profile_to_dict`` writes reads back.  Any other
+    string goes to ``Fraction(text)``, which accepts or rejects it as it
+    always has.
     """
     whole, _, frac = text.partition(".")
     digits = whole + frac
     if digits.isascii() and digits.isdigit():
-        try:
-            return Fraction(int(digits), 10 ** len(frac))
-        except ValueError:
-            pass
+        return Fraction(_long_int(digits), 10 ** len(frac))
     return Fraction(text)
+
+
+def _long_int(digits: str) -> int:
+    """``int(digits)`` for ASCII digits, read in halves while there are more
+    than the interpreter converts at once (4,300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        low = digits[half:]
+        return _long_int(digits[:half]) * 10 ** len(low) + _long_int(low)
 
 
 def _id_set(raw, what: str) -> frozenset[str]:

@@ -27,25 +27,23 @@ The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue get a rebate, and reward sharing gives branch
 ``b``'s members exactly the mass ``size[b] / n``, so the surplus is the
 auction's revenue less ``sum(R_b * size[b]) / n``, one term per branch.
-Utilities are at the reported values and computed on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from netredist.auctions import (
-    AuctionOutcome,
     Market,
     MechanismId,
-    auction,
+    Outcome,
     chain_walk,
     market,
+    sale,
     tnm_stop,
-    utility,
 )
 from netredist.critical_tree import CriticalTree, immediate_dominators
 from netredist.profiles import SPONSOR, InducedGraph, ProfileError, ReportProfile
@@ -53,37 +51,6 @@ from netredist.prst import SharingParams, prst
 
 ZERO = Fraction(0)
 VCG = MechanismId("vcg")
-
-
-@dataclass(frozen=True)
-class RedistributionOutcome:
-    """Outcome of an auction plus the redistribution layered on top.
-
-    ``final_payment[i] == auction_payment[i] - redistribution[i]`` holds
-    exactly for every agent, and ``surplus`` is the exact sum of final
-    payments.  ``branch_revenues`` is keyed by branch root id, in the order
-    given by ``branch_roots``.  ``utilities`` are measured against the
-    reported values in ``profile`` and computed on first read; the utility
-    at a true value ``v`` is ``auctions.utility(allocation[i], v,
-    final_payment[i])``.
-    """
-
-    allocation: dict[str, int]
-    auction_payment: dict[str, Fraction]
-    redistribution: dict[str, Fraction]
-    final_payment: dict[str, Fraction]
-    branch_revenues: dict[str, Fraction]
-    branch_roots: tuple[str, ...]
-    surplus: Fraction
-    winner: Optional[str]
-    profile: ReportProfile = field(compare=False, repr=False)
-
-    @cached_property
-    def utilities(self) -> dict[str, Fraction]:
-        """Every agent's utility at her reported value."""
-        value_of = self.profile.value_of
-        return {i: utility(allocated, value_of(i), self.final_payment[i])
-                for i, allocated in self.allocation.items()}
 
 
 @dataclass(frozen=True)
@@ -119,46 +86,38 @@ def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
     return index
 
 
-def _empty_outcome(profile: ReportProfile) -> RedistributionOutcome:
+def _empty_outcome(profile: ReportProfile) -> Outcome:
     """The all-zero outcome of a profile with no reachable agent."""
     agents = profile.agents
-    nothing = AuctionOutcome(dict.fromkeys(agents, 0), dict.fromkeys(agents, ZERO),
-                             ZERO, None)
+    nothing = dict.fromkeys(agents, 0), dict.fromkeys(agents, ZERO), ZERO, None
     return _finalize(profile, nothing, dict.fromkeys(agents, ZERO), ZERO, {}, ())
 
 
 def _finalize(profile: ReportProfile,
-              auction: AuctionOutcome,
+              sold: tuple,
               redistribution: dict[str, Fraction],
               redistributed: Fraction,
               branch_revenues: dict[str, Fraction],
-              branch_roots: tuple[str, ...]) -> RedistributionOutcome:
-    """``auction``'s outcome with ``redistribution``, which sums to
-    ``redistributed``, paid back; the auction's maps are taken over."""
+              branch_roots: tuple[str, ...]) -> Outcome:
+    """The outcome of ``sold``, an auction's ``sale`` tuple, with
+    ``redistribution``, which sums to ``redistributed``, paid back; the
+    auction's maps are taken over."""
+    allocation, payment, revenue, winner = sold
     # no Fraction arithmetic on zeros: all but a few agents pay nothing,
     # and agents outside the tree or below a chain head get no rebate
-    final_payment = auction.payment.copy()
+    final_payment = payment.copy()
     for i, rebate in redistribution.items():
         if rebate:
             paid = final_payment[i]
             final_payment[i] = paid - rebate if paid else -rebate
-    return RedistributionOutcome(
-        allocation=auction.allocation,
-        auction_payment=auction.payment,
-        redistribution=redistribution,
-        final_payment=final_payment,
-        branch_revenues=branch_revenues,
-        branch_roots=branch_roots,
-        # the auction's revenue is the sum of its payments
-        surplus=auction.surplus - redistributed,
-        winner=auction.winner,
-        profile=profile,
-    )
+    # the auction's revenue is the sum of its payments
+    return Outcome(allocation, payment, redistribution, final_payment, branch_revenues,
+                   branch_roots, revenue - redistributed, winner, profile)
 
 
 def run_nrmf(mechanism: MechanismId,
              profile: ReportProfile,
-             params: SharingParams) -> RedistributionOutcome:
+             params: SharingParams) -> Outcome:
     """Run the auction and share each branch's counterfactual revenue.
 
     Only the sharing coefficients ``omega`` are used, and they are pure
@@ -173,8 +132,8 @@ def run_nrmf(mechanism: MechanismId,
     tree = m.tree
     roots, preorder, pre, size = tree.root_branches, tree.preorder, tree.pre, tree.size
     revenues = _branch_revenues(mechanism, m, index)
-    outcome = auction(mechanism, m)
-    redistribution = dict.fromkeys(outcome.payment, ZERO)
+    sold = sale(mechanism, m)
+    redistribution = dict.fromkeys(profile.agents, ZERO)
     # branch b's members share its revenue with total mass size[b] / n
     mass = ZERO
     for root, revenue in zip(roots, revenues):
@@ -183,7 +142,7 @@ def run_nrmf(mechanism: MechanismId,
             for i in preorder[start:start + size[root]]:
                 redistribution[i] = index.omega[i] * revenue
             mass += revenue * size[root]
-    return _finalize(profile, outcome, redistribution, mass / len(preorder),
+    return _finalize(profile, sold, redistribution, mass / len(preorder),
                      dict(zip(roots, revenues)), roots)
 
 
@@ -296,7 +255,7 @@ def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
     return rehangs
 
 
-def cavallo(profile: ReportProfile) -> RedistributionOutcome:
+def cavallo(profile: ReportProfile) -> Outcome:
     """Classical rebate scheme applied to the participant set.
 
     Every participant is rebated 1/n of the second-price revenue computed
@@ -308,15 +267,15 @@ def cavallo(profile: ReportProfile) -> RedistributionOutcome:
     n = len(m.ranked)
     if not n:
         return _empty_outcome(profile)
-    outcome = auction(VCG, m)
-    rebates = dict.fromkeys(outcome.payment, ZERO)
+    sold = sale(VCG, m)
+    rebates = dict.fromkeys(profile.agents, ZERO)
     total = ZERO
     for i in m.ranked:
         revenue = _best_two(m, i)[1]
         if revenue:
             rebates[i] = revenue / n
             total += revenue
-    return _finalize(profile, outcome, rebates, total / n, {}, ())
+    return _finalize(profile, sold, rebates, total / n, {}, ())
 
 
 def check_cavallo_equivalence(profile: ReportProfile) -> bool:

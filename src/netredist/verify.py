@@ -12,25 +12,28 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeAlias
 
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.auctions import (
-    AuctionOutcome,
     EmptyMarketError,
     MechanismId,
+    Outcome,
     market,
     run_auction,
     utility,
 )
 from netredist.prst import SharingParams
-from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
+from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import fraction_str
 
 ZERO = Fraction(0)
 
-#: A mechanism under audit: report profile in, outcome out.
-Mechanism = Callable[[ReportProfile], "AuctionOutcome | RedistributionOutcome"]
+#: A mechanism under audit: report profile in, outcome out.  Left
+#: unevaluated: ``typing`` caches every subscription it evaluates, and a
+#: cached one would keep these classes, and the modules behind them, alive
+#: after the package is imported afresh.
+Mechanism: TypeAlias = "Callable[[ReportProfile], Outcome]"
 
 
 def auction_mechanism(mechanism: MechanismId) -> Mechanism:
@@ -46,10 +49,8 @@ def cavallo_mechanism() -> Mechanism:
     return cavallo
 
 
-def _utility(outcome, i: str, true_value: Fraction) -> Fraction:
-    if isinstance(outcome, RedistributionOutcome):
-        return utility(outcome.allocation[i], true_value, outcome.final_payment[i])
-    return utility(outcome.allocation[i], true_value, outcome.payment[i])
+def _utility(outcome: Outcome, i: str, true_value: Fraction) -> Fraction:
+    return utility(outcome.allocation[i], true_value, outcome.final_payment[i])
 
 
 # The deviation space: a finite stand-in for "all possible reports" of a

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from netredist import auctions, redistribution
 from netredist.auctions import (
-    AuctionOutcome,
     EmptyMarketError,
     MechanismId,
+    Outcome,
     run_auction,
     utility,
     vcg,
@@ -35,7 +35,6 @@ from netredist.profiles import (
     induce_graph,
 )
 from netredist.prst import ShareVector, SharingError, SharingParams
-from netredist.redistribution import RedistributionOutcome
 from netredist.render import decimal_str
 
 ZERO = Fraction(0)
@@ -190,16 +189,17 @@ def _revenue(mechanism: MechanismId, profile: ReportProfile) -> Fraction:
         return ZERO
 
 
-def _outcome_by_terms(profile: ReportProfile, auction: AuctionOutcome,
+def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
                       redistribution: dict, branch_revenues: dict,
-                      branch_roots: tuple) -> RedistributionOutcome:
+                      branch_roots: tuple) -> Outcome:
     """The outcome by its definition, agent by agent: every final payment
     is the auction payment less the redistribution, and the surplus is the
     plain sum of the final payments."""
-    final_payment = {i: auction.payment[i] - redistribution[i] for i in profile.agents}
-    return RedistributionOutcome(
+    final_payment = {i: auction.auction_payment[i] - redistribution[i]
+                     for i in profile.agents}
+    return Outcome(
         allocation={i: auction.allocation[i] for i in profile.agents},
-        auction_payment={i: auction.payment[i] for i in profile.agents},
+        auction_payment={i: auction.auction_payment[i] for i in profile.agents},
         redistribution=redistribution,
         final_payment=final_payment,
         branch_revenues=branch_revenues,
@@ -210,9 +210,10 @@ def _outcome_by_terms(profile: ReportProfile, auction: AuctionOutcome,
     )
 
 
-def _no_sale(profile: ReportProfile) -> AuctionOutcome:
-    return AuctionOutcome({i: 0 for i in profile.agents},
-                          {i: ZERO for i in profile.agents}, ZERO, None)
+def _no_sale(profile: ReportProfile) -> Outcome:
+    zero = {i: ZERO for i in profile.agents}
+    return Outcome({i: 0 for i in profile.agents}, zero, zero, zero, {}, (), ZERO, None,
+                   profile)
 
 
 def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
@@ -301,16 +302,18 @@ def memo_free(run, *args):
 
 
 def agent_value_oracle(agent_id: str, raw: str) -> Fraction:
-    """An agent entry's value as ``profile_from_dict`` read it with
-    ``Fraction(str)`` on every string, its error text included."""
+    """An agent entry's value, its error text included, as ``Fraction(str)``
+    reads it with no int-from-text digit limit.  ``profile_from_dict`` reads
+    every string so, except one past the limit that is not a plain decimal
+    (a sign, an exponent, a slash...), which it still rejects."""
     try:
-        value = Fraction(raw)
+        value = without_digit_limit(Fraction, raw)
     except (ValueError, ZeroDivisionError):
         raise ProfileError(f"agent {agent_id!r}: bad value {raw!r}") from None
     return AgentType(value, frozenset()).value
 
 
-def run_rows_oracle(outcome: RedistributionOutcome, truth: ReportProfile,
+def run_rows_oracle(outcome: Outcome, truth: ReportProfile,
                     digits: int) -> list[dict]:
     """``netredist run``'s rows with four ``decimal_str`` calls per agent."""
     return [

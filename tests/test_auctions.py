@@ -37,7 +37,7 @@ def test_mechanism_id_parse_and_str():
 def test_vcg_is_second_price_over_participants():
     outcome = vcg(bidder_star())
     assert outcome.winner == "C"
-    assert outcome.payment["C"] == 3
+    assert outcome.auction_payment["C"] == 3
     assert outcome.surplus == 3
     assert outcome.allocation == {"A": 0, "B": 0, "C": 1}
 
@@ -46,7 +46,7 @@ def test_vcg_ignores_unreachable_high_bidder():
     profile = ReportProfile(frozenset({"A"}), {"A": T(2), "Z": T(99)})
     outcome = vcg(profile)
     assert outcome.winner == "A"
-    assert outcome.payment["A"] == 0
+    assert outcome.auction_payment["A"] == 0
     assert outcome.allocation["Z"] == 0
 
 
@@ -65,12 +65,12 @@ def test_value_ties_break_towards_lowest_id():
 def test_idm_reference_network():
     outcome = idm(reference_network_10())
     assert outcome.winner == "J"
-    assert outcome.payment["J"] == 13
+    assert outcome.auction_payment["J"] == 13
     # A buys at 9 and resells at 10; H buys at 10 and resells at 13.
-    assert outcome.payment["A"] == 9 - 10
-    assert outcome.payment["H"] == 10 - 13
+    assert outcome.auction_payment["A"] == 9 - 10
+    assert outcome.auction_payment["H"] == 10 - 13
     assert outcome.surplus == 9
-    assert sum(outcome.payment.values()) == outcome.surplus
+    assert sum(outcome.auction_payment.values()) == outcome.surplus
 
 
 def test_idm_chain_gives_item_to_first_agent_for_free():
@@ -78,7 +78,7 @@ def test_idm_chain_gives_item_to_first_agent_for_free():
     # holder's dependants leave, so she keeps the item at price zero.
     outcome = idm(chain([5, 8, 9]))
     assert outcome.winner == "c0"
-    assert outcome.payment["c0"] == 0
+    assert outcome.auction_payment["c0"] == 0
     assert outcome.surplus == 0
 
 
@@ -93,8 +93,8 @@ def _two_branch_profile(a_value):
 def test_idm_resells_down_to_the_top_bidder():
     outcome = idm(_two_branch_profile(3))
     assert outcome.winner == "H"
-    assert outcome.payment["H"] == 6
-    assert outcome.payment["A"] == 0  # buys at 6, resells at 6
+    assert outcome.auction_payment["H"] == 6
+    assert outcome.auction_payment["A"] == 0  # buys at 6, resells at 6
     assert outcome.surplus == 6
 
 
@@ -102,17 +102,17 @@ def test_idm_intermediary_can_keep_the_item():
     # With a bid of 8, A tops the market once H is out and stops the chain.
     outcome = idm(_two_branch_profile(8))
     assert outcome.winner == "A"
-    assert outcome.payment["A"] == 6
+    assert outcome.auction_payment["A"] == 6
     assert outcome.surplus == 6
 
 
 def test_tnm_reference_network():
     outcome = tnm(reference_network_10())
     assert outcome.winner == "H"
-    assert outcome.payment["H"] == 10
-    assert outcome.payment["A"] == 0  # breaks exactly even
+    assert outcome.auction_payment["H"] == 10
+    assert outcome.auction_payment["A"] == 0  # breaks exactly even
     assert outcome.surplus == 10
-    assert sum(outcome.payment.values()) == outcome.surplus
+    assert sum(outcome.auction_payment.values()) == outcome.surplus
 
 
 def test_tnm_stops_no_later_than_idm():
@@ -135,8 +135,8 @@ def _assert_matches_oracle(mechanism, oracle, profiles):
         winner, price, payments, revenue = oracle(profile)
         outcome = mechanism(profile)
         assert outcome.winner == winner
-        assert outcome.payment[winner] == price
-        assert dict(outcome.payment) == payments
+        assert outcome.auction_payment[winner] == price
+        assert dict(outcome.auction_payment) == payments
         assert outcome.surplus == revenue
         checked += 1
     assert checked > 0
@@ -175,7 +175,7 @@ def test_fixed_price_prefers_shallow_then_low_id():
     # M (depth 1, value 9) beats the deeper high bidders
     outcome = fixed_price(profile, Fraction(9))
     assert outcome.winner == "M"
-    assert outcome.payment["M"] == 9
+    assert outcome.auction_payment["M"] == 9
     assert outcome.surplus == 9
     # at price 8 both A and M qualify at depth 1; the lower id wins
     assert fixed_price(profile, Fraction(8)).winner == "A"
@@ -217,7 +217,7 @@ def test_outcome_ignores_unreachable_reports():
 def test_run_auction_dispatch():
     profile = bidder_star()
     assert run_auction(MechanismId("vcg"), profile).winner == "C"
-    assert run_auction(MechanismId.parse("fixed:2"), profile).payment["A"] == 2
+    assert run_auction(MechanismId.parse("fixed:2"), profile).auction_payment["A"] == 2
 
 
 MIXED_VALUES = [Fraction(1, 3), Fraction(2, 7), Fraction("0.5"), Fraction("0.3333"),

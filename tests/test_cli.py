@@ -14,6 +14,7 @@ from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
     AgentType,
     ReportProfile,
+    load_profile,
     make_profile,
     profile_to_dict,
     save_profile,
@@ -417,6 +418,21 @@ def test_a_witness_past_the_int_text_limit_renders_exactly(capsys, tmp_path):
         "--instances", str(directory)])
     assert code == EXIT_PROPERTY_FAILURE
     assert json.loads(out)["witness"]["gain"] == "5" + "0" * 4999 + "/3"
+
+
+def test_a_profile_past_the_int_text_limit_round_trips(capsys, tmp_path):
+    # star_with_tail scaled by 10**5000 is saved as plain digits past the limit
+    tail = star_with_tail()
+    scaled = ReportProfile(tail.sponsor_neighbors, {
+        i: AgentType(t.value * 10**5000, t.neighbors) for i, t in tail.reports.items()})
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    save_profile(scaled, directory / "tail.json")
+    assert load_profile(directory / "tail.json") == scaled
+    code, out = _same_as_unlimited(capsys, [
+        "verify", "--property", "ir", "--mechanism", "nrmf:idm",
+        "--instances", str(directory)])
+    assert (code, json.loads(out)["verdict"]) == (EXIT_OK, "pass")
 
 
 def test_a_json_integer_past_the_int_text_limit_is_a_one_line_input_error(

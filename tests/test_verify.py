@@ -10,7 +10,7 @@ from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.prst import SharingParams
-from netredist.redistribution import RedistributionOutcome, cavallo, run_nrmf
+from netredist.redistribution import cavallo, run_nrmf
 from netredist.verify import (
     auction_mechanism,
     cavallo_mechanism,
@@ -82,11 +82,10 @@ def test_ir_catches_a_planted_overcharger():
     def overcharging(profile):
         from netredist.auctions import vcg
         outcome = vcg(profile)
-        payment = dict(outcome.payment)
+        payment = dict(outcome.auction_payment)
         payment[outcome.winner] = payment[outcome.winner] + 5
-        from netredist.auctions import AuctionOutcome
-        return AuctionOutcome(outcome.allocation, payment,
-                              outcome.surplus + 5, outcome.winner)
+        return dataclasses.replace(outcome, auction_payment=payment, final_payment=payment,
+                                   surplus=outcome.surplus + 5)
 
     report = check_ir(overcharging, [bidder_star()])
     assert not report.verdict
@@ -181,9 +180,8 @@ def test_every_audited_mechanism_reuses_the_structure(monkeypatch):
 
 def _same_as_fresh_run(outcome, reference, profile) -> bool:
     fresh = memo_free(reference, profile)
-    names = [f.name for f in dataclasses.fields(fresh)]
-    if isinstance(fresh, RedistributionOutcome):
-        names.append("utilities")  # computed on read, so not a field
+    # utilities are computed on read, so not a field
+    names = [f.name for f in dataclasses.fields(fresh)] + ["utilities"]
     return all(exact(getattr(outcome, name)) == exact(getattr(fresh, name))
                for name in names)
 
@@ -281,10 +279,7 @@ def test_nd_passes_and_counts_instances():
 def test_nd_catches_a_planted_deficit():
     def leaky(profile):
         from netredist.auctions import vcg
-        outcome = vcg(profile)
-        from netredist.auctions import AuctionOutcome
-        return AuctionOutcome(outcome.allocation, outcome.payment,
-                              Fraction(-1), outcome.winner)
+        return dataclasses.replace(vcg(profile), surplus=Fraction(-1))
 
     report = check_nd(leaky, [bidder_star()])
     assert not report.verdict
@@ -343,11 +338,8 @@ def test_revenue_monotonic_catches_a_planted_violation():
     # a mechanism whose revenue shrinks with participation must fail
     def shrinking(profile):
         from netredist.auctions import vcg
-        outcome = vcg(profile)
         n = len(induce_graph(profile).reachable)
-        from netredist.auctions import AuctionOutcome
-        return AuctionOutcome(outcome.allocation, outcome.payment,
-                              Fraction(-n), outcome.winner)
+        return dataclasses.replace(vcg(profile), surplus=Fraction(-n))
 
     profile = ReportProfile(frozenset({"A", "B"}), {
         "A": T(1, ["C"]),
