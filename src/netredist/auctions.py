@@ -8,14 +8,18 @@ zero allocation and zero payment.  Every mechanism in the package, with
 or without redistribution, returns an ``Outcome``; a plain auction is one
 that redistributes nothing.
 
-Each public auction builds a ``Market`` (graph, critical tree, ranked
-participants) and runs on it; ``sale`` runs on a market built once, so
-redistribution can share it with its counterfactuals.
+Each public auction builds a ``Market`` (the profile, its ``Structure``
+and the ranked participants) and runs on it; ``sale`` runs on a market
+built once, so redistribution can share it with its counterfactuals.
 
-Only the ranking reads the values, so ``market`` reuses the graph and
-tree of its previous call while the invitation structure (sponsor
-neighbours, agent ids and neighbour sets) is equal.  What that one-slot
-memo hands out is shared and never mutated.
+Only the ranking reads the values.  Everything else a run needs is a
+``Structure``: the graph, critical tree and participants, the branch
+re-hangs on first read, and the sharing coefficients of the last alpha.
+``market`` keeps the structure of its previous call in one slot and
+reuses it while the invitation structure (sponsor neighbours, agent ids
+and neighbour sets) is equal, so a new alpha reuses the re-hangs.  That
+slot is the package's only memo, and what it hands out is shared and
+never mutated.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional
 
-from netredist.critical_tree import CriticalTree, critical_tree
+from netredist.critical_tree import CriticalTree, _rehangs, critical_tree
 from netredist.profiles import InducedGraph, ReportProfile, induce_graph
+from netredist.prst import SharingParams, prst
 
 ZERO = Fraction(0)
 
@@ -37,7 +42,8 @@ class MechanismError(ValueError):
 
 
 class EmptyMarketError(MechanismError):
-    """Raised when an auction that needs at least one participant has none."""
+    """Raised by nothing: every auction on a market with no participant is
+    a no-sale.  Kept importable for code that still names it."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,37 @@ class MechanismId:
         return self.kind
 
 
+class Structure:
+    """What every market of one invitation structure shares.
+
+    ``key`` is the structure itself (see ``_structure``).  The graph, the
+    critical tree and the sorted participants are built with the object;
+    the branch re-hangs are found on first read, once whatever the alpha,
+    and ``omega`` keeps the sharing coefficients of the last alpha.
+    """
+
+    def __init__(self, key: tuple, graph: InducedGraph):
+        self.key = key
+        self.graph = graph
+        self.tree = critical_tree(graph)
+        self.participants = tuple(sorted(graph.reachable))
+        self._omega: Optional[tuple[Fraction, Mapping[str, Fraction]]] = None
+
+    @cached_property
+    def rehangs(self) -> list[dict[int, str]]:
+        """``_rehangs`` of the tree; only the chain auctions read them."""
+        return _rehangs(self.graph, self.tree)
+
+    def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
+        """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
+        reused while the alpha is the same or an equal one."""
+        alpha = params.alpha
+        last = self._omega
+        if last is None or last[0] is not alpha and last[0] != alpha:
+            last = self._omega = alpha, prst(self.tree, params).omega
+        return last[1]
+
+
 @dataclass(frozen=True)
 class Market:
     """One profile's auction index, built once and read by every auction.
@@ -120,45 +157,41 @@ class Market:
     """
 
     profile: ReportProfile
-    graph: InducedGraph
-    tree: CriticalTree
+    structure: Structure
     ranked: tuple[str, ...]
 
+    @property
+    def tree(self) -> CriticalTree:
+        return self.structure.tree
 
-#: The last market's (invitation structure, graph, critical tree, sorted
-#: participants).
-_last_structure: Optional[tuple[tuple, InducedGraph, CriticalTree, tuple[str, ...]]] = None
+
+#: The structure of the last market.
+_last_structure: Optional[Structure] = None
 
 
 def _structure(profile: ReportProfile) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """What the graph and tree depend on, compared by equality."""
+    """What a ``Structure`` depends on, compared by equality."""
     return profile.sponsor_neighbors, {i: t.neighbors for i, t in profile.reports.items()}
 
 
 def market(profile: ReportProfile) -> Market:
-    """Induce the graph, build its critical tree and rank the participants.
-
-    The graph and tree of the previous call are reused when the invitation
-    structure is unchanged.
-    """
+    """Rank the participants on the profile's ``Structure``, the previous
+    call's while the invitation structure is unchanged."""
     global _last_structure
-    structure = _structure(profile)
-    # read the slot once: a concurrent call may cost a rebuild, but an
-    # entry's structure, graph and tree always belong together
-    last = _last_structure
-    if last is None or last[0] != structure:
-        graph = induce_graph(profile)
-        last = _last_structure = (structure, graph, critical_tree(graph),
-                                  tuple(sorted(graph.reachable)))
-    _, graph, tree, participants = last
+    key = _structure(profile)
+    # read the slot once: a concurrent call may cost a rebuild, but a
+    # structure's parts always belong together
+    structure = _last_structure
+    if structure is None or structure.key != key:
+        structure = _last_structure = Structure(key, induce_graph(profile))
     # rank by exact integer images of the values over their common
     # denominator, so the sort compares ints, not Fractions; a stable sort
     # by descending image keeps equal values in id order
-    values = {i: profile.value_of(i) for i in participants}
+    values = {i: profile.value_of(i) for i in structure.participants}
     common = lcm(*{v.denominator for v in values.values()})
     image = {i: v.numerator * (common // v.denominator) for i, v in values.items()}
     ranked = sorted(image, key=image.__getitem__, reverse=True)
-    return Market(profile, graph, tree, tuple(ranked))
+    return Market(profile, structure, tuple(ranked))
 
 
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> Outcome:
@@ -217,7 +250,8 @@ def auction(mechanism: MechanismId, m: Market) -> Outcome:
 def sale(mechanism: MechanismId, m: Market
          ) -> tuple[dict[str, int], dict[str, Fraction], Fraction, Optional[str]]:
     """The named auction's allocation, net payments, revenue and winner on
-    an indexed market, for redistribution to build its ``Outcome`` on."""
+    an indexed market, for redistribution to build its ``Outcome`` on.
+    With no willing buyer, or no participant at all, nothing is sold."""
     agents = m.profile.agents
     allocation = dict.fromkeys(agents, 0)
     payment = dict.fromkeys(agents, ZERO)
@@ -229,7 +263,7 @@ def sale(mechanism: MechanismId, m: Market
             return allocation, payment, ZERO, None
         winner = min(willing, key=lambda i: (m.tree.depth[i], i))
     elif not m.ranked:
-        raise EmptyMarketError("no agent is reachable from the sponsor")
+        return allocation, payment, ZERO, None
     elif mechanism.kind == "vcg":
         winner = m.ranked[0]
         price = surplus = value(m.ranked[1]) if len(m.ranked) > 1 else ZERO

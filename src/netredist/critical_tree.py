@@ -5,8 +5,8 @@ off from the sponsor; this is exactly the immediate-dominator tree of the
 induced graph rooted at the sponsor.  The tree is computed with the
 iterative data-flow algorithm (Cooper/Harvey/Kennedy): simple, easy to
 audit, and fast enough for desk-scale instances.  ``immediate_dominators``
-runs that pass on any successor map, so redistribution reuses it on a
-small skeleton graph.
+runs that pass on any successor map, so ``_rehangs`` reuses it on a small
+skeleton graph to find where branch roots hang once a branch is silenced.
 
 One depth-first pass over the finished tree then indexes it by preorder
 intervals: every participant's preorder position, subtree size and depth.
@@ -120,6 +120,57 @@ def immediate_dominators(successors: Mapping[str, Sequence[str]],
                 idom[v] = new
                 changed = True
     return {v: idom[v] for v in order[1:]}
+
+
+def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
+    """For each silenced branch ``b``, where the branch roots hang.
+
+    A root the sponsor invites stays under her.  Another root may move
+    under an agent of another branch, and an invitation leaving a branch
+    can only enter another branch at its root.  So the new parents are
+    the dominators of a skeleton: the sponsor, the branch roots, the
+    agents inviting across branches and the tree LCAs of those, each
+    branch linked along its own tree, plus the crossing invitations, with
+    ``b``'s members other than its root left out.  ``result[b][c]`` is the
+    agent under which branch ``c``'s root hangs with ``b`` silenced;
+    roots left under the sponsor are absent.
+    """
+    successors = graph.successors
+    roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
+    if all(r in successors[SPONSOR] for r in roots):
+        return [{} for _ in roots]
+
+    def contains(a: str, i: str) -> bool:
+        return pre[a] <= pre[i] < pre[a] + size[a]
+
+    def lca(a: str, i: str) -> str:
+        while not contains(a, i):
+            a = tree.parent[a]
+        return a
+
+    crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
+                for i in tree.preorder}
+    crossing = {i: js for i, js in crossing.items() if js}
+    nodes = sorted({*roots, *crossing}, key=pre.__getitem__)
+    nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
+                              if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
+    edges = {v: list(crossing.get(v, ())) for v in nodes}
+    above: list[str] = []
+    for v in nodes:
+        while above and not contains(above[-1], v):
+            above.pop()
+        if above:
+            edges[above[-1]].append(v)
+        above.append(v)
+
+    rehangs = []
+    for b, silenced in enumerate(roots):
+        skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
+                    if branch_of[v] != b or v == silenced}
+        skeleton[SPONSOR] = successors[SPONSOR]
+        parent = immediate_dominators(skeleton, SPONSOR)
+        rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
+    return rehangs
 
 
 def _reverse_postorder(successors: Mapping[str, Sequence[str]], root: str) -> list[str]:

@@ -63,11 +63,15 @@ class ReportProfile:
             if j not in self.reports:
                 raise ProfileError(f"sponsor invites unknown agent {j!r}")
         for i, t in self.reports.items():
-            if i in t.neighbors:
-                raise ProfileError(f"agent {i!r} lists itself as a neighbour")
-            for j in t.neighbors:
-                if j != SPONSOR and j not in self.reports:
-                    raise ProfileError(f"agent {i!r} references unknown agent {j!r}")
+            self._check_report(i, t)
+
+    def _check_report(self, i: str, report: AgentType) -> None:
+        """Reject ``i``'s report if she invites herself or an unknown agent."""
+        if i in report.neighbors:
+            raise ProfileError(f"agent {i!r} lists itself as a neighbour")
+        for j in report.neighbors:
+            if j != SPONSOR and j not in self.reports:
+                raise ProfileError(f"agent {i!r} references unknown agent {j!r}")
 
     @cached_property
     def agents(self) -> tuple[str, ...]:
@@ -78,13 +82,15 @@ class ReportProfile:
         return self.reports[i].value
 
     def replace(self, i: str, report: AgentType) -> "ReportProfile":
-        """A copy of the profile with agent ``i``'s report swapped out."""
+        """A copy of the profile with agent ``i``'s report swapped out.  Only
+        the new report is checked: the rest is valid already, and the sorted
+        ids carry over."""
         if i not in self.reports:
             raise ProfileError(f"unknown agent {i!r}")
-        reports = dict(self.reports)
-        reports[i] = report
-        changed = ReportProfile(self.sponsor_neighbors, reports)
-        changed.__dict__["agents"] = self.agents  # the same ids, already sorted
+        self._check_report(i, report)
+        changed = object.__new__(ReportProfile)
+        changed.__dict__.update(sponsor_neighbors=self.sponsor_neighbors,
+                                reports={**self.reports, i: report}, agents=self.agents)
         return changed
 
 

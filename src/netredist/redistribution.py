@@ -17,11 +17,12 @@ counterfactual is read off the one ``Market`` index built for the actual
 auction: the ranked bids with the branch skipped, and for the chain
 auctions the same chain walk over the tree with those roots re-hung.
 
-Only the ranking reads the values.  ``market`` reuses the graph and
-critical tree while the invitation structure is unchanged; the sharing
-coefficients and the re-hangs depend on that tree and on alpha alone, so
-they form an ``NrmfIndex`` kept in one slot too, keyed by the tree's
-identity and alpha.  Like the tree, an index is shared and never mutated.
+Only the ranking reads the values.  The sharing coefficients and the
+re-hangs come from the market's ``Structure``, the package's one memo,
+which ``market`` reuses while the invitation structure (sponsor
+neighbours, agent ids and neighbour sets) is equal.  It finds the
+re-hangs once, so a new alpha reuses them, and keeps the coefficients of
+the last alpha.
 
 The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue get a rebate, and reward sharing gives branch
@@ -31,66 +32,24 @@ auction's revenue less ``sum(R_b * size[b]) / n``, one term per branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from netredist.auctions import (
     Market,
     MechanismId,
     Outcome,
+    auction,
     chain_walk,
     market,
     sale,
     tnm_stop,
 )
-from netredist.critical_tree import CriticalTree, immediate_dominators
-from netredist.profiles import SPONSOR, InducedGraph, ProfileError, ReportProfile
-from netredist.prst import SharingParams, prst
+from netredist.profiles import ProfileError, ReportProfile
+from netredist.prst import SharingParams
 
 ZERO = Fraction(0)
 VCG = MechanismId("vcg")
-
-
-@dataclass(frozen=True)
-class NrmfIndex:
-    """What ``run_nrmf`` reads off a nonempty critical tree at one alpha."""
-
-    graph: InducedGraph
-    tree: CriticalTree
-    alpha: Fraction
-    omega: Mapping[str, Fraction]
-
-    @cached_property
-    def rehangs(self) -> list[dict[int, str]]:
-        """``_rehangs`` of the tree, found on first use: only the chain
-        auctions read them."""
-        return _rehangs(self.graph, self.tree)
-
-
-#: The last index built.  A market whose structure ``market`` reused holds
-#: the very tree object of the previous one, so the tree's identity is a key.
-_last_index: Optional[NrmfIndex] = None
-
-
-def nrmf_index(m: Market, params: SharingParams) -> NrmfIndex:
-    """The index of ``m``'s tree at ``params.alpha``; the last one is
-    reused while the tree and alpha stay the same."""
-    global _last_index
-    index = _last_index
-    if (index is None or index.tree is not m.tree
-            or index.alpha is not params.alpha and index.alpha != params.alpha):
-        index = _last_index = NrmfIndex(m.graph, m.tree, params.alpha,
-                                        prst(m.tree, params).omega)
-    return index
-
-
-def _empty_outcome(profile: ReportProfile) -> Outcome:
-    """The all-zero outcome of a profile with no reachable agent."""
-    agents = profile.agents
-    nothing = dict.fromkeys(agents, 0), dict.fromkeys(agents, ZERO), ZERO, None
-    return _finalize(profile, nothing, dict.fromkeys(agents, ZERO), ZERO, {}, ())
 
 
 def _finalize(profile: ReportProfile,
@@ -126,12 +85,12 @@ def run_nrmf(mechanism: MechanismId,
     """
     m = market(profile)
     if not m.ranked:
-        return _empty_outcome(profile)
+        return auction(mechanism, m)  # no sale and no branch to share with
 
-    index = nrmf_index(m, params)
+    omega = m.structure.omega(params)
     tree = m.tree
     roots, preorder, pre, size = tree.root_branches, tree.preorder, tree.pre, tree.size
-    revenues = _branch_revenues(mechanism, m, index)
+    revenues = _branch_revenues(mechanism, m)
     sold = sale(mechanism, m)
     redistribution = dict.fromkeys(profile.agents, ZERO)
     # branch b's members share its revenue with total mass size[b] / n
@@ -140,19 +99,18 @@ def run_nrmf(mechanism: MechanismId,
         if revenue:
             start = pre[root]
             for i in preorder[start:start + size[root]]:
-                redistribution[i] = index.omega[i] * revenue
+                redistribution[i] = omega[i] * revenue
             mass += revenue * size[root]
     return _finalize(profile, sold, redistribution, mass / len(preorder),
                      dict(zip(roots, revenues)), roots)
 
 
-def _branch_revenues(mechanism: MechanismId, m: Market,
-                     index: NrmfIndex) -> list[Fraction]:
+def _branch_revenues(mechanism: MechanismId, m: Market) -> list[Fraction]:
     """The auction's revenue with each sponsor branch silenced in turn.
 
     Second-price and posted-price revenue need only the best two bids
     once the branch root is silenced; the chain auctions walk the top
-    bidder's chain in the tree with the roots re-hung as ``index.rehangs`` says.
+    bidder's chain in the tree with the roots re-hung as the structure says.
     """
     roots = m.tree.root_branches
     if mechanism.kind == "vcg":
@@ -161,7 +119,7 @@ def _branch_revenues(mechanism: MechanismId, m: Market,
         price = mechanism.price
         return [price if _best_two(m, root)[0] >= price else ZERO for root in roots]
     return [_chain_revenue(mechanism.kind, m, root, hang)
-            for root, hang in zip(roots, index.rehangs)]
+            for root, hang in zip(roots, m.structure.rehangs)]
 
 
 def _chain_revenue(kind: str, m: Market, root: str, hang: dict[int, str]) -> Fraction:
@@ -204,57 +162,6 @@ def _best_two(m: Market, silenced: str) -> tuple[Fraction, Fraction]:
     return _bid(m, silenced, next(bids)), _bid(m, silenced, next(bids, None))
 
 
-def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
-    """For each silenced branch ``b``, where the branch roots hang.
-
-    A root the sponsor invites stays under her.  Another root may move
-    under an agent of another branch, and an invitation leaving a branch
-    can only enter another branch at its root.  So the new parents are
-    the dominators of a skeleton: the sponsor, the branch roots, the
-    agents inviting across branches and the tree LCAs of those, each
-    branch linked along its own tree, plus the crossing invitations, with
-    ``b``'s members other than its root left out.  ``result[b][c]`` is the
-    agent under which branch ``c``'s root hangs with ``b`` silenced;
-    roots left under the sponsor are absent.
-    """
-    successors = graph.successors
-    roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
-    if all(r in successors[SPONSOR] for r in roots):
-        return [{} for _ in roots]
-
-    def contains(a: str, i: str) -> bool:
-        return pre[a] <= pre[i] < pre[a] + size[a]
-
-    def lca(a: str, i: str) -> str:
-        while not contains(a, i):
-            a = tree.parent[a]
-        return a
-
-    crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
-                for i in tree.preorder}
-    crossing = {i: js for i, js in crossing.items() if js}
-    nodes = sorted({*roots, *crossing}, key=pre.__getitem__)
-    nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
-                              if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
-    edges = {v: list(crossing.get(v, ())) for v in nodes}
-    above: list[str] = []
-    for v in nodes:
-        while above and not contains(above[-1], v):
-            above.pop()
-        if above:
-            edges[above[-1]].append(v)
-        above.append(v)
-
-    rehangs = []
-    for b, silenced in enumerate(roots):
-        skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
-                    if branch_of[v] != b or v == silenced}
-        skeleton[SPONSOR] = successors[SPONSOR]
-        parent = immediate_dominators(skeleton, SPONSOR)
-        rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
-    return rehangs
-
-
 def cavallo(profile: ReportProfile) -> Outcome:
     """Classical rebate scheme applied to the participant set.
 
@@ -266,7 +173,7 @@ def cavallo(profile: ReportProfile) -> Outcome:
     m = market(profile)
     n = len(m.ranked)
     if not n:
-        return _empty_outcome(profile)
+        return auction(VCG, m)  # no sale and no one to rebate
     sold = sale(VCG, m)
     rebates = dict.fromkeys(profile.agents, ZERO)
     total = ZERO

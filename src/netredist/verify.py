@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence, TypeAlias
 
 from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.auctions import (
-    EmptyMarketError,
     MechanismId,
     Outcome,
     market,
@@ -292,11 +291,7 @@ def _no_new_potential_winner(mechanism: Mechanism,
         # only through the winner's line still get their shot
         stripped = stripped.replace(
             i, AgentType(ZERO, larger.reports[i].neighbors))
-    try:
-        shadow = mechanism(stripped)
-    except EmptyMarketError:
-        return True
-    return shadow.winner not in new_agents
+    return mechanism(stripped).winner not in new_agents
 
 
 def check_revenue_invariant(mechanism: Mechanism,

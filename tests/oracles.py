@@ -15,9 +15,8 @@ import random
 import sys
 from fractions import Fraction
 
-from netredist import auctions, redistribution
+from netredist import auctions
 from netredist.auctions import (
-    EmptyMarketError,
     MechanismId,
     Outcome,
     run_auction,
@@ -182,13 +181,6 @@ def prst_oracle(tree: CriticalTree, params: SharingParams) -> ShareVector:
 # --- re-run oracles for the redistribution counterfactuals --------------
 
 
-def _revenue(mechanism: MechanismId, profile: ReportProfile) -> Fraction:
-    try:
-        return run_auction(mechanism, profile).surplus
-    except EmptyMarketError:
-        return ZERO
-
-
 def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
                       redistribution: dict, branch_revenues: dict,
                       branch_roots: tuple) -> Outcome:
@@ -233,7 +225,7 @@ def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
             i: (NULL_TYPE if tree.branch_of.get(i) == k else t)
             for i, t in profile.reports.items()
         })
-        branch_revenues[root] = _revenue(mechanism, blocked)
+        branch_revenues[root] = run_auction(mechanism, blocked).surplus
     redistribution = {i: ZERO for i in profile.agents}
     for i in graph.reachable:
         root = tree.root_branches[tree.branch_of[i]]
@@ -250,7 +242,7 @@ def cavallo_rerun_oracle(profile: ReportProfile):
     if not reachable:
         return _outcome_by_terms(profile, _no_sale(profile), rebates, {}, ())
     for i in sorted(reachable):
-        revenue = _revenue(MechanismId("vcg"), profile.replace(i, NULL_TYPE))
+        revenue = vcg(profile.replace(i, NULL_TYPE)).surplus
         rebates[i] = Fraction(revenue, len(reachable))
     return _outcome_by_terms(profile, vcg(profile), rebates, {}, ())
 
@@ -267,9 +259,8 @@ def exact(value):
 
 
 def clear_memo() -> None:
-    """Forget the structure ``market`` and the index ``run_nrmf`` reuse."""
+    """Forget the structure ``market`` reuses, the package's one memo."""
     auctions._last_structure = None
-    redistribution._last_index = None
 
 
 def counted_builds(monkeypatch) -> list:
@@ -287,15 +278,15 @@ def counted_builds(monkeypatch) -> list:
 
 
 def memo_free(run, *args):
-    """``run(*args)`` with both memos cleared, so it can read nothing the
-    run under test left there; the memos are restored afterwards, so the
-    run under test cannot read this one either."""
-    saved = auctions._last_structure, redistribution._last_index
+    """``run(*args)`` with the memo cleared, so it can read nothing the run
+    under test left there; the memo is restored afterwards, so the run
+    under test cannot read this one either."""
+    saved = auctions._last_structure
     clear_memo()
     try:
         return run(*args)
     finally:
-        auctions._last_structure, redistribution._last_index = saved
+        auctions._last_structure = saved
 
 
 # --- the command line's former input and output paths -------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from netredist.auctions import (
-    EmptyMarketError,
     MechanismError,
     MechanismId,
     fixed_price,
@@ -50,11 +49,16 @@ def test_vcg_ignores_unreachable_high_bidder():
     assert outcome.allocation["Z"] == 0
 
 
-def test_empty_market_raises():
+def test_empty_market_is_no_sale():
     profile = ReportProfile(frozenset(), {"A": T(2)})
-    for mechanism in (vcg, idm, tnm):
-        with pytest.raises(EmptyMarketError):
-            mechanism(profile)
+    for mechanism in (vcg, idm, tnm, lambda p: fixed_price(p, Fraction(1))):
+        outcome = mechanism(profile)
+        assert outcome.winner is None
+        assert type(outcome.surplus) is Fraction and outcome.surplus == 0
+        assert outcome.allocation == {"A": 0}
+        for payments in (outcome.auction_payment, outcome.redistribution,
+                         outcome.final_payment):
+            assert payments == {"A": Fraction(0)}
 
 
 def test_value_ties_break_towards_lowest_id():

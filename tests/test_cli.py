@@ -151,6 +151,18 @@ def test_verify_cavallo_on_an_empty_market_passes(capsys, unreached_file, prop):
     assert json.loads(captured.out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("mechanism", ["vcg", "idm", "tnm"])
+@pytest.mark.parametrize("prop", ["ir", "ic", "nd"])
+def test_verify_a_plain_auction_on_an_empty_market_passes(capsys, unreached_file, prop,
+                                                          mechanism):
+    # with no participant a plain auction sells nothing, as cavallo does
+    code = main(["verify", "--property", prop, "--mechanism", mechanism,
+                 "--instances", str(Path(unreached_file).parent)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+    assert json.loads(captured.out)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("command", [
     ["run", "{network}", "--mechanism", "cavallo"],
     ["run", "{network}", "--mechanism", "idm"],

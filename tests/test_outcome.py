@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from netredist.auctions import (
-    EmptyMarketError,
     MechanismId,
     Outcome,
     fixed_price,
@@ -62,10 +61,6 @@ PROFILES = {"reference": reference_network_10, "bidder_star": bidder_star,
                          ids=[name for name, _, _ in ENTRY_POINTS])
 def test_every_entry_point_returns_one_outcome_type(name, run, plain, profile_name):
     profile = PROFILES[profile_name]()
-    if plain and profile_name == "unreachable_only" and not name.endswith(":3"):
-        with pytest.raises(EmptyMarketError):  # no one to sell to at a second price
-            run(profile)
-        return
     outcome = run(profile)
     assert type(outcome) is Outcome
     assert outcome.profile is profile
@@ -79,6 +74,9 @@ def test_every_entry_point_returns_one_outcome_type(name, run, plain, profile_na
     if plain:
         assert all(exact(r) == exact(ZERO) for r in outcome.redistribution.values())
         assert (outcome.branch_revenues, outcome.branch_roots) == ({}, ())
+    if profile_name == "unreachable_only":  # no one to sell to: no sale
+        assert (outcome.winner, exact(outcome.surplus)) == (None, exact(ZERO))
+        assert all(exact(p) == exact(ZERO) for p in outcome.final_payment.values())
 
 
 FRESH_IMPORT = """
@@ -95,7 +93,7 @@ def first_import():
     outcome = redistribution.run_nrmf(auctions.MechanismId("idm"), profile,
                                       SharingParams(Fraction(1, 2)))
     kept = {"ReportProfile": profiles.ReportProfile, "outcome class": type(outcome),
-            "CriticalTree": CriticalTree, "memo tree": auctions._last_structure[2]}
+            "CriticalTree": CriticalTree, "memo tree": auctions._last_structure.tree}
     return {name: weakref.ref(obj) for name, obj in kept.items()}
 
 refs = first_import()

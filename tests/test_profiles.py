@@ -76,6 +76,24 @@ def test_replace_unknown_agent_rejected():
         star_profile({"A": 1}).replace("Z", T(1))
 
 
+def test_replace_checks_the_new_report_as_the_full_profile_would():
+    profile = ReportProfile(frozenset({"A"}), {"A": T(1, ["B"]), "B": T(2), "C": T(3)})
+    with pytest.raises(ProfileError, match="^unknown agent 'Z'$"):
+        profile.replace("Z", T(1))
+    for bad in (T(1, ["B", "A"]), T(1, ["Y"]), T(1, ["s", "X"])):
+        with pytest.raises(ProfileError) as full:
+            ReportProfile(profile.sponsor_neighbors, {**profile.reports, "A": bad})
+        with pytest.raises(ProfileError) as replaced:
+            profile.replace("A", bad)
+        assert str(replaced.value) == str(full.value)
+    for i, report in [("A", T(4, ["C", "s"])), ("C", T(0, ["A", "B"])), ("B", T(2))]:
+        changed = profile.replace(i, report)
+        full = ReportProfile(profile.sponsor_neighbors, {**profile.reports, i: report})
+        assert changed == full
+        assert list(changed.reports) == list(full.reports)
+        assert changed.agents == full.agents
+
+
 def test_participant_set_follows_invitations():
     graph = induce_graph(misreport_network())
     assert graph.reachable == frozenset("ABCDEFGHI")

@@ -13,14 +13,8 @@ from netredist.profiles import (
     induce_graph,
     make_profile,
 )
-from netredist.prst import SharingParams
-from netredist.redistribution import (
-    _rehangs,
-    cavallo,
-    check_cavallo_equivalence,
-    nrmf_index,
-    run_nrmf,
-)
+from netredist.prst import SharingParams, prst
+from netredist.redistribution import cavallo, check_cavallo_equivalence, run_nrmf
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import (
@@ -239,18 +233,19 @@ def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
 
 def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
     clear_memo()
-    m = market(reference_network_10())
-    index = nrmf_index(m, HALF)
-    assert nrmf_index(m, HALF) is index
-    assert nrmf_index(m, SharingParams(Fraction(2, 4))) is index
-    other = nrmf_index(m, ALPHAS[1])
-    assert other is not index and other.alpha == Fraction(1, 5)
+    structure = market(reference_network_10()).structure
+    omega = structure.omega(HALF)
+    assert structure.omega(HALF) is omega
+    assert structure.omega(SharingParams(Fraction(2, 4))) is omega
+    other = structure.omega(ALPHAS[1])
+    assert other is not omega and other == prst(structure.tree, ALPHAS[1]).omega
+    assert structure.omega(HALF) == omega
 
 
-def test_silencing_a_branch_rehangs_a_root_under_another_branch():
-    # R is invited by A and B, not by the sponsor, so it roots its own
-    # branch; with A silenced it hangs under B, with B silenced under A
-    profile = make_profile(
+def cross_invited() -> ReportProfile:
+    """R is invited by A and B, not by the sponsor, so it roots its own
+    branch; with A silenced it hangs under B, with B silenced under A."""
+    return make_profile(
         ["A", "B", "C"],
         {
             "A": T(1, ["R"]),
@@ -260,8 +255,31 @@ def test_silencing_a_branch_rehangs_a_root_under_another_branch():
             "Rc": T(10),
         },
     )
-    m = market(profile)
-    assert _rehangs(m.graph, m.tree) == [{3: "B"}, {3: "A"}, {}, {}]
+
+
+def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
+    passes = []
+    real = auctions._rehangs
+
+    def counted(graph, tree):
+        passes.append(tree)
+        return real(graph, tree)
+
+    monkeypatch.setattr(auctions, "_rehangs", counted)
+    clear_memo()
+    profile = cross_invited()
+    for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
+        run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
+    assert len(passes) == 1
+    # C invites R too: another structure, another pass
+    changed = profile.replace("C", T(3, ["R"]))
+    run_nrmf(MechanismId("idm"), changed, HALF)
+    assert len(passes) == 2 and passes[1] is not passes[0]
+
+
+def test_silencing_a_branch_rehangs_a_root_under_another_branch():
+    profile = cross_invited()
+    assert market(profile).structure.rehangs == [{3: "B"}, {3: "A"}, {}, {}]
     # with A silenced the chain is B, R, Rc: idm prices it at the best bid
     # outside B's branch (C: 3) and tnm stops at B.  Left under the sponsor,
     # R would head the chain, and both would charge B's 5 instead.
@@ -285,7 +303,7 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
                                          edge_prob=rng.choice((0.15, 0.3, 0.5)),
                                          value_max=rng.choice((0, 1, 3, 20)))
         m = market(profile)
-        rehung += bool(m.ranked) and any(_rehangs(m.graph, m.tree))
+        rehung += bool(m.ranked) and any(m.structure.rehangs)
         for mech in MECHANISMS:
             for params in ALPHAS:
                 assert_matches_oracle(run_nrmf(mech, profile, params),
@@ -307,7 +325,7 @@ def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
             reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
         profile = ReportProfile(tree.sponsor_neighbors, reports)
         m = market(profile)
-        rehung += any(_rehangs(m.graph, m.tree))
+        rehung += any(m.structure.rehangs)
         for mech in MECHANISMS:
             for params in ALPHAS:
                 assert_matches_oracle(run_nrmf(mech, profile, params),

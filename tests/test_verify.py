@@ -388,8 +388,8 @@ def test_revenue_invariant_skips_pairs_with_potential_winners():
 
 
 def test_revenue_invariant_propagates_mechanism_errors():
-    # Only an empty market may end the shadow run; any other error is a
-    # fault of the mechanism and must not make the pair count as qualifying.
+    # Nothing may end the shadow run quietly: an error is a fault of the
+    # mechanism and must not make the pair count as qualifying.
     def fragile(profile):
         if any(profile.value_of(i) == 0 for i in profile.agents):
             raise ValueError("zero bids unsupported")
