@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -28,11 +29,7 @@ from netredist.generators import (
     bb_experiment,
     generate,
 )
-from netredist.profiles import (
-    ProfileError,
-    load_profile,
-    profile_to_dict,
-)
+from netredist.profiles import ProfileError, load_profile, profile_to_dict
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
@@ -52,6 +49,23 @@ from netredist.verify import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+
+#: ``--model`` choice -> generator growth kind.
+GROWTH_KINDS = {"evenly": EVENLY_GROWING, "branch-independent": BRANCH_INDEPENDENT}
+
+#: ``verify --property`` choice -> audit of a mechanism over the instances.
+#: Each ``check_*`` is looked up in this module when the audit runs, so
+#: rebinding the module attribute reaches it.
+AUDITS = {
+    "ir": lambda mechanism, instances: check_ir(mechanism, instances),
+    "ic": lambda mechanism, instances: check_ic(mechanism, instances),
+    "nd": lambda mechanism, instances: check_nd(mechanism, instances),
+    "rev-mono": lambda mechanism, instances: check_revenue_monotonic(
+        mechanism, [p for profile in instances for p in shrink_pairs(profile)]),
+    "rev-inv": lambda mechanism, instances: check_revenue_invariant(
+        mechanism, [p for profile in instances
+                    for p in leaf_extension_pairs(profile, Fraction(0))]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,37 +90,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="network JSON with private types, for utilities")
 
     ver_p = sub.add_parser("verify", help="audit a mechanism property")
-    ver_p.add_argument("--property", required=True,
-                       choices=("ir", "ic", "nd", "rev-mono", "rev-inv"))
+    ver_p.add_argument("--property", required=True, choices=tuple(AUDITS))
     ver_p.add_argument("--mechanism", required=True,
                        help="vcg | idm | tnm | fixed:<price> | cavallo | nrmf:<inner>")
     ver_p.add_argument("--instances", required=True,
                        help="directory of network JSON files")
 
-    gen_p = sub.add_parser("generate", help="generate a random network")
-    gen_p.add_argument("--model", choices=("evenly", "branch-independent"),
-                       default="evenly")
+    growth = argparse.ArgumentParser(add_help=False)
+    growth.add_argument("--model", choices=tuple(GROWTH_KINDS), default="evenly")
+    growth.add_argument("--branches", type=int, default=4,
+                        help="initial sponsor branches; only the "
+                             "branch-independent model uses them")
+    growth.add_argument("--vmax", type=int, default=100)
+
+    gen_p = sub.add_parser("generate", parents=[growth],
+                           help="generate a random network")
     gen_p.add_argument("--n", type=int, required=True)
-    gen_p.add_argument("--branches", type=int, default=4)
-    gen_p.add_argument("--vmax", type=int, default=100)
 
     exp_p = sub.add_parser("experiment", help="run a sweep")
     exp_sub = exp_p.add_subparsers(dest="experiment", required=True)
-    abb_p = exp_sub.add_parser("abb", help="surplus convergence sweep")
+    abb_p = exp_sub.add_parser("abb", parents=[growth],
+                               help="surplus convergence sweep")
     abb_p.add_argument("--mechanism", default="idm", help="idm | tnm")
-    abb_p.add_argument("--model", choices=("evenly", "branch-independent"),
-                       default="evenly")
-    abb_p.add_argument("--branches", type=int, default=4)
-    abb_p.add_argument("--vmax", type=int, default=100)
     abb_p.add_argument("--sizes", default="50,200,1000",
                        help="comma-separated network sizes")
     abb_p.add_argument("--num-seeds", type=int, default=20)
-    bb_p = exp_sub.add_parser("bb", help="fixed-price budget-balance sweep")
+    bb_p = exp_sub.add_parser("bb", parents=[growth],
+                              help="fixed-price budget-balance sweep")
     bb_p.add_argument("--price", required=True)
-    bb_p.add_argument("--model", choices=("evenly", "branch-independent"),
-                      default="evenly")
-    bb_p.add_argument("--branches", type=int, default=4)
-    bb_p.add_argument("--vmax", type=int, default=100)
     bb_p.add_argument("--sizes", default="30", help="comma-separated sizes")
     bb_p.add_argument("--num-seeds", type=int, default=50)
 
@@ -121,40 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError):
-        print(f"error: bad --alpha {args.alpha!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if args.precision < 0:
-        print(f"error: --precision must be >= 0, got {args.precision}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+        alpha = _rational("--alpha", args.alpha)
+        if args.precision < 0:
+            raise GenerationError(f"--precision must be >= 0, got {args.precision}")
         SharingParams(alpha)  # every subcommand rejects an alpha outside (0, 1)
-        if args.command == "run":
-            return _cmd_run(args, alpha)
-        if args.command == "verify":
-            return _cmd_verify(args, alpha)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args, alpha)
-        if args.command == "tree":
-            return _cmd_tree(args)
-        if args.command == "shares":
-            return _cmd_shares(args, alpha)
-        raise AssertionError(args.command)
+        return COMMANDS[args.command](args, alpha)
     except (ProfileError, MechanismError, SharingError, GenerationError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The exact value of a rational flag; a bad one is an input error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise GenerationError(f"bad {flag} {text!r}") from None
+
+
 def _growth_model(args) -> GrowthModel:
-    kind = EVENLY_GROWING if args.model == "evenly" else BRANCH_INDEPENDENT
-    return GrowthModel(kind=kind, initial_branches=args.branches,
+    return GrowthModel(kind=GROWTH_KINDS[args.model], initial_branches=args.branches,
                        value_max=args.vmax, seed=args.seed)
 
 
@@ -305,40 +305,21 @@ def _make_audit_mechanism(spec: str, alpha: Fraction):
 
 
 def _cmd_verify(args, alpha: Fraction) -> int:
-    import os
-
     paths = sorted(
         os.path.join(args.instances, f)
         for f in os.listdir(args.instances)
         if f.endswith(".json")
     )
     if not paths:
-        print(f"error: no .json instances in {args.instances}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ProfileError(f"no .json instances in {args.instances}")
     instances = [load_profile(p) for p in paths]
     mechanism = _make_audit_mechanism(args.mechanism, alpha)
-
-    if args.property == "ir":
-        report = check_ir(mechanism, instances)
-    elif args.property == "ic":
-        report = check_ic(mechanism, instances)
-    elif args.property == "nd":
-        report = check_nd(mechanism, instances)
-    elif args.property == "rev-mono":
-        pairs = [p for profile in instances for p in shrink_pairs(profile)]
-        report = check_revenue_monotonic(mechanism, pairs)
-    else:
-        pairs = [
-            p for profile in instances
-            for p in leaf_extension_pairs(profile, Fraction(0))
-        ]
-        report = check_revenue_invariant(mechanism, pairs)
-
+    report = AUDITS[args.property](mechanism, instances)
     print(_json_text(report.to_dict()))
     return EXIT_OK if report.verdict else EXIT_PROPERTY_FAILURE
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, alpha: Fraction) -> int:
     profile = generate(_growth_model(args), args.n)
     print(json.dumps(profile_to_dict(profile), indent=2))
     return EXIT_OK
@@ -378,13 +359,9 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
         result = abb_experiment(mech, model, sizes, seeds, alpha)
         data = result.to_dict()
     else:
-        try:
-            price = Fraction(args.price)
-        except (ValueError, ZeroDivisionError):
-            raise GenerationError(f"bad --price {args.price!r}") from None
+        price = _rational("--price", args.price)
         result, summary = bb_experiment(price, model, sizes, seeds, alpha)
-        data = result.to_dict()
-        data["summary"] = summary
+        data = dict(result.to_dict(), summary=summary)
     rows = _experiment_rows(result, args.precision)
     _emit(args, data, rows)
     if args.output == "table":
@@ -394,9 +371,8 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
     return EXIT_OK
 
 
-def _cmd_tree(args) -> int:
-    profile = load_profile(args.network)
-    tree = market(profile).tree
+def _cmd_tree(args, alpha: Fraction) -> int:
+    tree = market(load_profile(args.network)).tree
     rows = [
         {
             "agent": i,
@@ -415,13 +391,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_shares(args, alpha: Fraction) -> int:
-    try:
-        reward = Fraction(args.reward)
-    except (ValueError, ZeroDivisionError):
-        print(f"error: bad --reward {args.reward!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    profile = load_profile(args.network)
-    tree = market(profile).tree
+    reward = _rational("--reward", args.reward)
+    tree = market(load_profile(args.network)).tree
     shares = prst(tree, SharingParams(alpha, reward))
     share = shares.share
     rows = [
@@ -440,6 +411,19 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     }
     _emit(args, data, rows)
     return EXIT_OK
+
+
+#: Subcommand -> handler; every handler takes the parsed flags and alpha.
+COMMANDS = {
+    "run": _cmd_run,
+    "verify": _cmd_verify,
+    "generate": _cmd_generate,
+    "experiment": _cmd_experiment,
+    "tree": _cmd_tree,
+    "shares": _cmd_shares,
+}
+
+PARSER = build_parser()
 
 
 if __name__ == "__main__":

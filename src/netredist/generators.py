@@ -35,7 +35,7 @@ BRANCH_INDEPENDENT = "branch_independent"
 
 
 class GenerationError(ValueError):
-    """Raised for invalid growth-model parameters."""
+    """Raised for invalid growth-model, sweep or command-line parameters."""
 
 
 @dataclass(frozen=True)
@@ -72,29 +72,18 @@ def generate(model: GrowthModel, n: int) -> ReportProfile:
     if n < 1:
         raise GenerationError("need at least one agent")
     rng = random.Random(f"{model.seed}:{model.kind}:{n}")
+    evenly = model.kind == EVENLY_GROWING
     parents: dict[str, str] = {}
-    if model.kind == EVENLY_GROWING:
-        # balanced attachment with ~sqrt(n) sponsor branches: branches are
-        # hit uniformly, so the largest one holds an O(1/sqrt(n)) share of
-        # the market and the share of every branch vanishes as n grows
-        branches: list[list[str]] = []
-        for k in range(n):
-            i = _agent_id(k)
-            if len(branches) ** 2 <= k:
-                parents[i] = SPONSOR
-                branches.append([i])
-            else:
-                branch = rng.choice(branches)
-                parents[i] = rng.choice(branch)
-                branch.append(i)
-    else:
-        branches: list[list[str]] = []
-        for k in range(min(model.initial_branches, n)):
-            i = _agent_id(k)
+    branches: list[list[str]] = []
+    for k in range(n):
+        i = _agent_id(k)
+        # a new sponsor branch whenever k reaches the branch count squared
+        # (~sqrt(n) branches, each holding a vanishing share), or only the
+        # initial branches of the branch-independent model
+        if (len(branches) ** 2 <= k) if evenly else (k < model.initial_branches):
             parents[i] = SPONSOR
             branches.append([i])
-        for k in range(min(model.initial_branches, n), n):
-            i = _agent_id(k)
+        else:
             branch = rng.choice(branches)
             parents[i] = rng.choice(branch)
             branch.append(i)

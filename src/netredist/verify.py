@@ -260,11 +260,11 @@ def check_revenue_monotonic(mechanism: Mechanism,
                 warnings.append("skipped pair violating the growth precondition")
             continue
         checked += 1
-        if mechanism(smaller).surplus > mechanism(larger).surplus:
+        s_small, s_large = mechanism(smaller).surplus, mechanism(larger).surplus
+        if s_small > s_large:
             agent = smaller.agents[0]
             truth = smaller.reports[agent]
-            witness = Witness(smaller, agent, truth, truth,
-                              mechanism(larger).surplus, mechanism(smaller).surplus)
+            witness = Witness(smaller, agent, truth, truth, s_large, s_small)
             return PropertyReport("RevenueMonotonic", False, witness, checked,
                                   skipped, space="supplied growth pairs",
                                   warnings=tuple(warnings))

@@ -331,6 +331,55 @@ def test_negative_precision_is_a_one_line_input_error(capsys, network_file):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--alpha", "zero", "run", "{network}"], "bad --alpha 'zero'"),
+    (["--precision", "-1", "run", "{network}"], "--precision must be >= 0, got -1"),
+    (["shares", "{network}", "--reward", "ten"], "bad --reward 'ten'"),
+    (["experiment", "bb", "--price", "ten"], "bad --price 'ten'"),
+    (["experiment", "abb", "--sizes", "ten"], "bad --sizes 'ten'"),
+    (["verify", "--property", "ir", "--mechanism", "vcg", "--instances", "{empty}"],
+     "no .json instances in {empty}"),
+], ids=["alpha", "precision", "reward", "price", "sizes", "no-instances"])
+def test_every_bad_flag_is_one_pinned_error_line(capsys, tmp_path, network_file,
+                                                  argv, message):
+    names = {"network": network_file, "empty": str(tmp_path / "empty")}
+    (tmp_path / "empty").mkdir()
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**names)}\n"
+
+
+def test_main_does_not_build_a_parser_per_call(capsys, monkeypatch, network_file):
+    def refuse():
+        raise AssertionError("build_parser called after import")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out = run_cli(capsys, "tree", network_file)
+    assert code == EXIT_OK
+    assert out.startswith("agent")
+
+
+@pytest.mark.parametrize("prop,check", [
+    ("ir", "check_ir"), ("ic", "check_ic"), ("nd", "check_nd"),
+    ("rev-mono", "check_revenue_monotonic"), ("rev-inv", "check_revenue_invariant"),
+])
+def test_verify_reads_each_check_from_the_cli_module_when_it_runs(
+        capsys, monkeypatch, network_file, prop, check):
+    real = getattr(cli, check)
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, check, traced)
+    directory = str(Path(network_file).parent)
+    main(["verify", "--property", prop, "--mechanism", "vcg", "--instances", directory])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", [
     ["run", "{bad}"],
     ["run", "{network}", "--true-values", "{bad}"],
