@@ -9,8 +9,10 @@ or without redistribution, returns an ``Outcome``; a plain auction is one
 that redistributes nothing.
 
 Each public auction builds a ``Market`` (the profile, its ``Structure``
-and the ranked participants) and runs on it; ``sale`` runs on a market
-built once, so redistribution can share it with its counterfactuals.
+and the ranked participants) and runs on it.  All pricing lives here:
+``sale`` prices the actual sale, ``silenced_revenue`` the revenue with
+one agent silenced, which redistribution shares, and ``auction`` builds
+every ``Outcome``, with whatever redistribution is paid back.
 
 Only the ranking reads the values.  Everything else a run needs is a
 ``Structure``: the graph, critical tree and participants, the branch
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from netredist.critical_tree import CriticalTree, _rehangs, critical_tree
 from netredist.profiles import InducedGraph, ReportProfile, induce_graph
@@ -239,19 +241,36 @@ def fixed_price(profile: ReportProfile, price: Fraction) -> Outcome:
     return auction(MechanismId("fixed_price", price), market(profile))
 
 
-def auction(mechanism: MechanismId, m: Market) -> Outcome:
-    """Run the named mechanism on an already indexed market; nothing is
-    redistributed, so the final payments are the auction's."""
-    allocation, payment, surplus, winner = sale(mechanism, m)
-    return Outcome(allocation, payment, dict.fromkeys(payment, ZERO), payment,
-                   {}, (), surplus, winner, m.profile)
+def auction(mechanism: MechanismId, m: Market,
+            redistribution: Optional[dict[str, Fraction]] = None,
+            redistributed: Fraction = ZERO,
+            branch_revenues: Optional[dict[str, Fraction]] = None) -> Outcome:
+    """Run the named mechanism on an already indexed market and pay
+    ``redistribution``, which sums to ``redistributed``, back; by default
+    nothing is.  ``branch_revenues`` is keyed by branch root in branch
+    order, which gives the outcome's ``branch_roots``."""
+    allocation, payment, revenue, winner = sale(mechanism, m)
+    if redistribution is None:
+        redistribution = dict.fromkeys(payment, ZERO)
+    if branch_revenues is None:
+        branch_revenues = {}
+    # no Fraction arithmetic on zeros: all but a few agents pay nothing,
+    # and agents outside the tree or below a chain head get no rebate
+    final_payment = payment.copy()
+    for i, rebate in redistribution.items():
+        if rebate:
+            paid = final_payment[i]
+            final_payment[i] = paid - rebate if paid else -rebate
+    # the auction's revenue is the sum of its payments
+    return Outcome(allocation, payment, redistribution, final_payment, branch_revenues,
+                   tuple(branch_revenues), revenue - redistributed, winner, m.profile)
 
 
 def sale(mechanism: MechanismId, m: Market
          ) -> tuple[dict[str, int], dict[str, Fraction], Fraction, Optional[str]]:
     """The named auction's allocation, net payments, revenue and winner on
-    an indexed market, for redistribution to build its ``Outcome`` on.
-    With no willing buyer, or no participant at all, nothing is sold."""
+    an indexed market.  With no willing buyer, or no participant at all,
+    nothing is sold."""
     agents = m.profile.agents
     allocation = dict.fromkeys(agents, 0)
     payment = dict.fromkeys(agents, ZERO)
@@ -285,6 +304,56 @@ def sale(mechanism: MechanismId, m: Market
     allocation[winner] = 1
     payment[winner] = price
     return allocation, payment, surplus, winner
+
+
+def silenced_revenue(mechanism: MechanismId, m: Market, silenced: str) -> Fraction:
+    """The auction's revenue on ``m`` once ``silenced`` reports nothing:
+    everyone depending on her drops out, and she stays in, bidding 0.
+
+    No counterfactual re-runs the auction.  The sponsor reaches every
+    agent outside ``silenced``'s branch by a path that avoids her (she
+    dominates her branch), so silencing her keeps each of them a
+    participant at the same bid, and second-price and posted-price revenue
+    need only the best bids of the silenced ranking.  When ``silenced``
+    is a sponsor branch root, every other branch also keeps its inner
+    tree; only roots the sponsor did not invite can re-hang, under an
+    agent of another branch.  So the chain auctions walk the same tree
+    with those roots re-hung as the market's structure says, and for them
+    ``silenced`` must be a branch root; for ``vcg`` and ``fixed_price``
+    any participant will do.
+    """
+    def bid(i: Optional[str]) -> Fraction:
+        return ZERO if i is None or i == silenced else m.profile.value_of(i)
+
+    ranking = _silenced_ranking(m, silenced)
+    if mechanism.kind == "vcg":
+        next(ranking)  # the top bidder wins at the next bid
+        return bid(next(ranking, None))
+    if mechanism.kind == "fixed_price":
+        return mechanism.price if bid(next(ranking)) >= mechanism.price else ZERO
+    hang = m.structure.rehangs[m.tree.branch_of[silenced]]
+    chain, outsiders = chain_walk(m.tree, ranking, hang)
+    return bid(outsiders[0 if mechanism.kind == "idm" else tnm_stop(chain, outsiders, bid)])
+
+
+def _silenced_ranking(m: Market, silenced: str) -> Iterator[str]:
+    """The participants best bid first once ``silenced`` reports nothing:
+    everyone depending on her drops out and she stays in, bidding 0."""
+    pre = m.tree.pre
+    start = pre[silenced]
+    end = start + m.tree.size[silenced]
+    value_of = m.profile.value_of
+    waiting = True
+    for i in m.ranked:
+        if start <= pre[i] < end:
+            continue
+        # zero bids come last, in id order
+        if waiting and not value_of(i) and i > silenced:
+            waiting = False
+            yield silenced
+        yield i
+    if waiting:
+        yield silenced
 
 
 def chain_walk(tree: CriticalTree,

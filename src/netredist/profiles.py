@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -167,7 +168,7 @@ def profile_from_dict(data: dict) -> ReportProfile:
             raw_value = entry["value"]
             neighbors = entry.get("neighbors", [])
         except (KeyError, TypeError) as e:
-            raise ProfileError(f"malformed agent entry {entry!r}: {e}") from None
+            raise ProfileError(f"malformed agent entry {_echo(entry)}: {e}") from None
         if not isinstance(agent_id, str):
             raise ProfileError(f"agent id {agent_id!r} must be a string")
         if not isinstance(raw_value, str):
@@ -175,12 +176,25 @@ def profile_from_dict(data: dict) -> ReportProfile:
         try:
             value = parse_value(raw_value)
         except (ValueError, ZeroDivisionError):
-            raise ProfileError(f"agent {agent_id!r}: bad value {raw_value!r}") from None
+            raise ProfileError(f"agent {agent_id!r}: bad value {_echo(raw_value)}") from None
         if agent_id in reports:
             raise ProfileError(f"duplicate agent id {agent_id!r}")
         neighbors = _id_set(neighbors, f"agent {agent_id!r}: neighbors")
         reports[agent_id] = AgentType(value, neighbors)
     return ReportProfile(_id_set(sponsor_neighbors, "sponsor_neighbors"), reports)
+
+
+#: The most characters of an offending input that an error message echoes.
+ECHO_CHARS = 80
+
+
+def _echo(raw: object) -> str:
+    """``repr(raw)``, cut to ``ECHO_CHARS`` characters with its full length
+    appended when it is longer, so the error stays one short line."""
+    text = repr(raw)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def parse_value(text: str) -> Fraction:
@@ -200,14 +214,12 @@ def parse_value(text: str) -> Fraction:
 
 
 def _long_int(digits: str) -> int:
-    """``int(digits)`` for ASCII digits, read in halves while there are more
-    than the interpreter converts at once (4,300 by default)."""
+    """``int(digits)`` for ASCII digits, read through ``Decimal`` when there
+    are more than the interpreter converts at once (4,300 by default)."""
     try:
         return int(digits)
     except ValueError:
-        half = len(digits) // 2
-        low = digits[half:]
-        return _long_int(digits[:half]) * 10 ** len(low) + _long_int(low)
+        return int(Decimal(digits))  # exact, and free of that limit
 
 
 def _id_set(raw, what: str) -> frozenset[str]:

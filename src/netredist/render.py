@@ -3,11 +3,13 @@
 Mechanism code never touches floats.  Output is rounded here, with
 banker's rounding at a configurable number of digits; network files get
 the exact rendering, which round-trips.  Amounts of any size render: an
-integer past the interpreter's int-to-text digit limit is written in parts.
+integer past the interpreter's int-to-text digit limit is written through
+``Decimal``.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 DEFAULT_PRECISION = 6
@@ -43,14 +45,12 @@ def fraction_str(x: Fraction) -> str:
 
 
 def _long_digits(n: int) -> str:
-    """``str(n)`` for ``n >= 0``, split in halves while it has more digits
-    than the interpreter converts at once (4,300 by default)."""
+    """``str(n)`` for ``n >= 0``, written through ``Decimal`` when it has
+    more digits than the interpreter converts at once (4,300 by default)."""
     try:
         return str(n)
     except ValueError:
-        half = n.bit_length() * 3 // 20  # log10(2) / 2 ~ 0.15
-        high, low = divmod(n, 10**half)
-        return _long_digits(high) + _long_digits(low).rjust(half, "0")
+        return str(Decimal(n))  # exact, and free of that limit
 
 
 def exact_decimal_str(x: Fraction) -> str:

@@ -230,16 +230,19 @@ def check_nd(mechanism: Mechanism,
                           space="all supplied instances")
 
 
-def _valid_growth_pair(smaller: ReportProfile, larger: ReportProfile) -> bool:
+def _new_participants(smaller: ReportProfile,
+                      larger: ReportProfile) -> Optional[frozenset[str]]:
+    """The participants ``larger`` adds to ``smaller``, or None when the
+    pair violates the growth precondition."""
     d_small = induce_graph(smaller).reachable
     d_large = induce_graph(larger).reachable
     if not d_small <= d_large:
-        return False
+        return None
     for i in d_small:
         a, b = smaller.reports[i], larger.reports[i]
         if a.value != b.value or not a.neighbors <= b.neighbors:
-            return False
-    return True
+            return None
+    return d_large - d_small
 
 
 def check_revenue_monotonic(mechanism: Mechanism,
@@ -254,7 +257,7 @@ def check_revenue_monotonic(mechanism: Mechanism,
     checked = skipped = 0
     warnings: list[str] = []
     for smaller, larger in instance_pairs:
-        if not _valid_growth_pair(smaller, larger):
+        if _new_participants(smaller, larger) is None:
             skipped += 1
             if len(warnings) < 5:
                 warnings.append("skipped pair violating the growth precondition")
@@ -274,14 +277,12 @@ def check_revenue_monotonic(mechanism: Mechanism,
 
 def _no_new_potential_winner(mechanism: Mechanism,
                              smaller: ReportProfile,
-                             larger: ReportProfile) -> bool:
-    """New agents may never win, even with the old winner's line removed."""
-    d_small = induce_graph(smaller).reachable
-    new_agents = induce_graph(larger).reachable - d_small
-    if not new_agents:
-        return True
-    base = mechanism(smaller)
-    if base.winner is None:
+                             base: Outcome,
+                             larger: ReportProfile,
+                             new_agents: frozenset[str]) -> bool:
+    """``new_agents`` may never win, even with the old winner's line
+    removed; ``base`` is the mechanism's outcome on ``smaller``."""
+    if not new_agents or base.winner is None:
         return True
     tree = market(smaller).tree
     removed = set(tree.ancestors(base.winner))
@@ -305,14 +306,16 @@ def check_revenue_invariant(mechanism: Mechanism,
     """
     checked = skipped = 0
     for smaller, larger in instance_pairs:
-        if not _valid_growth_pair(smaller, larger):
+        new_agents = _new_participants(smaller, larger)
+        if new_agents is None:
             skipped += 1
             continue
-        if not _no_new_potential_winner(mechanism, smaller, larger):
+        base = mechanism(smaller)
+        if not _no_new_potential_winner(mechanism, smaller, base, larger, new_agents):
             skipped += 1
             continue
         checked += 1
-        s_small, s_large = mechanism(smaller).surplus, mechanism(larger).surplus
+        s_small, s_large = base.surplus, mechanism(larger).surplus
         if s_small != s_large:
             agent = smaller.agents[0]
             truth = smaller.reports[agent]

@@ -126,3 +126,18 @@ def chain(values) -> ReportProfile:
         nbrs = [ids[k + 1]] if k + 1 < len(ids) else []
         reports[i] = T(values[k], nbrs)
     return make_profile(ids[:1], reports)
+
+
+def cross_invited() -> ReportProfile:
+    """R is invited by A and B, not by the sponsor, so it roots its own
+    branch; with A silenced it hangs under B, with B silenced under A."""
+    return make_profile(
+        ["A", "B", "C"],
+        {
+            "A": T(1, ["R"]),
+            "B": T(5, ["R"]),
+            "C": T(3),
+            "R": T(2, ["Rc"]),
+            "Rc": T(10),
+        },
+    )

@@ -508,6 +508,22 @@ def test_a_json_integer_past_the_int_text_limit_is_a_one_line_input_error(
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("entry,error", [
+    ({"id": "A", "value": "1/" + "3" * 5000}, "agent 'A': bad value '1/333"),
+    ({"id": "A", "neighbors": ["B" * 5000]}, "malformed agent entry {'id': 'A', "),
+], ids=["bad-value", "malformed-entry"])
+def test_a_long_bad_entry_is_echoed_in_part_on_one_line(capsys, tmp_path, entry, error):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"sponsor_neighbors": ["A"], "agents": [entry]}))
+    code = main(["tree", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {error}")
+    assert len(lines[0]) < len(str(path)) + 160
+    assert "characters)" in lines[0]
+
+
 # --- the run path against the slow oracles ---------------------------------
 
 HALF = SharingParams.of(Fraction(1, 2))

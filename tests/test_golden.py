@@ -6,7 +6,10 @@ rendering per row and templated JSON rows, so any change to the bytes the
 CLI prints shows here, not only a difference between two hash seeds.  The
 branch-independent ``generate`` and ``experiment abb`` digests and those of
 the ir, nd and revenue audits were recorded before the command line was
-declared once (one parser, one command table).
+declared once (one parser, one command table).  The ``run`` digests of
+the cross-invited network, the one pinned input with a branch root the
+sponsor did not invite (so its counterfactuals re-hang a root), were
+recorded before counterfactual pricing moved into ``auctions``.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import pytest
 from netredist.cli import EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import save_profile
+
+from networks import cross_invited
 
 NETWORK_SHA256 = {
     "network": "9bab097aed858d8ce637f0a399c7998f4f17d130c3118386189c58398c109dbb",
@@ -38,6 +43,15 @@ RUN_SHA256 = {
     ("cavallo", "json"): "ad4e121d6e08d1e1caed0d465c2e53f2398a154dc2eff5d5d286f5c72540f303",
     ("cavallo", "csv"): "3542953c3bde42c2e71a0db46a44ad00850cd986308f2579f882164744e4e3c5",
     ("cavallo", "table"): "1bd0816f9edd413710752bb28d10f18c39f1d60545f10d5215f014072407611c",
+}
+
+#: ``--output json run`` of ``cross_invited()``, per mechanism.
+REHANG_SHA256 = {
+    "idm": "eeb845b878b5144392f332616fd76d0691d221a4abfbe539d70185e75d7c2135",
+    "tnm": "2a6145d3744f978ad73ba15767f1a3efde079da1d7e0f975d14a1d6a4fcac667",
+    "vcg": "6ea95a44b79846fcd4af6ec6ff126922b186d417988c1da40a9605a7d8e0af7c",
+    "fixed:3": "27d2859c5d12547736e1f45d601f254feaf585825a27ab184f1e6f1bfc349308",
+    "cavallo": "d5fe8babe26d70bc1cdb18570e8601c1e690bab1917bb64b823c87fff1152090",
 }
 
 #: Other commands, as argv after ``--output <output>``, with their digests.
@@ -116,7 +130,9 @@ def _save(path, seed, n):
 def files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
     (directory / "instances").mkdir()
+    save_profile(cross_invited(), directory / "rehang.json")
     return {
+        "rehang": str(directory / "rehang.json"),
         "network": _save(directory / "network.json", 3, 60),
         "truth": _save(directory / "truth.json", 5, 60),
         "instances": str(directory / "instances"),
@@ -139,6 +155,12 @@ def test_the_generated_networks_are_the_recorded_ones(files):
 def test_run_output_bytes_are_pinned(capsys, files, mechanism, output):
     argv = ["--output", output, "run", files["network"], "--mechanism", mechanism]
     assert _stdout_sha256(capsys, argv) == RUN_SHA256[mechanism, output]
+
+
+@pytest.mark.parametrize("mechanism", list(REHANG_SHA256))
+def test_run_output_bytes_with_a_rehung_root_are_pinned(capsys, files, mechanism):
+    argv = ["--output", "json", "run", files["rehang"], "--mechanism", mechanism]
+    assert _stdout_sha256(capsys, argv) == REHANG_SHA256[mechanism]
 
 
 @pytest.mark.parametrize("command,output", list(OTHER_SHA256))

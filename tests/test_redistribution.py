@@ -11,12 +11,11 @@ from netredist.profiles import (
     ProfileError,
     ReportProfile,
     induce_graph,
-    make_profile,
 )
 from netredist.prst import SharingParams, prst
 from netredist.redistribution import cavallo, check_cavallo_equivalence, run_nrmf
 
-from networks import T, bidder_star, reference_network_10, star_with_tail
+from networks import T, bidder_star, cross_invited, reference_network_10, star_with_tail
 from oracles import (
     cavallo_rerun_oracle,
     clear_memo,
@@ -240,21 +239,6 @@ def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
     other = structure.omega(ALPHAS[1])
     assert other is not omega and other == prst(structure.tree, ALPHAS[1]).omega
     assert structure.omega(HALF) == omega
-
-
-def cross_invited() -> ReportProfile:
-    """R is invited by A and B, not by the sponsor, so it roots its own
-    branch; with A silenced it hangs under B, with B silenced under A."""
-    return make_profile(
-        ["A", "B", "C"],
-        {
-            "A": T(1, ["R"]),
-            "B": T(5, ["R"]),
-            "C": T(3),
-            "R": T(2, ["Rc"]),
-            "Rc": T(10),
-        },
-    )
 
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):

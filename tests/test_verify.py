@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from netredist import auctions
+from netredist import auctions, verify
 from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
@@ -385,6 +385,27 @@ def test_revenue_invariant_skips_pairs_with_potential_winners():
     assert report.verdict
     assert report.checked == 0
     assert report.skipped == len(pairs)
+
+
+def test_revenue_invariant_runs_and_induces_each_profile_of_a_pair_once(monkeypatch):
+    inductions, runs = [], []
+    real = verify.induce_graph
+    monkeypatch.setattr(verify, "induce_graph",
+                        lambda profile: inductions.append(profile) or real(profile))
+    mechanism = auction_mechanism(IDM)
+
+    def counted(profile):
+        runs.append(profile)
+        return mechanism(profile)
+
+    pairs = leaf_extension_pairs(reference_network_10(), Fraction(0))
+    report = check_revenue_invariant(counted, pairs)
+    assert (report.verdict, report.checked, report.skipped) == (True, 10, 0)
+    # per pair: the smaller profile, the larger one with the winner's line
+    # silenced, and the larger one; one induction of each profile of the
+    # pair, plus the one that found the hosts of the leaves
+    assert len(runs) == 3 * len(pairs)
+    assert len(inductions) == 2 * len(pairs) + 1
 
 
 def test_revenue_invariant_propagates_mechanism_errors():
