@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from netredist.render import exact_decimal_str
 
@@ -35,7 +35,7 @@ class AgentType:
 
     def __post_init__(self) -> None:
         if self.value < 0:
-            raise ProfileError(f"negative valuation {self.value!r}")
+            raise ProfileError(f"negative valuation {_echo(self.value)}")
 
     @staticmethod
     def of(value, neighbors: Iterable[str] = ()) -> "AgentType":
@@ -62,17 +62,18 @@ class ReportProfile:
             raise ProfileError(f"agent id {SPONSOR!r} is reserved for the sponsor")
         for j in self.sponsor_neighbors:
             if j not in self.reports:
-                raise ProfileError(f"sponsor invites unknown agent {j!r}")
+                raise ProfileError(f"sponsor invites unknown agent {_echo(j)}")
         for i, t in self.reports.items():
             self._check_report(i, t)
 
     def _check_report(self, i: str, report: AgentType) -> None:
         """Reject ``i``'s report if she invites herself or an unknown agent."""
         if i in report.neighbors:
-            raise ProfileError(f"agent {i!r} lists itself as a neighbour")
+            raise ProfileError(f"agent {_echo(i)} lists itself as a neighbour")
         for j in report.neighbors:
             if j != SPONSOR and j not in self.reports:
-                raise ProfileError(f"agent {i!r} references unknown agent {j!r}")
+                raise ProfileError(
+                    f"agent {_echo(i)} references unknown agent {_echo(j)}")
 
     @cached_property
     def agents(self) -> tuple[str, ...]:
@@ -87,7 +88,7 @@ class ReportProfile:
         the new report is checked: the rest is valid already, and the sorted
         ids carry over."""
         if i not in self.reports:
-            raise ProfileError(f"unknown agent {i!r}")
+            raise ProfileError(f"unknown agent {_echo(i)}")
         self._check_report(i, report)
         changed = object.__new__(ReportProfile)
         changed.__dict__.update(sponsor_neighbors=self.sponsor_neighbors,
@@ -170,18 +171,19 @@ def profile_from_dict(data: dict) -> ReportProfile:
         except (KeyError, TypeError) as e:
             raise ProfileError(f"malformed agent entry {_echo(entry)}: {e}") from None
         if not isinstance(agent_id, str):
-            raise ProfileError(f"agent id {agent_id!r} must be a string")
+            raise ProfileError(f"agent id {_echo(agent_id)} must be a string")
         if not isinstance(raw_value, str):
-            raise ProfileError(f"agent {agent_id!r}: value must be a decimal string")
+            raise ProfileError(f"agent {_echo(agent_id)}: value must be a decimal string")
         try:
             value = parse_value(raw_value)
         except (ValueError, ZeroDivisionError):
-            raise ProfileError(f"agent {agent_id!r}: bad value {_echo(raw_value)}") from None
+            raise ProfileError(
+                f"agent {_echo(agent_id)}: bad value {_echo(raw_value)}") from None
         if agent_id in reports:
-            raise ProfileError(f"duplicate agent id {agent_id!r}")
-        neighbors = _id_set(neighbors, f"agent {agent_id!r}: neighbors")
+            raise ProfileError(f"duplicate agent id {_echo(agent_id)}")
+        neighbors = _id_set(neighbors, agent_id)
         reports[agent_id] = AgentType(value, neighbors)
-    return ReportProfile(_id_set(sponsor_neighbors, "sponsor_neighbors"), reports)
+    return ReportProfile(_id_set(sponsor_neighbors), reports)
 
 
 #: The most characters of an offending input that an error message echoes.
@@ -222,9 +224,13 @@ def _long_int(digits: str) -> int:
         return int(Decimal(digits))  # exact, and free of that limit
 
 
-def _id_set(raw, what: str) -> frozenset[str]:
+def _id_set(raw, agent_id: Optional[str] = None) -> frozenset[str]:
+    """``raw`` as a set of ids: agent ``agent_id``'s neighbours, or the
+    sponsor's when ``agent_id`` is None."""
     if not isinstance(raw, list) or not all(isinstance(j, str) for j in raw):
-        raise ProfileError(f"{what} must be a list of string ids")
+        owner = ("sponsor_neighbors" if agent_id is None
+                 else f"agent {_echo(agent_id)}: neighbors")
+        raise ProfileError(f"{owner} must be a list of string ids")
     return frozenset(raw)
 
 

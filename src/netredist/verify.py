@@ -1,14 +1,16 @@
 """Brute-force audits of mechanism properties.
 
-Every checker enumerates a finite space and returns a report whose FAIL
-verdict always carries a replayable witness: re-running the witness must
-reproduce the same utility delta.  A PASS only ever claims "no violation
-in the enumerated space", and the report records that space.
+Every checker enumerates a finite space; a FAIL carries a witness, and a
+PASS only claims "no violation in the enumerated space", which the report
+records.  IR and IC witnesses replay (``Witness.replay``) to the same
+utilities.  ND and revenue witnesses hold surpluses in the utility fields
+and do not replay yet (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -153,81 +155,72 @@ class PropertyReport:
         return data
 
 
-def check_ir(mechanism: Mechanism,
-             instances: Sequence[ReportProfile]) -> PropertyReport:
-    """Truthful valuation never yields negative utility.
+def _report(prop: str, space: str, instances: Sequence, checked: int,
+            witness: Optional[Witness] = None,
+            skips: Optional[Counter] = None) -> PropertyReport:
+    """Every audit's report: FAIL iff a witness; warn on no input and per skip reason."""
+    skips = skips or Counter()
+    warnings = [] if instances else ["no instances supplied; vacuous pass"]
+    warnings += [f"skipped pairs {reason}: {n}" for reason, n in skips.items()]
+    return PropertyReport(prop, witness is None, witness, checked,
+                          sum(skips.values()), space, tuple(warnings))
 
-    Each agent keeps her true valuation but may invite any subset of her
-    true neighbours; utility must stay non-negative throughout.
-    """
-    warnings = ()
-    if not instances:
-        warnings = ("no instances supplied; vacuous pass",)
+
+def _deviation_scan(prop: str, mechanism: Mechanism,
+                    instances: Sequence[ReportProfile]) -> PropertyReport:
+    """Walk profile, agent, neighbour subset, value; stop at the first
+    deviation past the bar.  IC walks the valuation grid without the truthful
+    report, bar the honest utility.  IR holds the true value, bar 0, and
+    runs the truthful profile only for a FAIL's witness."""
+    ic = prop == "IC"
     checked = 0
     for profile in instances:
+        if not profile.reports:
+            continue
+        grid = valuation_grid(profile) if ic else None
+        truthful = mechanism(profile) if ic else None
         for i in profile.agents:
             truth = profile.reports[i]
+            honest = _utility(truthful, i, truth.value) if ic else None
             for subset in neighbor_subsets(truth.neighbors):
-                report = AgentType(truth.value, subset)
-                outcome = mechanism(profile.replace(i, report))
-                u = _utility(outcome, i, truth.value)
-                checked += 1
-                if u < 0:
-                    witness = Witness(profile, i, truth, report,
-                                      _utility(mechanism(profile), i, truth.value), u)
-                    return PropertyReport("IR", False, witness, checked,
-                                          space=DEVIATION_SPACE)
-    return PropertyReport("IR", True, None, checked, space=DEVIATION_SPACE,
-                          warnings=warnings)
+                for v in grid if ic else (truth.value,):
+                    deviation = AgentType(v, subset)
+                    if ic and deviation == truth:
+                        continue
+                    outcome = mechanism(profile.replace(i, deviation))
+                    u = _utility(outcome, i, truth.value)
+                    checked += 1
+                    if (u > honest) if ic else (u < 0):
+                        honest = _utility(truthful if ic else mechanism(profile), i, truth.value)
+                        witness = Witness(profile, i, truth, deviation, honest, u)
+                        return _report(prop, DEVIATION_SPACE, instances, checked, witness)
+    return _report(prop, DEVIATION_SPACE, instances, checked)
+
+
+def check_ir(mechanism: Mechanism,
+             instances: Sequence[ReportProfile]) -> PropertyReport:
+    """Truthful valuation never yields negative utility, whichever subset
+    of her true neighbours an agent invites."""
+    return _deviation_scan("IR", mechanism, instances)
 
 
 def check_ic(mechanism: Mechanism,
              instances: Sequence[ReportProfile]) -> PropertyReport:
     """Truthful reporting is utility-maximising within the deviation space."""
-    warnings = ()
-    if not instances:
-        warnings = ("no instances supplied; vacuous pass",)
-    checked = 0
-    for profile in instances:
-        if not profile.reports:
-            continue
-        grid = valuation_grid(profile)
-        truthful = mechanism(profile)
-        for i in profile.agents:
-            truth = profile.reports[i]
-            honest = _utility(truthful, i, truth.value)
-            for subset in neighbor_subsets(truth.neighbors):
-                for v in grid:
-                    deviation = AgentType(v, subset)
-                    if deviation == truth:
-                        continue
-                    outcome = mechanism(profile.replace(i, deviation))
-                    u = _utility(outcome, i, truth.value)
-                    checked += 1
-                    if u > honest:
-                        witness = Witness(profile, i, truth, deviation, honest, u)
-                        return PropertyReport("IC", False, witness, checked,
-                                              space=DEVIATION_SPACE)
-    return PropertyReport("IC", True, None, checked, space=DEVIATION_SPACE,
-                          warnings=warnings)
+    return _deviation_scan("IC", mechanism, instances)
 
 
 def check_nd(mechanism: Mechanism,
              instances: Sequence[ReportProfile]) -> PropertyReport:
     """Sponsor surplus is non-negative on every instance."""
-    checked = 0
-    for profile in instances:
-        outcome = mechanism(profile)
-        checked += 1
-        if outcome.surplus < 0:
+    for checked, profile in enumerate(instances, 1):
+        surplus = mechanism(profile).surplus
+        if surplus < 0:
             agent = profile.agents[0]
             truth = profile.reports[agent]
-            witness = Witness(profile, agent, truth, truth,
-                              ZERO, -outcome.surplus)
-            return PropertyReport("ND", False, witness, checked,
-                                  space="all supplied instances")
-    return PropertyReport("ND", True, None, checked,
-                          space="all supplied instances")
+            witness = Witness(profile, agent, truth, truth, ZERO, -surplus)
+            return _report("ND", "all supplied instances", instances, checked, witness)
+    return _report("ND", "all supplied instances", instances, len(instances))
 
 
 def _new_participants(smaller: ReportProfile,
@@ -243,36 +236,6 @@ def _new_participants(smaller: ReportProfile,
         if a.value != b.value or not a.neighbors <= b.neighbors:
             return None
     return d_large - d_small
-
-
-def check_revenue_monotonic(mechanism: Mechanism,
-                            instance_pairs: Sequence[tuple[ReportProfile, ReportProfile]]
-                            ) -> PropertyReport:
-    """Revenue never drops when participation grows.
-
-    Pairs must satisfy the growth precondition (participants of the smaller
-    profile keep their values and can only gain neighbours); malformed
-    pairs are skipped with a warning.
-    """
-    checked = skipped = 0
-    warnings: list[str] = []
-    for smaller, larger in instance_pairs:
-        if _new_participants(smaller, larger) is None:
-            skipped += 1
-            if len(warnings) < 5:
-                warnings.append("skipped pair violating the growth precondition")
-            continue
-        checked += 1
-        s_small, s_large = mechanism(smaller).surplus, mechanism(larger).surplus
-        if s_small > s_large:
-            agent = smaller.agents[0]
-            truth = smaller.reports[agent]
-            witness = Witness(smaller, agent, truth, truth, s_large, s_small)
-            return PropertyReport("RevenueMonotonic", False, witness, checked,
-                                  skipped, space="supplied growth pairs",
-                                  warnings=tuple(warnings))
-    return PropertyReport("RevenueMonotonic", True, None, checked, skipped,
-                          space="supplied growth pairs", warnings=tuple(warnings))
 
 
 def _no_new_potential_winner(mechanism: Mechanism,
@@ -295,35 +258,52 @@ def _no_new_potential_winner(mechanism: Mechanism,
     return mechanism(stripped).winner not in new_agents
 
 
-def check_revenue_invariant(mechanism: Mechanism,
-                            instance_pairs: Sequence[tuple[ReportProfile, ReportProfile]]
-                            ) -> PropertyReport:
-    """Adding agents who can never win leaves revenue exactly unchanged.
-
-    On top of the growth precondition, a pair qualifies only if none of the
-    added agents could win even after the original winner and all her
-    critical ancestors are silenced (checked by simulation).
-    """
-    checked = skipped = 0
+def _growth_pair_audit(prop: str, mechanism: Mechanism,
+                       instance_pairs: Sequence[tuple[ReportProfile, ReportProfile]]
+                       ) -> PropertyReport:
+    """Both revenue audits: compare each growth pair's two surpluses up to
+    the first violation."""
+    invariant = prop == "RevenueInvariant"
+    space = "qualifying growth pairs" if invariant else "supplied growth pairs"
+    checked = 0
+    skips: Counter = Counter()
     for smaller, larger in instance_pairs:
         new_agents = _new_participants(smaller, larger)
         if new_agents is None:
-            skipped += 1
+            skips["violating the growth precondition"] += 1
             continue
         base = mechanism(smaller)
-        if not _no_new_potential_winner(mechanism, smaller, base, larger, new_agents):
-            skipped += 1
+        if invariant and not _no_new_potential_winner(mechanism, smaller, base,
+                                                      larger, new_agents):
+            skips["with a potential new winner"] += 1
             continue
         checked += 1
-        s_small, s_large = base.surplus, mechanism(larger).surplus
-        if s_small != s_large:
+        before, after = base.surplus, mechanism(larger).surplus
+        if (before != after) if invariant else (before > after):
             agent = smaller.agents[0]
             truth = smaller.reports[agent]
-            witness = Witness(smaller, agent, truth, truth, s_small, s_large)
-            return PropertyReport("RevenueInvariant", False, witness, checked,
-                                  skipped, space="qualifying growth pairs")
-    return PropertyReport("RevenueInvariant", True, None, checked, skipped,
-                          space="qualifying growth pairs")
+            surpluses = (before, after) if invariant else (after, before)
+            witness = Witness(smaller, agent, truth, truth, *surpluses)
+            return _report(prop, space, instance_pairs, checked, witness, skips)
+    return _report(prop, space, instance_pairs, checked, skips=skips)
+
+
+def check_revenue_monotonic(mechanism: Mechanism,
+                            instance_pairs: Sequence[tuple[ReportProfile, ReportProfile]]
+                            ) -> PropertyReport:
+    """Revenue never drops when participation grows.  Pairs that break the
+    growth precondition (participants of the smaller profile keep their
+    values and can only gain neighbours) are skipped with a warning."""
+    return _growth_pair_audit("RevenueMonotonic", mechanism, instance_pairs)
+
+
+def check_revenue_invariant(mechanism: Mechanism,
+                            instance_pairs: Sequence[tuple[ReportProfile, ReportProfile]]
+                            ) -> PropertyReport:
+    """Adding agents who can never win leaves revenue exactly unchanged.  A
+    growth pair qualifies only if no added agent wins even once the original
+    winner and all her critical ancestors are silenced (by simulation)."""
+    return _growth_pair_audit("RevenueInvariant", mechanism, instance_pairs)
 
 
 # --- growth-pair construction -------------------------------------------

@@ -524,6 +524,36 @@ def test_a_long_bad_entry_is_echoed_in_part_on_one_line(capsys, tmp_path, entry,
     assert "characters)" in lines[0]
 
 
+LONG_ID = "L" * 5000
+
+
+@pytest.mark.parametrize("network", [
+    {"sponsor_neighbors": [], "agents": [{"id": LONG_ID, "value": "x"}]},
+    {"sponsor_neighbors": [], "agents": [{"id": LONG_ID, "value": 5}]},
+    {"sponsor_neighbors": [], "agents": [{"id": [LONG_ID], "value": "1"}]},
+    {"sponsor_neighbors": [], "agents": [{"id": LONG_ID, "value": "1"},
+                                         {"id": LONG_ID, "value": "2"}]},
+    {"sponsor_neighbors": [], "agents": [{"id": LONG_ID, "value": "1",
+                                          "neighbors": [LONG_ID]}]},
+    {"sponsor_neighbors": ["A"], "agents": [{"id": "A", "value": "1",
+                                             "neighbors": [LONG_ID]}]},
+    {"sponsor_neighbors": [LONG_ID], "agents": []},
+    {"sponsor_neighbors": [], "agents": [{"id": LONG_ID, "value": "1", "neighbors": "A"}]},
+    {"sponsor_neighbors": [], "agents": [{"id": "A", "value": "-" + "1" * 4000}]},
+], ids=["bad-value", "non-string-value", "non-string-id", "duplicate-id", "self-invite",
+        "unknown-neighbour", "sponsor-invites-unknown", "neighbors-not-a-list",
+        "negative-value"])
+def test_a_long_id_is_echoed_in_part_on_one_line(capsys, tmp_path, monkeypatch, network):
+    monkeypatch.chdir(tmp_path)
+    Path("long.json").write_text(json.dumps(network))
+    code = main(["tree", "long.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 300
+    assert lines[0].startswith("error: long.json: ") and "characters)" in lines[0]
+
+
 # --- the run path against the slow oracles ---------------------------------
 
 HALF = SharingParams.of(Fraction(1, 2))

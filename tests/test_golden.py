@@ -9,7 +9,9 @@ the ir, nd and revenue audits were recorded before the command line was
 declared once (one parser, one command table).  The ``run`` digests of
 the cross-invited network, the one pinned input with a branch root the
 sponsor did not invite (so its counterfactuals re-hang a root), were
-recorded before counterfactual pricing moved into ``auctions``.
+recorded before counterfactual pricing moved into ``auctions``.  The IC
+audit of cavallo on ``star_with_tail``, the one pinned IC FAIL, was recorded
+before IR and IC became one deviation scan.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from netredist.cli import EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import save_profile
 
-from networks import cross_invited
+from networks import cross_invited, star_with_tail
 
 NETWORK_SHA256 = {
     "network": "9bab097aed858d8ce637f0a399c7998f4f17d130c3118386189c58398c109dbb",
@@ -85,6 +87,7 @@ OTHER_SHA256 = {
     ("verify-nd", "table"): "6e8c66106bbded8ec4075841b9a1b4d8119d6100a3b3c769caa95d38dce315d8",
     ("verify-rev-mono", "table"): "64491cab66e8abb03a5edb8340eca342d947e32e99354839ef213949c1e482ba",
     ("verify-rev-inv", "table"): "768791c4fc39b6f17edf415d7ca13424f3993ae77ea13b4bc849e78b7c487772",
+    ("verify-ic-cavallo", "table"): "41a29d7724379214642d3d1f43952a422bc5b24fb0a174989466e57d612451c0",
 }
 
 OTHER_ARGV = {
@@ -109,14 +112,17 @@ OTHER_ARGV = {
     **{f"verify-{prop}": ["verify", "--property", prop, "--mechanism", "nrmf:idm",
                           "--instances", "{instances}"]
        for prop in ("ir", "nd", "rev-mono", "rev-inv")},
+    "verify-ic-cavallo": ["verify", "--property", "ic", "--mechanism", "cavallo",
+                          "--instances", "{tail}"],
 }
 
 #: Commands whose pinned run ends in another exit code than EXIT_OK: on the
-#: small instance nrmf:idm fails both revenue audits, so their bytes pin a
-#: witness too.
+#: small instance nrmf:idm fails both revenue audits, and cavallo fails IC
+#: on ``star_with_tail``, so their bytes pin a witness too.
 OTHER_EXIT = {
     "verify-rev-mono": EXIT_PROPERTY_FAILURE,
     "verify-rev-inv": EXIT_PROPERTY_FAILURE,
+    "verify-ic-cavallo": EXIT_PROPERTY_FAILURE,
 }
 
 
@@ -130,12 +136,15 @@ def _save(path, seed, n):
 def files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
     (directory / "instances").mkdir()
+    (directory / "tail").mkdir()
     save_profile(cross_invited(), directory / "rehang.json")
+    save_profile(star_with_tail(), directory / "tail" / "tail.json")
     return {
         "rehang": str(directory / "rehang.json"),
         "network": _save(directory / "network.json", 3, 60),
         "truth": _save(directory / "truth.json", 5, 60),
         "instances": str(directory / "instances"),
+        "tail": str(directory / "tail"),
         "small": _save(directory / "instances" / "small.json", 4, 7),
     }
 

@@ -76,6 +76,12 @@ def test_replace_unknown_agent_rejected():
         star_profile({"A": 1}).replace("Z", T(1))
 
 
+def test_replacing_an_unknown_long_id_echoes_it_in_part():
+    with pytest.raises(ProfileError, match=r"^unknown agent 'ZZZ.*\(5002 characters\)$") as e:
+        star_profile({"A": 1}).replace("Z" * 5000, T(1))
+    assert len(str(e.value)) < 300
+
+
 def test_replace_checks_the_new_report_as_the_full_profile_would():
     profile = ReportProfile(frozenset({"A"}), {"A": T(1, ["B"]), "B": T(2), "C": T(3)})
     with pytest.raises(ProfileError, match="^unknown agent 'Z'$"):

@@ -87,12 +87,41 @@ def test_ir_catches_a_planted_overcharger():
         return dataclasses.replace(outcome, auction_payment=payment, final_payment=payment,
                                    surplus=outcome.surplus + 5)
 
-    report = check_ir(overcharging, [bidder_star()])
+    runs = []
+
+    def counted(profile):
+        runs.append(profile)
+        return overcharging(profile)
+
+    report = check_ir(counted, [bidder_star()])
     assert not report.verdict
     assert report.witness is not None
+    # A and B lose; C wins at value 4 and pays the second price 3 plus 5
+    w = report.witness
+    assert (report.checked, len(runs)) == (3, 4)
+    assert w.agent == "C"
+    assert w.deviation == w.truthful_report == AgentType.of(4)
+    assert (w.truthful_utility, w.deviation_utility) == (-4, -4)
     honest, deviated = report.witness.replay(overcharging)
     assert deviated == report.witness.deviation_utility
     assert deviated < 0
+
+
+def test_ir_runs_the_mechanism_once_per_neighbour_subset():
+    inner = nrmf_mechanism(IDM, HALF)
+    profiles = []
+
+    def counted(profile):
+        profiles.append(profile)
+        return inner(profile)
+
+    network = reference_network_10()
+    report = check_ir(counted, [network])
+    assert (report.verdict, report.checked) == (True, 29)
+    # the truthful report is one of the deviations, and a pass never runs
+    # the truthful profile for a bar
+    pairs = sum(len(neighbor_subsets(t.neighbors)) for t in network.reports.values())
+    assert len(profiles) == report.checked == pairs
 
 
 def test_ic_passes_for_vcg_on_stars():
@@ -288,7 +317,15 @@ def test_nd_catches_a_planted_deficit():
 def test_empty_instance_list_is_a_vacuous_pass_with_warning():
     report = check_ir(auction_mechanism(MechanismId("vcg")), [])
     assert report.verdict
-    assert report.warnings
+    assert report.warnings == ("no instances supplied; vacuous pass",)
+
+
+@pytest.mark.parametrize("audit", [check_ic, check_nd, check_revenue_monotonic,
+                                   check_revenue_invariant])
+def test_every_audit_warns_on_an_empty_instance_list(audit):
+    report = audit(auction_mechanism(MechanismId("vcg")), [])
+    assert report.verdict
+    assert report.warnings == ("no instances supplied; vacuous pass",)
 
 
 def test_report_to_dict_round_trips_the_witness():
@@ -332,6 +369,20 @@ def test_revenue_monotonic_skips_malformed_pairs():
     assert report.verdict
     assert report.skipped == 1
     assert report.warnings
+
+
+def test_skipped_pairs_give_one_warning_per_reason_with_its_count():
+    grown = bidder_star()
+    malformed = [(grown.replace(i, AgentType.of(99)), grown) for i in "ABC"] * 3
+    vcg_mechanism = auction_mechanism(MechanismId("vcg"))
+    report = check_revenue_monotonic(vcg_mechanism, malformed)
+    assert (report.verdict, report.checked, report.skipped) == (True, 0, 9)
+    assert report.warnings == ("skipped pairs violating the growth precondition: 9",)
+    winners = leaf_extension_pairs(grown, Fraction(99))
+    report = check_revenue_invariant(vcg_mechanism, malformed + winners)
+    assert (report.verdict, report.checked, report.skipped) == (True, 0, 12)
+    assert report.warnings == ("skipped pairs violating the growth precondition: 9",
+                               "skipped pairs with a potential new winner: 3")
 
 
 def test_revenue_monotonic_catches_a_planted_violation():
