@@ -16,12 +16,12 @@ every ``Outcome``, with whatever redistribution is paid back.
 
 Only the ranking reads the values.  Everything else a run needs is a
 ``Structure``: the graph, critical tree and participants, the branch
-re-hangs on first read, and the sharing coefficients of the last alpha.
-``market`` keeps the structure of its previous call in one slot and
-reuses it while the invitation structure (sponsor neighbours, agent ids
-and neighbour sets) is equal, so a new alpha reuses the re-hangs.  That
-slot is the package's only memo, and what it hands out is shared and
-never mutated.
+re-hangs answered as the chain walks ask, and the sharing coefficients of
+the last alpha.  ``market`` keeps the structure of its previous call in
+one slot and reuses it while the invitation structure (sponsor
+neighbours, agent ids and neighbour sets) is equal, so a new alpha
+reuses every re-hang answered.  That slot is the package's only memo;
+what it hands out is shared, and an answer it keeps never changes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from netredist.critical_tree import CriticalTree, _rehangs, critical_tree
+from netredist.critical_tree import CriticalTree, Rehangs, critical_tree
 from netredist.profiles import InducedGraph, ReportProfile, induce_graph
 from netredist.prst import SharingParams, prst
 
@@ -124,8 +124,8 @@ class Structure:
 
     ``key`` is the structure itself (see ``_structure``).  The graph, the
     critical tree and the sorted participants are built with the object;
-    the branch re-hangs are found on first read, once whatever the alpha,
-    and ``omega`` keeps the sharing coefficients of the last alpha.
+    ``rehangs`` keeps every re-hang answered, whatever the alpha, and
+    ``omega`` keeps the sharing coefficients of the last alpha.
     """
 
     def __init__(self, key: tuple, graph: InducedGraph):
@@ -136,9 +136,12 @@ class Structure:
         self._omega: Optional[tuple[Fraction, Mapping[str, Fraction]]] = None
 
     @cached_property
-    def rehangs(self) -> list[dict[int, str]]:
-        """``_rehangs`` of the tree; only the chain auctions read them."""
-        return _rehangs(self.graph, self.tree)
+    def rehangs(self) -> Optional[Rehangs]:
+        """Where the branch roots hang with a branch silenced, which only
+        the chain auctions ask; None when the sponsor invites every root,
+        so that none can move."""
+        rehangs = Rehangs(self.graph, self.tree)
+        return rehangs if rehangs.movable else None
 
     def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
         """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
@@ -287,7 +290,7 @@ def sale(mechanism: MechanismId, m: Market
         winner = m.ranked[0]
         price = surplus = value(m.ranked[1]) if len(m.ranked) > 1 else ZERO
     else:
-        chain, outsiders = chain_walk(m.tree, m.ranked, {})
+        chain, outsiders = chain_walk(m.tree, m.ranked)
         prices = [ZERO if o is None else value(o) for o in outsiders]
         if mechanism.kind == "idm":
             # a link keeps the item when she tops the market without the
@@ -331,7 +334,9 @@ def silenced_revenue(mechanism: MechanismId, m: Market, silenced: str) -> Fracti
         return bid(next(ranking, None))
     if mechanism.kind == "fixed_price":
         return mechanism.price if bid(next(ranking)) >= mechanism.price else ZERO
-    hang = m.structure.rehangs[m.tree.branch_of[silenced]]
+    rehangs = m.structure.rehangs
+    b = m.tree.branch_of[silenced]
+    hang = None if rehangs is None else lambda k: rehangs.hang(b, k)
     chain, outsiders = chain_walk(m.tree, ranking, hang)
     return bid(outsiders[0 if mechanism.kind == "idm" else tnm_stop(chain, outsiders, bid)])
 
@@ -358,17 +363,18 @@ def _silenced_ranking(m: Market, silenced: str) -> Iterator[str]:
 
 def chain_walk(tree: CriticalTree,
                ranked: Iterable[str],
-               hang: Mapping[int, str]) -> tuple[list[str], list[Optional[str]]]:
+               hang: Optional[Callable[[int], Optional[str]]] = None
+               ) -> tuple[list[str], list[Optional[str]]]:
     """The top bidder's critical chain and the best bid outside each link.
 
     ``ranked`` yields the participants best bid first; the first is the
     top bidder.  ``hang`` re-hangs whole branches: the root of branch
-    ``k`` hangs under agent ``hang[k]`` instead of the sponsor, so a chain
-    may run through several branches.  ``chain`` runs from the topmost
-    critical ancestor down to the top bidder, and ``outsiders[k]`` is the
-    first bidder outside ``chain[k]``'s subtree, or None.  Subtrees only
-    grow up the chain, so one pointer walked bottom-up over the ranking
-    finds every outsider in one pass.
+    ``k`` hangs under agent ``hang(k)`` instead of the sponsor, unless
+    that is None, so a chain may run through several branches.  ``chain``
+    runs from the topmost critical ancestor down to the top bidder, and
+    ``outsiders[k]`` is the first bidder outside ``chain[k]``'s subtree,
+    or None.  Subtrees only grow up the chain, so one pointer walked
+    bottom-up over the ranking finds every outsider in one pass.
     """
     bidders = iter(ranked)
     top = next(bidders)
@@ -377,7 +383,7 @@ def chain_walk(tree: CriticalTree,
     while link is not None:
         segment = tree.ancestors(link)
         chain[:0] = segment
-        link = hang.get(tree.branch_of[segment[0]])
+        link = hang(tree.branch_of[segment[0]]) if hang else None
 
     pre, size, branch_of = tree.pre, tree.size, tree.branch_of
     outsiders: list[Optional[str]] = [None] * len(chain)
@@ -389,8 +395,11 @@ def chain_walk(tree: CriticalTree,
         while bidder is not None:
             # lift the bidder along re-hung roots into chain[k]'s branch
             entry = bidder
-            while branch_of[entry] != branch and branch_of[entry] in hang:
-                entry = hang[branch_of[entry]]
+            while hang and branch_of[entry] != branch:
+                up = hang(branch_of[entry])
+                if up is None:
+                    break
+                entry = up
             if not start <= pre[entry] < end:
                 break
             bidder = next(bidders, None)

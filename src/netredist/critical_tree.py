@@ -1,24 +1,31 @@
-"""The critical tree of an invitation graph.
+"""The critical tree of an invitation graph, and where its branch roots
+hang once a branch is silenced.
 
 Each participant's parent is the nearest agent whose absence would cut her
 off from the sponsor; this is exactly the immediate-dominator tree of the
-induced graph rooted at the sponsor.  The tree is computed with the
-iterative data-flow algorithm (Cooper/Harvey/Kennedy): simple, easy to
-audit, and fast enough for desk-scale instances.  ``immediate_dominators``
-runs that pass on any successor map, so ``_rehangs`` reuses it on a small
-skeleton graph to find where branch roots hang once a branch is silenced.
+induced graph rooted at the sponsor.  ``immediate_dominators`` computes it
+with the iterative data-flow algorithm (Cooper/Harvey/Kennedy) after one
+depth-first search.  An agent with one inviter is dominated immediately by
+her, so only agents with two or more inviters are iterated to the
+fixpoint; on an invitation tree that is nobody, and the pass is one linear
+sweep.
 
 One depth-first pass over the finished tree then indexes it by preorder
 intervals: every participant's preorder position, subtree size and depth.
 A branch (an agent together with everyone who depends on her) is the
 contiguous run of the preorder starting at her, so membership is one
 comparison of positions and the whole index takes O(n) memory.
+
+``Rehangs`` answers where a branch root hangs once another branch is
+silenced, per query: by Menger's theorem most pairs need no dominator
+pass, and the rest share one pass per silenced branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 from netredist.profiles import SPONSOR, InducedGraph
 
@@ -71,19 +78,23 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
     root_branches = tuple(children[SPONSOR])
 
     preorder: list[str] = []
-    depth: dict[str, int] = {}
-    branch_of: dict[str, int] = {}
-    stack = [(root, 1, k) for k, root in reversed(list(enumerate(root_branches)))]
+    stack = list(reversed(root_branches))
     while stack:
-        v, d, k = stack.pop()
+        v = stack.pop()
         preorder.append(v)
-        depth[v] = d
-        branch_of[v] = k
-        stack.extend((c, d + 1, k) for c in reversed(children[v]))
+        stack.extend(reversed(children[v]))
+    depth = dict.fromkeys(root_branches, 1)
+    branch_of = {root: k for k, root in enumerate(root_branches)}
+    for v in preorder:
+        p = parent[v]
+        if p != SPONSOR:
+            depth[v] = depth[p] + 1
+            branch_of[v] = branch_of[p]
     size = dict.fromkeys(preorder, 1)
     for v in reversed(preorder):
-        if parent[v] != SPONSOR:
-            size[parent[v]] += size[v]
+        p = parent[v]
+        if p != SPONSOR:
+            size[p] += size[v]
     return CriticalTree(
         parent=parent,
         root_branches=root_branches,
@@ -98,99 +109,58 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
 def immediate_dominators(successors: Mapping[str, Sequence[str]],
                          root: str) -> dict[str, str]:
     """Immediate dominator of every vertex reachable from ``root`` (itself
-    excluded), by the Cooper/Harvey/Kennedy iteration over ``successors``."""
-    order = _reverse_postorder(successors, root)
-    index = {v: k for k, v in enumerate(order)}
-    preds: dict[str, list[str]] = {v: [] for v in order}
-    for u in order:
-        for v in successors.get(u, ()):
-            preds[v].append(u)
+    excluded), by the Cooper/Harvey/Kennedy iteration over ``successors``.
 
-    idom: dict[str, str | None] = {v: None for v in order}
-    idom[root] = root
-    changed = True
+    One depth-first search gives the reverse postorder and every vertex's
+    predecessors.  The first sweep settles each vertex with a single
+    predecessor for good; only the others are swept again until nothing
+    changes.
+    """
+    preds: dict[str, list[str]] = {root: []}
+    order: list[str] = []
+    stack = [(root, iter(successors.get(root, ())))]
+    while stack:
+        v, targets = stack[-1]
+        for w in targets:
+            if w in preds:
+                preds[w].append(v)
+            else:
+                preds[w] = [v]
+                stack.append((w, iter(successors.get(w, ()))))
+                break
+        else:
+            order.append(v)
+            stack.pop()
+    order.reverse()
+    index = {v: k for k, v in enumerate(order)}
+
+    idom = {root: root}
+    merges = []
+    for v in order[1:]:
+        if len(preds[v]) == 1:
+            idom[v] = preds[v][0]
+        else:
+            merges.append(v)
+            idom[v] = _meet(preds[v], idom, index)
+    changed = bool(merges)
     while changed:
         changed = False
-        for v in order[1:]:
-            candidates = [p for p in preds[v] if idom[p] is not None]
-            new = candidates[0]
-            for p in candidates[1:]:
-                new = _intersect(new, p, idom, index)
+        for v in merges:
+            new = _meet(preds[v], idom, index)
             if idom[v] != new:
                 idom[v] = new
                 changed = True
     return {v: idom[v] for v in order[1:]}
 
 
-def _rehangs(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
-    """For each silenced branch ``b``, where the branch roots hang.
-
-    A root the sponsor invites stays under her.  Another root may move
-    under an agent of another branch, and an invitation leaving a branch
-    can only enter another branch at its root.  So the new parents are
-    the dominators of a skeleton: the sponsor, the branch roots, the
-    agents inviting across branches and the tree LCAs of those, each
-    branch linked along its own tree, plus the crossing invitations, with
-    ``b``'s members other than its root left out.  ``result[b][c]`` is the
-    agent under which branch ``c``'s root hangs with ``b`` silenced;
-    roots left under the sponsor are absent.
-    """
-    successors = graph.successors
-    roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
-    if all(r in successors[SPONSOR] for r in roots):
-        return [{} for _ in roots]
-
-    def contains(a: str, i: str) -> bool:
-        return pre[a] <= pre[i] < pre[a] + size[a]
-
-    def lca(a: str, i: str) -> str:
-        while not contains(a, i):
-            a = tree.parent[a]
-        return a
-
-    crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
-                for i in tree.preorder}
-    crossing = {i: js for i, js in crossing.items() if js}
-    nodes = sorted({*roots, *crossing}, key=pre.__getitem__)
-    nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
-                              if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
-    edges = {v: list(crossing.get(v, ())) for v in nodes}
-    above: list[str] = []
-    for v in nodes:
-        while above and not contains(above[-1], v):
-            above.pop()
-        if above:
-            edges[above[-1]].append(v)
-        above.append(v)
-
-    rehangs = []
-    for b, silenced in enumerate(roots):
-        skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
-                    if branch_of[v] != b or v == silenced}
-        skeleton[SPONSOR] = successors[SPONSOR]
-        parent = immediate_dominators(skeleton, SPONSOR)
-        rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
-    return rehangs
-
-
-def _reverse_postorder(successors: Mapping[str, Sequence[str]], root: str) -> list[str]:
-    order: list[str] = []
-    seen = {root}
-    stack: list[tuple[str, int]] = [(root, 0)]
-    while stack:
-        v, i = stack[-1]
-        succ = successors.get(v, ())
-        if i < len(succ):
-            stack[-1] = (v, i + 1)
-            w = succ[i]
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, 0))
-        else:
-            order.append(v)
-            stack.pop()
-    order.reverse()
-    return order
+def _meet(preds: list[str], idom: dict[str, str], index: dict[str, int]) -> str:
+    """The nearest common dominator of the predecessors swept so far (a
+    vertex's parent in the search always is)."""
+    new = None
+    for p in preds:
+        if p in idom:
+            new = p if new is None else _intersect(new, p, idom, index)
+    return new
 
 
 def _intersect(a: str, b: str, idom: dict, index: dict) -> str:
@@ -200,3 +170,158 @@ def _intersect(a: str, b: str, idom: dict, index: dict) -> str:
         while index[b] > index[a]:
             b = idom[b]
     return a
+
+
+class Rehangs:
+    """Where the branch roots hang once one branch is silenced, answered
+    per query and kept.
+
+    Silencing branch ``b`` keeps its root, with no invitations, and drops
+    everyone depending on her.  A root the sponsor invites stays under
+    her.  Any other root ``c`` has the sponsor as her nearest cut point,
+    so by Menger's theorem some two sponsor-to-``c`` invitation paths
+    share no agent; two augmenting paths find them, once per ``c``.  A
+    silenced branch that meets neither leaves ``c`` under the sponsor.
+    For one that does, the same search without ``b`` decides, once per
+    pair, whether ``c`` keeps two such paths and so stays.  Only a root
+    that loses them reads a dominator pass over a skeleton graph with
+    ``b`` silenced, run once per ``b``.
+    """
+
+    def __init__(self, graph: InducedGraph, tree: CriticalTree):
+        self.graph = graph
+        self.tree = tree
+        sponsored = set(graph.successors[SPONSOR])
+        #: The branches whose root the sponsor does not invite.
+        self.movable = frozenset(k for k, root in enumerate(tree.root_branches)
+                                 if root not in sponsored)
+        self._crossed: dict[int, frozenset[int]] = {}
+        self._kept: dict[tuple[int, int], bool] = {}
+        self._moved: dict[int, dict[int, str]] = {}
+
+    def hang(self, silenced: int, branch: int) -> Optional[str]:
+        """The agent under which the root of branch ``branch`` hangs once
+        branch ``silenced`` is silenced, or None if under the sponsor."""
+        if branch not in self.movable:
+            return None
+        crossed = self._crossed.get(branch)
+        if crossed is None:
+            crossed = self._crossed[branch] = self._path_branches(branch)
+        if silenced not in crossed:
+            return None
+        pair = silenced, branch
+        kept = self._kept.get(pair)
+        if kept is None:
+            kept = self._kept[pair] = self._path_branches(branch, silenced) is not None
+        if kept:
+            return None
+        moved = self._moved.get(silenced)
+        if moved is None:
+            moved = self._moved[silenced] = self._silenced_pass(silenced)
+        return moved.get(branch)
+
+    def _path_branches(self, branch: int, silenced: Optional[int] = None
+                       ) -> Optional[frozenset[int]]:
+        """The branches met by two sponsor-to-root paths of ``branch`` that
+        share no agent and avoid branch ``silenced``, or None if there are
+        no two such paths."""
+        tree = self.tree
+        root = tree.root_branches[branch]
+        removed = (frozenset() if silenced is None
+                   else tree.branch_members(tree.root_branches[silenced]))
+        flow: set[tuple[str, str]] = set()
+        for _ in range(2):
+            if not _augment(self.graph.successors, root, flow, removed):
+                return None
+        return frozenset(tree.branch_of[w] for _, w in flow if w != root)
+
+    @cached_property
+    def _skeleton(self) -> dict[str, list[str]]:
+        """The graph whose dominators place the roots: the branch roots,
+        the agents inviting across branches and the tree LCAs of those,
+        each branch linked along its own tree, plus the crossing
+        invitations.  An invitation leaving a branch can only enter another
+        branch at its root, so this keeps every root's dominators."""
+        successors, tree = self.graph.successors, self.tree
+        branch_of, pre, size = tree.branch_of, tree.pre, tree.size
+
+        def contains(a: str, i: str) -> bool:
+            return pre[a] <= pre[i] < pre[a] + size[a]
+
+        def lca(a: str, i: str) -> str:
+            while not contains(a, i):
+                a = tree.parent[a]
+            return a
+
+        crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
+                    for i in tree.preorder}
+        crossing = {i: js for i, js in crossing.items() if js}
+        nodes = sorted({*tree.root_branches, *crossing}, key=pre.__getitem__)
+        nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
+                                  if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
+        edges = {v: list(crossing.get(v, ())) for v in nodes}
+        above: list[str] = []
+        for v in nodes:
+            while above and not contains(above[-1], v):
+                above.pop()
+            if above:
+                edges[above[-1]].append(v)
+            above.append(v)
+        return edges
+
+    def _silenced_pass(self, silenced: int) -> dict[int, str]:
+        """Every root's new parent with branch ``silenced`` silenced, keyed
+        by branch; roots left under the sponsor are absent."""
+        roots, branch_of = self.tree.root_branches, self.tree.branch_of
+        quiet = roots[silenced]
+        skeleton = {v: ([] if v == quiet else out) for v, out in self._skeleton.items()
+                    if branch_of[v] != silenced or v == quiet}
+        skeleton[SPONSOR] = self.graph.successors[SPONSOR]
+        parent = immediate_dominators(skeleton, SPONSOR)
+        return {c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR}
+
+
+def _augment(successors: Mapping[str, Sequence[str]], target: str,
+             flow: set[tuple[str, str]], removed: frozenset[str]) -> bool:
+    """Grow ``flow``, the invitations on sponsor-to-``target`` paths that
+    share no agent and avoid ``removed``, by one more path, which may
+    reroute the others; False if there is none.
+
+    A breadth-first search over the residual network in which every agent
+    is an entry joined to an exit with capacity 1: an agent on a path can
+    be left back along it, from her entry to her inviter's exit, or
+    re-entered from her exit.
+    """
+    inviter = {w: u for u, w in flow if w != target}
+    tails = {u for u, _ in flow}
+    into: dict[str, str] = {}  # an agent's entry, by the exit it is reached from
+    out_of: dict[str, str] = {SPONSOR: SPONSOR}  # an exit, by the entry
+    exits = [SPONSOR]
+    while exits and target not in into:
+        entries = []
+        for v in exits:
+            on_path = v in tails
+            for w in successors[v]:
+                if w not in into and w not in removed and not (on_path and (v, w) in flow):
+                    into[w] = v
+                    entries.append(w)
+            if v in inviter and v not in into:
+                into[v] = v
+                entries.append(v)
+        exits = []
+        for v in entries:
+            u = inviter.get(v, v)
+            if u not in out_of:
+                out_of[u] = v
+                exits.append(u)
+    if target not in into:
+        return False
+    v = target
+    while v != SPONSOR:
+        u = into[v]
+        if u != v:
+            flow.add((u, v))
+        v = out_of[u]
+        if v != u:
+            flow.remove((u, v))
+    return True

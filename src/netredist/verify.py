@@ -150,8 +150,11 @@ class PropertyReport:
                 "deviation_neighbors": sorted(w.deviation.neighbors),
                 "truthful_utility": fraction_str(w.truthful_utility),
                 "deviation_utility": fraction_str(w.deviation_utility),
-                "gain": fraction_str(w.gain),
             }
+            if self.property == "IR":  # IR's bar is 0, not the truthful utility
+                data["witness"]["shortfall"] = fraction_str(-w.deviation_utility)
+            else:
+                data["witness"]["gain"] = fraction_str(w.gain)
         return data
 
 

@@ -23,7 +23,12 @@ from netredist.auctions import (
     utility,
     vcg,
 )
-from netredist.critical_tree import CriticalTree, critical_tree
+from netredist.critical_tree import (
+    CriticalTree,
+    Rehangs,
+    critical_tree,
+    immediate_dominators,
+)
 from netredist.profiles import (
     NULL_TYPE,
     SPONSOR,
@@ -78,6 +83,96 @@ def brute_chain(graph: InducedGraph, j: str) -> list[str]:
     """Cut points of ``j`` (sponsor excluded) ordered root-to-``j``, then ``j``."""
     doms = brute_dominators(graph, j) - {SPONSOR}
     return sorted(doms, key=lambda d: len(brute_dominators(graph, d))) + [j]
+
+
+def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, str]]:
+    """For each silenced branch ``b``, where the branch roots hang, with
+    one dominator pass per branch.
+
+    A root the sponsor invites stays under her.  Another root may move
+    under an agent of another branch, and an invitation leaving a branch
+    can only enter another branch at its root.  So the new parents are
+    the dominators of a skeleton: the sponsor, the branch roots, the
+    agents inviting across branches and the tree LCAs of those, each
+    branch linked along its own tree, plus the crossing invitations, with
+    ``b``'s members other than its root left out.  ``result[b][c]`` is the
+    agent under which branch ``c``'s root hangs with ``b`` silenced;
+    roots left under the sponsor are absent.
+    """
+    successors = graph.successors
+    roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
+    if all(r in successors[SPONSOR] for r in roots):
+        return [{} for _ in roots]
+
+    def contains(a: str, i: str) -> bool:
+        return pre[a] <= pre[i] < pre[a] + size[a]
+
+    def lca(a: str, i: str) -> str:
+        while not contains(a, i):
+            a = tree.parent[a]
+        return a
+
+    crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
+                for i in tree.preorder}
+    crossing = {i: js for i, js in crossing.items() if js}
+    nodes = sorted({*roots, *crossing}, key=pre.__getitem__)
+    nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
+                              if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
+    edges = {v: list(crossing.get(v, ())) for v in nodes}
+    above: list[str] = []
+    for v in nodes:
+        while above and not contains(above[-1], v):
+            above.pop()
+        if above:
+            edges[above[-1]].append(v)
+        above.append(v)
+
+    rehangs = []
+    for b, silenced in enumerate(roots):
+        skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
+                    if branch_of[v] != b or v == silenced}
+        skeleton[SPONSOR] = successors[SPONSOR]
+        parent = immediate_dominators(skeleton, SPONSOR)
+        rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
+    return rehangs
+
+
+def every_rehang(structure) -> list[dict[int, str]]:
+    """``rehangs_oracle``'s list, read one (silenced, root) pair at a time
+    from a market ``Structure``'s lazy answers."""
+    branches = range(len(structure.tree.root_branches))
+    rehangs = structure.rehangs
+    if rehangs is None:
+        return [{} for _ in branches]
+    return [{c: parent for c in branches if (parent := rehangs.hang(b, c)) is not None}
+            for b in branches]
+
+
+def counted_passes(monkeypatch) -> list:
+    """Record the silenced branch of every skeleton dominator pass."""
+    passes = []
+    real = Rehangs._silenced_pass
+
+    def counted_pass(rehangs, silenced):
+        passes.append(silenced)
+        return real(rehangs, silenced)
+
+    monkeypatch.setattr(Rehangs, "_silenced_pass", counted_pass)
+    return passes
+
+
+def counted_hangs(monkeypatch) -> list:
+    """Record every (silenced, root) re-hang a chain walk asks and its answer."""
+    asked = []
+    real = Rehangs.hang
+
+    def counted_hang(rehangs, silenced, branch):
+        parent = real(rehangs, silenced, branch)
+        asked.append((silenced, branch, parent))
+        return parent
+
+    monkeypatch.setattr(Rehangs, "hang", counted_hang)
+    return asked
 
 
 # --- resale simulation oracles for the chain auctions -------------------
@@ -379,3 +474,16 @@ def random_tree_profile(rng: random.Random, n: int,
         for i in ids
     }
     return ReportProfile(frozenset(children.get(SPONSOR, ())), reports)
+
+
+def sparse_digraph_profile(rng: random.Random, n: int) -> ReportProfile:
+    """A random invitation digraph on ``n`` agents with many cross-branch
+    invitations: every agent invites two random agents (fewer on a repeat
+    or herself) and the sponsor invites 1% of the agents."""
+    ids = [f"v{k:05d}" for k in range(n)]
+    reports = {
+        i: AgentType(Fraction(rng.randint(0, 10_000), 100),
+                     frozenset({rng.choice(ids), rng.choice(ids)} - {i}))
+        for i in ids
+    }
+    return ReportProfile(frozenset(rng.sample(ids, max(1, n // 100))), reports)

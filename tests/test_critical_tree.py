@@ -1,12 +1,14 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from netredist.critical_tree import critical_tree
-from netredist.profiles import SPONSOR, AgentType, ReportProfile, induce_graph
+from netredist.profiles import SPONSOR, AgentType, ReportProfile, induce_graph, make_profile
 
-from networks import misreport_deviation, reach_diamond, reference_network_10
+from networks import T, misreport_deviation, reach_diamond, reference_network_10
 from oracles import brute_parent_map, random_digraph_profile
 
 
@@ -74,6 +76,88 @@ def test_subtree_matches_unreachability_oracle():
         for v in graph.reachable:
             cut = graph.reachable - graph.reachable_from(SPONSOR, frozenset({v}))
             assert tree.branch_members(v) - {v} == cut - {v}
+
+
+def counted_sweeps(monkeypatch) -> list:
+    """Record the predecessor list of every multi-inviter step of the
+    dominator fixpoint."""
+    module = sys.modules[critical_tree.__module__]
+    steps = []
+    real = module._meet
+
+    def counted(preds, idom, index):
+        steps.append(preds)
+        return real(preds, idom, index)
+
+    monkeypatch.setattr(module, "_meet", counted)
+    return steps
+
+
+def test_a_tree_takes_one_sweep_and_no_merge(monkeypatch):
+    steps = counted_sweeps(monkeypatch)
+    tree = critical_tree(induce_graph(reference_network_10()))
+    assert tree.parent["L"] == "K" and steps == []
+
+
+def test_an_inviter_later_in_reverse_postorder_takes_another_sweep(monkeypatch):
+    # the search runs s, a, c, d and then b, so the reverse postorder is
+    # s, b, a, c, d: d invites c from later in it.  The first sweep sees only
+    # a among c's inviters and hangs c under a; the second meets a with d
+    # and moves c under the sponsor; the third changes nothing.
+    profile = make_profile(["a", "b"], {"a": T(1, ["c"]), "b": T(1, ["d"]),
+                                        "c": T(1, ["d"]), "d": T(1, ["c"])})
+    steps = counted_sweeps(monkeypatch)
+    graph = induce_graph(profile)
+    assert dict(critical_tree(graph).parent) == brute_parent_map(graph) == dict.fromkeys(
+        "abcd", SPONSOR)
+    assert len(steps) == 3 * 2  # three sweeps over c and d
+
+
+def _ladder_profile(rng, rungs, back_edges):
+    """Two invitation chains from the sponsor with random invitations from
+    each chain back up the other one, so inviters often come later in the
+    reverse postorder."""
+    sides = {side: [f"{side}{k:03d}" for k in range(rungs)] for side in "LR"}
+    out = {i: set() for line in sides.values() for i in line}
+    for line in sides.values():
+        for a, b in zip(line, line[1:]):
+            out[a].add(b)
+    for _ in range(back_edges):
+        src, dst = rng.sample("LR", 2)
+        k = rng.randrange(1, rungs)
+        out[sides[src][k]].add(sides[dst][rng.randrange(k)])
+    reports = {i: AgentType(Fraction(1), frozenset(js)) for i, js in out.items()}
+    return ReportProfile(frozenset({sides["L"][0], sides["R"][0]}), reports)
+
+
+def test_multi_sweep_fixpoints_match_the_cut_point_oracle(monkeypatch):
+    rng = random.Random(20241018)
+    steps = counted_sweeps(monkeypatch)
+    sweeps_past_two = 0
+    for _ in range(60):
+        graph = induce_graph(_ladder_profile(rng, rng.randint(3, 9), rng.randint(1, 6)))
+        steps.clear()
+        assert dict(critical_tree(graph).parent) == brute_parent_map(graph)
+        sweeps_past_two += len(steps) > 2 * _merges(graph)
+    assert sweeps_past_two > 10
+
+
+def test_a_long_ladder_matches_networkx_dominators(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    steps = counted_sweeps(monkeypatch)
+    graph = induce_graph(_ladder_profile(random.Random(7), 300, 120))
+    parent = dict(critical_tree(graph).parent)
+    digraph = nx.DiGraph((u, v) for u, targets in graph.successors.items() for v in targets)
+    assert parent == {v: d for v, d in nx.immediate_dominators(digraph, SPONSOR).items()
+                      if v != SPONSOR}
+    assert len(set(parent.values())) > 2  # not a flat tree
+    assert len(steps) > 2 * _merges(graph)
+
+
+def _merges(graph) -> int:
+    """The agents with two or more inviters, which the fixpoint sweeps."""
+    inviters = Counter(j for targets in graph.successors.values() for j in targets)
+    return sum(1 for j in graph.reachable if inviters[j] > 1)
 
 
 def _multi_chain_profile(rng, chains=7, length=60, leaves=100, extra_edges=40):

@@ -19,11 +19,16 @@ from networks import T, bidder_star, cross_invited, reference_network_10, star_w
 from oracles import (
     cavallo_rerun_oracle,
     clear_memo,
+    counted_hangs,
+    counted_passes,
+    every_rehang,
     exact,
     memo_free,
     nrmf_rerun_oracle,
     random_digraph_profile,
     random_tree_profile,
+    rehangs_oracle,
+    sparse_digraph_profile,
 )
 
 HALF = SharingParams.of(Fraction(1, 2))
@@ -242,28 +247,24 @@ def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
 
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
-    passes = []
-    real = auctions._rehangs
-
-    def counted(graph, tree):
-        passes.append(tree)
-        return real(graph, tree)
-
-    monkeypatch.setattr(auctions, "_rehangs", counted)
+    passes = counted_passes(monkeypatch)
     clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
+        rehangs = market(profile).structure.rehangs
         run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
-    assert len(passes) == 1
-    # C invites R too: another structure, another pass
+        assert market(profile).structure.rehangs is rehangs
+    # silencing A and silencing B each take one pass, whatever the alpha
+    assert sorted(passes) == [0, 1]
+    # C invites R too: another structure, other answers
     changed = profile.replace("C", T(3, ["R"]))
     run_nrmf(MechanismId("idm"), changed, HALF)
-    assert len(passes) == 2 and passes[1] is not passes[0]
+    assert market(changed).structure.rehangs is not rehangs
 
 
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():
     profile = cross_invited()
-    assert market(profile).structure.rehangs == [{3: "B"}, {3: "A"}, {}, {}]
+    assert every_rehang(market(profile).structure) == [{3: "B"}, {3: "A"}, {}, {}]
     # with A silenced the chain is B, R, Rc: idm prices it at the best bid
     # outside B's branch (C: 3) and tnm stops at B.  Left under the sponsor,
     # R would head the chain, and both would charge B's 5 instead.
@@ -279,6 +280,14 @@ def test_silencing_a_branch_rehangs_a_root_under_another_branch():
         assert outcome.branch_revenues == revenues, mech
 
 
+def assert_rehangs_match_oracle(m) -> bool:
+    """Every (silenced, root) answer of the market's structure equals the
+    eager oracle's; True if some root moves."""
+    expected = rehangs_oracle(m.structure.graph, m.tree)
+    assert every_rehang(m.structure) == expected
+    return any(expected)
+
+
 def test_nrmf_matches_rerun_oracle_on_random_digraphs():
     rng = random.Random(20240701)
     rehung = 0
@@ -286,13 +295,13 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
         profile = random_digraph_profile(rng, rng.randint(1, 9),
                                          edge_prob=rng.choice((0.15, 0.3, 0.5)),
                                          value_max=rng.choice((0, 1, 3, 20)))
-        m = market(profile)
-        rehung += bool(m.ranked) and any(m.structure.rehangs)
         for mech in MECHANISMS:
             for params in ALPHAS:
                 assert_matches_oracle(run_nrmf(mech, profile, params),
                                       nrmf_rerun_oracle(mech, profile, params), profile)
         assert_by_definition(cavallo(profile), profile)
+        m = market(profile)
+        rehung += bool(m.ranked) and assert_rehangs_match_oracle(m)
     assert rehung > 200  # the counterfactual trees often differ from the actual one
 
 
@@ -308,13 +317,12 @@ def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
             a, b = rng.sample(sorted(reports), 2)
             reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
         profile = ReportProfile(tree.sponsor_neighbors, reports)
-        m = market(profile)
-        rehung += any(m.structure.rehangs)
         for mech in MECHANISMS:
             for params in ALPHAS:
                 assert_matches_oracle(run_nrmf(mech, profile, params),
                                       nrmf_rerun_oracle(mech, profile, params), profile)
         assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
+        rehung += assert_rehangs_match_oracle(market(profile))
     assert rehung > 10
 
 
@@ -325,3 +333,61 @@ def test_cavallo_matches_rerun_oracle_on_random_digraphs():
                                          edge_prob=rng.choice((0.15, 0.3, 0.5)),
                                          value_max=rng.choice((0, 1, 3, 20)))
         assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
+
+
+CHAIN_AUCTIONS = [MechanismId("idm"), MechanismId("tnm")]
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1000), (2, 1500), (3, 2000)])
+def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
+    # every answer a chain walk asks for, then every silenced branch for
+    # each root asked about
+    asked = counted_hangs(monkeypatch)
+    profile = sparse_digraph_profile(random.Random(seed), n)
+    clear_memo()
+    for mech in CHAIN_AUCTIONS:
+        run_nrmf(mech, profile, HALF)
+    m = market(profile)
+    expected = rehangs_oracle(m.structure.graph, m.tree)
+    assert asked and all(expected[b].get(c) == parent for b, c, parent in asked)
+    assert any(parent is not None for *_, parent in asked)
+    rehangs = m.structure.rehangs
+    for c in {c for _, c, _ in asked}:
+        assert [rehangs.hang(b, c) for b in range(len(expected))] == [
+            moved.get(c) for moved in expected]
+
+
+def test_skeleton_passes_are_bounded_by_the_pairs_the_path_filter_keeps(monkeypatch):
+    passes = counted_passes(monkeypatch)
+    asked = counted_hangs(monkeypatch)
+    rng = random.Random(20240705)
+    # on a tree the sponsor invites every root: nothing is asked
+    for _ in range(100):
+        profile = random_tree_profile(rng, rng.randint(1, 12))
+        for mech in CHAIN_AUCTIONS:
+            run_nrmf(mech, profile, HALF)
+    assert (passes, asked) == ([], [])
+    # an evenly grown net plus 1% extra edges has movable roots, but the
+    # chain walks never ask about them
+    tree = generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=3, seed=7), 400)
+    reports = dict(tree.reports)
+    for _ in range(4):
+        a, b = rng.sample(sorted(reports), 2)
+        reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
+    profile = ReportProfile(tree.sponsor_neighbors, reports)
+    for mech in CHAIN_AUCTIONS:
+        run_nrmf(mech, profile, HALF)
+    movable = market(profile).structure.rehangs.movable
+    assert movable and asked
+    assert not any(c in movable for _, c, _ in asked) and passes == []
+    # on a cross-dense digraph few of the silenced branches meet the two
+    # disjoint paths of a root asked about, and fewer still cut them
+    profile = sparse_digraph_profile(random.Random(1), 1000)
+    clear_memo()
+    for mech in CHAIN_AUCTIONS:
+        run_nrmf(mech, profile, HALF)
+    m = market(profile)
+    kept = {b for b, _ in m.structure.rehangs._kept}
+    assert len(m.tree.root_branches) == 482
+    assert len(set(passes)) == len(passes) == 2
+    assert len(passes) <= len(kept) < len(m.tree.root_branches) // 10

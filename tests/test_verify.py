@@ -103,8 +103,10 @@ def test_ir_catches_a_planted_overcharger():
     assert w.deviation == w.truthful_report == AgentType.of(4)
     assert (w.truthful_utility, w.deviation_utility) == (-4, -4)
     honest, deviated = report.witness.replay(overcharging)
-    assert deviated == report.witness.deviation_utility
-    assert deviated < 0
+    assert (honest, deviated) == (w.truthful_utility, w.deviation_utility)
+    # the JSON names how far below 0 the utility falls, not a gain of 0
+    data = report.to_dict()["witness"]
+    assert data["shortfall"] == "4" and "gain" not in data
 
 
 def test_ir_runs_the_mechanism_once_per_neighbour_subset():
