@@ -17,8 +17,9 @@ contiguous run of the preorder starting at her, so membership is one
 comparison of positions and the whole index takes O(n) memory.
 
 ``Rehangs`` answers where a branch root hangs once another branch is
-silenced, per query: by Menger's theorem most pairs need no dominator
-pass, and the rest share one pass per silenced branch.
+silenced, per query, from augmenting paths alone: by Menger's theorem
+most roots keep two disjoint paths from the sponsor and stay, and the
+rest hang under the minimum cut nearest to them.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ class Rehangs:
     so by Menger's theorem some two sponsor-to-``c`` invitation paths
     share no agent; two augmenting paths find them, once per ``c``.  A
     silenced branch that meets neither leaves ``c`` under the sponsor.
-    For one that does, the same search without ``b`` decides, once per
-    pair, whether ``c`` keeps two such paths and so stays.  Only a root
-    that loses them reads a dominator pass over a skeleton graph with
-    ``b`` silenced, run once per ``b``.
+    For one that does, the same search without ``b`` runs once per pair:
+    if it finds two paths again, ``c`` stays; if it finds one, ``c``'s new
+    parent is the minimum cut nearest to her, read off the residual
+    network the search leaves (``_nearest_cut``).
     """
 
     def __init__(self, graph: InducedGraph, tree: CriticalTree):
@@ -196,89 +197,81 @@ class Rehangs:
         self.movable = frozenset(k for k, root in enumerate(tree.root_branches)
                                  if root not in sponsored)
         self._crossed: dict[int, frozenset[int]] = {}
-        self._kept: dict[tuple[int, int], bool] = {}
-        self._moved: dict[int, dict[int, str]] = {}
+        self._hung: dict[tuple[int, int], Optional[str]] = {}
 
     def hang(self, silenced: int, branch: int) -> Optional[str]:
         """The agent under which the root of branch ``branch`` hangs once
         branch ``silenced`` is silenced, or None if under the sponsor."""
         if branch not in self.movable:
             return None
+        tree = self.tree
+        root = tree.root_branches[branch]
         crossed = self._crossed.get(branch)
         if crossed is None:
-            crossed = self._crossed[branch] = self._path_branches(branch)
+            flow, _ = _disjoint_paths(self.graph.successors, root, frozenset())
+            crossed = self._crossed[branch] = frozenset(
+                tree.branch_of[w] for _, w in flow if w != root)
         if silenced not in crossed:
             return None
         pair = silenced, branch
-        kept = self._kept.get(pair)
-        if kept is None:
-            kept = self._kept[pair] = self._path_branches(branch, silenced) is not None
-        if kept:
-            return None
-        moved = self._moved.get(silenced)
-        if moved is None:
-            moved = self._moved[silenced] = self._silenced_pass(silenced)
-        return moved.get(branch)
+        if pair not in self._hung:
+            removed = tree.branch_members(tree.root_branches[silenced])
+            flow, two = _disjoint_paths(self.graph.successors, root, removed)
+            self._hung[pair] = None if two else self._nearest_cut(root, flow, removed)
+        return self._hung[pair]
 
-    def _path_branches(self, branch: int, silenced: Optional[int] = None
-                       ) -> Optional[frozenset[int]]:
-        """The branches met by two sponsor-to-root paths of ``branch`` that
-        share no agent and avoid branch ``silenced``, or None if there are
-        no two such paths."""
-        tree = self.tree
-        root = tree.root_branches[branch]
-        removed = (frozenset() if silenced is None
-                   else tree.branch_members(tree.root_branches[silenced]))
-        flow: set[tuple[str, str]] = set()
-        for _ in range(2):
-            if not _augment(self.graph.successors, root, flow, removed):
-                return None
-        return frozenset(tree.branch_of[w] for _, w in flow if w != root)
+    def _nearest_cut(self, root: str, flow: set[tuple[str, str]],
+                     removed: frozenset[str]) -> str:
+        """The nearest cut point of ``root`` once ``removed`` is gone, read
+        off ``flow``, the one sponsor-to-``root`` path left.
+
+        The agents whose entry still reaches ``root``'s in the residual
+        network of ``_augment`` lie on the sink side of the minimum cut
+        nearest to her (Ford and Fulkerson).  The path crosses that cut
+        once, and with a flow of 1 the cut is one agent on it: walking up
+        from ``root``, the first agent whose entry is outside.
+        """
+        inviters = self._inviters
+        invitee = {u: w for u, w in flow}
+        entries, stack = {root}, [root]
+        while stack:
+            w = stack.pop()
+            # the exits with an arc into entry w: of an inviter whose
+            # invitation the path does not use, and w's own once she is on it
+            exits = [u for u in inviters[w] if u not in removed and (u, w) not in flow]
+            if w in invitee:
+                exits.append(w)
+            for u in exits:
+                # the entry with an arc into exit u: u's own, or once she is
+                # on the path, her invitee's, back along the invitation
+                v = invitee.get(u, u)
+                if v not in entries:
+                    entries.add(v)
+                    stack.append(v)
+        inviter = {w: u for u, w in flow}
+        v = inviter[root]
+        while v in entries:
+            v = inviter[v]
+        return v
 
     @cached_property
-    def _skeleton(self) -> dict[str, list[str]]:
-        """The graph whose dominators place the roots: the branch roots,
-        the agents inviting across branches and the tree LCAs of those,
-        each branch linked along its own tree, plus the crossing
-        invitations.  An invitation leaving a branch can only enter another
-        branch at its root, so this keeps every root's dominators."""
-        successors, tree = self.graph.successors, self.tree
-        branch_of, pre, size = tree.branch_of, tree.pre, tree.size
+    def _inviters(self) -> dict[str, list[str]]:
+        """Every participant's inviters other than the sponsor, built for
+        the first cut that needs them."""
+        successors, preorder = self.graph.successors, self.tree.preorder
+        inviters: dict[str, list[str]] = {v: [] for v in preorder}
+        for u in preorder:
+            for w in successors[u]:
+                inviters[w].append(u)
+        return inviters
 
-        def contains(a: str, i: str) -> bool:
-            return pre[a] <= pre[i] < pre[a] + size[a]
 
-        def lca(a: str, i: str) -> str:
-            while not contains(a, i):
-                a = tree.parent[a]
-            return a
-
-        crossing = {i: [j for j in successors[i] if branch_of[j] != branch_of[i]]
-                    for i in tree.preorder}
-        crossing = {i: js for i, js in crossing.items() if js}
-        nodes = sorted({*tree.root_branches, *crossing}, key=pre.__getitem__)
-        nodes = sorted({*nodes, *(lca(a, i) for a, i in zip(nodes, nodes[1:])
-                                  if branch_of[a] == branch_of[i])}, key=pre.__getitem__)
-        edges = {v: list(crossing.get(v, ())) for v in nodes}
-        above: list[str] = []
-        for v in nodes:
-            while above and not contains(above[-1], v):
-                above.pop()
-            if above:
-                edges[above[-1]].append(v)
-            above.append(v)
-        return edges
-
-    def _silenced_pass(self, silenced: int) -> dict[int, str]:
-        """Every root's new parent with branch ``silenced`` silenced, keyed
-        by branch; roots left under the sponsor are absent."""
-        roots, branch_of = self.tree.root_branches, self.tree.branch_of
-        quiet = roots[silenced]
-        skeleton = {v: ([] if v == quiet else out) for v, out in self._skeleton.items()
-                    if branch_of[v] != silenced or v == quiet}
-        skeleton[SPONSOR] = self.graph.successors[SPONSOR]
-        parent = immediate_dominators(skeleton, SPONSOR)
-        return {c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR}
+def _disjoint_paths(successors: Mapping[str, Sequence[str]], target: str,
+                    removed: frozenset[str]) -> tuple[set[tuple[str, str]], bool]:
+    """The invitations on two sponsor-to-``target`` paths that share no
+    agent and avoid ``removed``, and True; or on fewer, and False."""
+    flow: set[tuple[str, str]] = set()
+    return flow, all(_augment(successors, target, flow, removed) for _ in range(2))
 
 
 def _augment(successors: Mapping[str, Sequence[str]], target: str,

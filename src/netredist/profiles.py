@@ -256,6 +256,8 @@ def load_profile(path) -> ReportProfile:
             raise ProfileError(f"{path}: not UTF-8 text ({e})") from None
         except ValueError as e:  # bad JSON, or an integer literal too long to read
             raise ProfileError(f"{path}: invalid JSON ({e})") from None
+        except RecursionError:
+            raise ProfileError(f"{path}: invalid JSON (nested too deeply)") from None
     try:
         return profile_from_dict(data)
     except ProfileError as e:

@@ -4,7 +4,7 @@ Every checker enumerates a finite space; a FAIL carries a witness, and a
 PASS only claims "no violation in the enumerated space", which the report
 records.  IR and IC witnesses replay (``Witness.replay``) to the same
 utilities.  ND and revenue witnesses hold surpluses in the utility fields
-and do not replay yet (ROADMAP item 2).
+and do not replay yet (ROADMAP item 8).
 """
 
 from __future__ import annotations

@@ -141,3 +141,19 @@ def cross_invited() -> ReportProfile:
             "Rc": T(10),
         },
     )
+
+
+def nearest_cut() -> ReportProfile:
+    """R is invited by B and, along A -> X -> Y, by Y.  With B silenced R
+    keeps one path, cut at A, X and Y, and hangs under the nearest, Y."""
+    return make_profile(
+        ["A", "B"],
+        {
+            "A": T(1, ["X"]),
+            "B": T(2, ["X", "R"]),
+            "X": T(3, ["Y"]),
+            "Y": T(4, ["R"]),
+            "R": T(9, ["Rc"]),
+            "Rc": T(5),
+        },
+    )

@@ -97,7 +97,8 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
     branch linked along its own tree, plus the crossing invitations, with
     ``b``'s members other than its root left out.  ``result[b][c]`` is the
     agent under which branch ``c``'s root hangs with ``b`` silenced;
-    roots left under the sponsor are absent.
+    roots left under the sponsor are absent.  ``Rehangs`` reads the same
+    answers off augmenting paths, so the two share no code.
     """
     successors = graph.successors
     roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
@@ -148,17 +149,18 @@ def every_rehang(structure) -> list[dict[int, str]]:
             for b in branches]
 
 
-def counted_passes(monkeypatch) -> list:
-    """Record the silenced branch of every skeleton dominator pass."""
-    passes = []
-    real = Rehangs._silenced_pass
+def counted_searches(monkeypatch) -> list:
+    """Record the root of every new-parent search: one per (silenced,
+    root) pair that loses its two disjoint paths."""
+    searches = []
+    real = Rehangs._nearest_cut
 
-    def counted_pass(rehangs, silenced):
-        passes.append(silenced)
-        return real(rehangs, silenced)
+    def counted_search(rehangs, root, *path):
+        searches.append(root)
+        return real(rehangs, root, *path)
 
-    monkeypatch.setattr(Rehangs, "_silenced_pass", counted_pass)
-    return passes
+    monkeypatch.setattr(Rehangs, "_nearest_cut", counted_search)
+    return searches
 
 
 def counted_hangs(monkeypatch) -> list:

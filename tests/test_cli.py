@@ -401,6 +401,22 @@ def test_network_file_not_in_utf8_is_a_one_line_input_error(
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["tree", "{deep}"],
+    ["run", "{deep}"],
+    ["verify", "--property", "ir", "--mechanism", "vcg", "--instances", "{directory}"],
+], ids=["tree", "run", "verify"])
+def test_json_nested_too_deeply_is_a_one_line_input_error(capsys, tmp_path, command):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    deep = directory / "deep.json"
+    deep.write_text("[" * 1000)
+    code = main([arg.format(deep=deep, directory=directory) for arg in command])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    assert captured.err == f"error: {deep}: invalid JSON (nested too deeply)\n"
+
+
 @pytest.mark.parametrize("experiment", [["abb"], ["bb", "--price", "30"]],
                          ids=["abb", "bb"])
 @pytest.mark.parametrize("sweep", [["--num-seeds", "0"], ["--num-seeds", "-2"],

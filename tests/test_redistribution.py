@@ -15,12 +15,19 @@ from netredist.profiles import (
 from netredist.prst import SharingParams, prst
 from netredist.redistribution import cavallo, check_cavallo_equivalence, run_nrmf
 
-from networks import T, bidder_star, cross_invited, reference_network_10, star_with_tail
+from networks import (
+    T,
+    bidder_star,
+    cross_invited,
+    nearest_cut,
+    reference_network_10,
+    star_with_tail,
+)
 from oracles import (
     cavallo_rerun_oracle,
     clear_memo,
     counted_hangs,
-    counted_passes,
+    counted_searches,
     every_rehang,
     exact,
     memo_free,
@@ -247,15 +254,16 @@ def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
 
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
-    passes = counted_passes(monkeypatch)
+    searches = counted_searches(monkeypatch)
     clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
         rehangs = market(profile).structure.rehangs
         run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
         assert market(profile).structure.rehangs is rehangs
-    # silencing A and silencing B each take one pass, whatever the alpha
-    assert sorted(passes) == [0, 1]
+    # R loses its two paths with A silenced and with B silenced: one
+    # new-parent search each, whatever the alpha
+    assert searches == ["R", "R"]
     # C invites R too: another structure, other answers
     changed = profile.replace("C", T(3, ["R"]))
     run_nrmf(MechanismId("idm"), changed, HALF)
@@ -277,6 +285,22 @@ def test_silencing_a_branch_rehangs_a_root_under_another_branch():
     for mech, revenues in expected.items():
         outcome = run_nrmf(MechanismId.parse(mech), profile, HALF)
         assert outcome.branch_roots == ("A", "B", "C", "R")
+        assert outcome.branch_revenues == revenues, mech
+
+
+def test_a_root_left_one_path_hangs_under_its_nearest_cut_point():
+    profile = nearest_cut()
+    # branches A, B, R, X: with B silenced R's cut points are A, X and Y
+    assert every_rehang(market(profile).structure) == [
+        {2: "B", 3: "B"}, {2: "Y", 3: "A"}, {}, {2: "B"}]
+    expected = {
+        "idm": {"A": 0, "B": 0, "R": 2, "X": 1},
+        "tnm": {"A": 0, "B": 0, "R": 2, "X": 1},
+        "vcg": {"A": 5, "B": 5, "R": 3, "X": 5},
+    }
+    for mech, revenues in expected.items():
+        outcome = run_nrmf(MechanismId(mech), profile, HALF)
+        assert outcome.branch_roots == ("A", "B", "R", "X")
         assert outcome.branch_revenues == revenues, mech
 
 
@@ -357,8 +381,8 @@ def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
             moved.get(c) for moved in expected]
 
 
-def test_skeleton_passes_are_bounded_by_the_pairs_the_path_filter_keeps(monkeypatch):
-    passes = counted_passes(monkeypatch)
+def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkeypatch):
+    searches = counted_searches(monkeypatch)
     asked = counted_hangs(monkeypatch)
     rng = random.Random(20240705)
     # on a tree the sponsor invites every root: nothing is asked
@@ -366,7 +390,7 @@ def test_skeleton_passes_are_bounded_by_the_pairs_the_path_filter_keeps(monkeypa
         profile = random_tree_profile(rng, rng.randint(1, 12))
         for mech in CHAIN_AUCTIONS:
             run_nrmf(mech, profile, HALF)
-    assert (passes, asked) == ([], [])
+    assert (searches, asked) == ([], [])
     # an evenly grown net plus 1% extra edges has movable roots, but the
     # chain walks never ask about them
     tree = generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=3, seed=7), 400)
@@ -379,15 +403,17 @@ def test_skeleton_passes_are_bounded_by_the_pairs_the_path_filter_keeps(monkeypa
         run_nrmf(mech, profile, HALF)
     movable = market(profile).structure.rehangs.movable
     assert movable and asked
-    assert not any(c in movable for _, c, _ in asked) and passes == []
+    assert not any(c in movable for _, c, _ in asked) and searches == []
     # on a cross-dense digraph few of the silenced branches meet the two
-    # disjoint paths of a root asked about, and fewer still cut them
+    # disjoint paths of a root asked about, and fewer still cut them: each
+    # search is one pair that re-hangs its root, and is never repeated
     profile = sparse_digraph_profile(random.Random(1), 1000)
     clear_memo()
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     m = market(profile)
-    kept = {b for b, _ in m.structure.rehangs._kept}
-    assert len(m.tree.root_branches) == 482
-    assert len(set(passes)) == len(passes) == 2
-    assert len(passes) <= len(kept) < len(m.tree.root_branches) // 10
+    roots = m.tree.root_branches
+    moved = {(b, c) for b, c, parent in asked if parent is not None}
+    assert len(roots) == 482
+    assert len(searches) == len(moved) == 2
+    assert sorted(searches) == sorted(roots[c] for _, c in moved)
