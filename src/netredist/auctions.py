@@ -8,20 +8,20 @@ zero allocation and zero payment.  Every mechanism in the package, with
 or without redistribution, returns an ``Outcome``; a plain auction is one
 that redistributes nothing.
 
-Each public auction builds a ``Market`` (the profile, its ``Structure``
+Each public auction builds a ``Market`` (the profile, its critical tree
 and the ranked participants) and runs on it.  All pricing lives here:
 ``sale`` prices the actual sale, ``silenced_revenue`` the revenue with
 one agent silenced, which redistribution shares, and ``auction`` builds
 every ``Outcome``, with whatever redistribution is paid back.
 
-Only the ranking reads the values.  Everything else a run needs is a
-``Structure``: the graph, critical tree and participants, the branch
-re-hangs answered as the chain walks ask, and the sharing coefficients of
-the last alpha.  ``market`` keeps the structure of its previous call in
-one slot and reuses it while the invitation structure (sponsor
-neighbours, agent ids and neighbour sets) is equal, so a new alpha
-reuses every re-hang answered.  That slot is the package's only memo;
-what it hands out is shared, and an answer it keeps never changes.
+Only the ranking reads the values.  Everything else a run needs is the
+invitation structure's index, its critical tree, which also keeps the
+branch re-hangs answered and the sharing coefficients of the last alpha.
+``market`` keeps the tree of its previous call in one slot and reuses it
+while the invitation structure (sponsor neighbours, agent ids and
+neighbour sets) is equal, so a new alpha reuses every re-hang answered.
+That slot is the package's only memo; what it hands out is shared, and an
+answer it keeps never changes.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from netredist.critical_tree import CriticalTree, Rehangs, critical_tree
-from netredist.profiles import InducedGraph, ReportProfile, induce_graph
-from netredist.prst import SharingParams, prst
+from netredist.critical_tree import CriticalTree, critical_tree
+from netredist.profiles import ReportProfile, induce_graph
 
 ZERO = Fraction(0)
 
@@ -108,49 +107,16 @@ class MechanismId:
     def parse(text: str) -> "MechanismId":
         if text.startswith("fixed:"):
             try:
-                return MechanismId("fixed_price", Fraction(text[len("fixed:"):]))
+                price = Fraction(text[len("fixed:"):])
             except (ValueError, ZeroDivisionError):
                 raise MechanismError(f"bad fixed price in {text!r}") from None
+            return MechanismId("fixed_price", price)
         return MechanismId(text)
 
     def __str__(self) -> str:
         if self.kind == "fixed_price":
             return f"fixed:{self.price}"
         return self.kind
-
-
-class Structure:
-    """What every market of one invitation structure shares.
-
-    ``key`` is the structure itself (see ``_structure``).  The graph, the
-    critical tree and the sorted participants are built with the object;
-    ``rehangs`` keeps every re-hang answered, whatever the alpha, and
-    ``omega`` keeps the sharing coefficients of the last alpha.
-    """
-
-    def __init__(self, key: tuple, graph: InducedGraph):
-        self.key = key
-        self.graph = graph
-        self.tree = critical_tree(graph)
-        self.participants = tuple(sorted(graph.reachable))
-        self._omega: Optional[tuple[Fraction, Mapping[str, Fraction]]] = None
-
-    @cached_property
-    def rehangs(self) -> Optional[Rehangs]:
-        """Where the branch roots hang with a branch silenced, which only
-        the chain auctions ask; None when the sponsor invites every root,
-        so that none can move."""
-        rehangs = Rehangs(self.graph, self.tree)
-        return rehangs if rehangs.movable else None
-
-    def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
-        """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
-        reused while the alpha is the same or an equal one."""
-        alpha = params.alpha
-        last = self._omega
-        if last is None or last[0] is not alpha and last[0] != alpha:
-            last = self._omega = alpha, prst(self.tree, params).omega
-        return last[1]
 
 
 @dataclass(frozen=True)
@@ -162,41 +128,38 @@ class Market:
     """
 
     profile: ReportProfile
-    structure: Structure
+    tree: CriticalTree
     ranked: tuple[str, ...]
 
-    @property
-    def tree(self) -> CriticalTree:
-        return self.structure.tree
 
-
-#: The structure of the last market.
-_last_structure: Optional[Structure] = None
+#: The invitation structure of the last market and its critical tree.
+_last_structure: Optional[tuple[tuple, CriticalTree]] = None
 
 
 def _structure(profile: ReportProfile) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """What a ``Structure`` depends on, compared by equality."""
+    """What a critical tree depends on, compared by equality."""
     return profile.sponsor_neighbors, {i: t.neighbors for i, t in profile.reports.items()}
 
 
 def market(profile: ReportProfile) -> Market:
-    """Rank the participants on the profile's ``Structure``, the previous
+    """Rank the participants on the profile's critical tree, the previous
     call's while the invitation structure is unchanged."""
     global _last_structure
     key = _structure(profile)
-    # read the slot once: a concurrent call may cost a rebuild, but a
-    # structure's parts always belong together
-    structure = _last_structure
-    if structure is None or structure.key != key:
-        structure = _last_structure = Structure(key, induce_graph(profile))
+    # read the slot once: a concurrent call may cost a rebuild, but a key
+    # and its tree always belong together
+    last = _last_structure
+    if last is None or last[0] != key:
+        last = _last_structure = key, critical_tree(induce_graph(profile))
+    tree = last[1]
     # rank by exact integer images of the values over their common
     # denominator, so the sort compares ints, not Fractions; a stable sort
     # by descending image keeps equal values in id order
-    values = {i: profile.value_of(i) for i in structure.participants}
+    values = {i: profile.value_of(i) for i in tree.agents}
     common = lcm(*{v.denominator for v in values.values()})
     image = {i: v.numerator * (common // v.denominator) for i, v in values.items()}
     ranked = sorted(image, key=image.__getitem__, reverse=True)
-    return Market(profile, structure, tuple(ranked))
+    return Market(profile, tree, tuple(ranked))
 
 
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> Outcome:
@@ -321,7 +284,7 @@ def silenced_revenue(mechanism: MechanismId, m: Market, silenced: str) -> Fracti
     is a sponsor branch root, every other branch also keeps its inner
     tree; only roots the sponsor did not invite can re-hang, under an
     agent of another branch.  So the chain auctions walk the same tree
-    with those roots re-hung as the market's structure says, and for them
+    with those roots re-hung as the market's tree says, and for them
     ``silenced`` must be a branch root; for ``vcg`` and ``fixed_price``
     any participant will do.
     """
@@ -334,7 +297,7 @@ def silenced_revenue(mechanism: MechanismId, m: Market, silenced: str) -> Fracti
         return bid(next(ranking, None))
     if mechanism.kind == "fixed_price":
         return mechanism.price if bid(next(ranking)) >= mechanism.price else ZERO
-    rehangs = m.structure.rehangs
+    rehangs = m.tree.rehangs
     b = m.tree.branch_of[silenced]
     hang = None if rehangs is None else lambda k: rehangs.hang(b, k)
     chain, outsiders = chain_walk(m.tree, ranking, hang)

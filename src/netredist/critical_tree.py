@@ -1,14 +1,14 @@
-"""The critical tree of an invitation graph, and where its branch roots
-hang once a branch is silenced.
+"""The critical tree of an invitation graph, the one index of its
+invitation structure.
 
 Each participant's parent is the nearest agent whose absence would cut her
 off from the sponsor; this is exactly the immediate-dominator tree of the
 induced graph rooted at the sponsor.  ``immediate_dominators`` computes it
 with the iterative data-flow algorithm (Cooper/Harvey/Kennedy) after one
-depth-first search.  An agent with one inviter is dominated immediately by
-her, so only agents with two or more inviters are iterated to the
-fixpoint; on an invitation tree that is nobody, and the pass is one linear
-sweep.
+depth-first search of the graph.  An agent with one inviter is dominated
+immediately by her, so only agents with two or more inviters are iterated
+to the fixpoint; on an invitation tree that is nobody, and the pass is one
+linear sweep.
 
 One depth-first pass over the finished tree then indexes it by preorder
 intervals: every participant's preorder position, subtree size and depth.
@@ -16,32 +16,40 @@ A branch (an agent together with everyone who depends on her) is the
 contiguous run of the preorder starting at her, so membership is one
 comparison of positions and the whole index takes O(n) memory.
 
-``Rehangs`` answers where a branch root hangs once another branch is
-silenced, per query, from augmenting paths alone: by Menger's theorem
-most roots keep two disjoint paths from the sponsor and stay, and the
-rest hang under the minimum cut nearest to them.
+The tree also keeps, once asked, what else every market of its structure
+shares: ``Rehangs``, where a branch root hangs once another branch is
+silenced, answered per query from augmenting paths alone (by Menger's
+theorem most roots keep two disjoint paths from the sponsor and stay, and
+the rest hang under the minimum cut nearest to them), and the sharing
+coefficients of the last alpha.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from netredist.profiles import SPONSOR, InducedGraph
+from netredist.prst import SharingParams, prst
 
 
 @dataclass(frozen=True)
 class CriticalTree:
-    """Immediate-dominator tree over the participant set.
+    """Immediate-dominator tree over the participant set, and the index
+    every market of its invitation structure reads.
 
-    ``preorder`` lists the participants depth first, branch roots and
-    siblings in canonical order; ``pre[i]`` is ``i``'s position in it,
-    ``size[i]`` the number of agents in ``i``'s branch (``i`` included)
-    and ``depth[i]`` her number of critical ancestors, herself included.
+    ``agents`` are the participants in canonical (id) order.
+    ``preorder`` lists them depth first, branch roots and siblings in
+    canonical order; ``pre[i]`` is ``i``'s position in it, ``size[i]``
+    the number of agents in ``i``'s branch (``i`` included) and
+    ``depth[i]`` her number of critical ancestors, herself included.
     ``root_branches`` are the sponsor's children in canonical order and
     ``branch_of`` maps every participant to the index of its branch in
-    that list.
+    that list.  ``successors`` is the graph's, for the re-hangs.
+    ``rehangs`` and ``omega`` are answered on first use and kept: an
+    answer the tree keeps never changes.
     """
 
     parent: Mapping[str, str]
@@ -51,10 +59,26 @@ class CriticalTree:
     pre: Mapping[str, int]
     size: Mapping[str, int]
     depth: Mapping[str, int]
+    agents: tuple[str, ...]
+    successors: Mapping[str, Sequence[str]] = field(compare=False, repr=False)
 
-    @property
-    def agents(self) -> list[str]:
-        return sorted(self.parent)
+    @cached_property
+    def rehangs(self) -> Optional[Rehangs]:
+        """Where the branch roots hang with a branch silenced, which only
+        the chain auctions ask; None when the sponsor invites every root,
+        so that none can move."""
+        rehangs = Rehangs(self)
+        return rehangs if rehangs.movable else None
+
+    def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
+        """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
+        reused while the alpha is the same or an equal one."""
+        alpha = params.alpha
+        last = self.__dict__.get("_omega")
+        if last is None or last[0] is not alpha and last[0] != alpha:
+            # kept beside the fields, as ``cached_property`` keeps its values
+            last = self.__dict__["_omega"] = alpha, prst(self, params).omega
+        return last[1]
 
     def ancestors(self, i: str) -> list[str]:
         """Critical ancestors of ``i`` from the first branch root down to ``i``."""
@@ -73,8 +97,9 @@ class CriticalTree:
 def critical_tree(graph: InducedGraph) -> CriticalTree:
     """Build the critical tree of ``graph`` restricted to reachable agents."""
     parent = immediate_dominators(graph.successors, SPONSOR)
-    children: dict[str, list[str]] = {v: [] for v in [SPONSOR, *parent]}
-    for v in sorted(parent):
+    agents = tuple(sorted(parent))
+    children: dict[str, list[str]] = {v: [] for v in (SPONSOR, *agents)}
+    for v in agents:
         children[parent[v]].append(v)
     root_branches = tuple(children[SPONSOR])
 
@@ -104,6 +129,8 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
         pre={v: k for k, v in enumerate(preorder)},
         size=size,
         depth=depth,
+        agents=agents,
+        successors=graph.successors,
     )
 
 
@@ -189,12 +216,15 @@ class Rehangs:
     network the search leaves (``_nearest_cut``).
     """
 
-    def __init__(self, graph: InducedGraph, tree: CriticalTree):
-        self.graph = graph
-        self.tree = tree
-        sponsored = set(graph.successors[SPONSOR])
+    def __init__(self, tree: CriticalTree):
+        # the tree keeps this object, so it keeps the tree's parts, not the
+        # tree: a cycle would wait for the collector after every market
+        self.successors, self.roots, self.branch_of = (
+            tree.successors, tree.root_branches, tree.branch_of)
+        self.preorder, self.pre, self.size = tree.preorder, tree.pre, tree.size
+        sponsored = set(self.successors[SPONSOR])
         #: The branches whose root the sponsor does not invite.
-        self.movable = frozenset(k for k, root in enumerate(tree.root_branches)
+        self.movable = frozenset(k for k, root in enumerate(self.roots)
                                  if root not in sponsored)
         self._crossed: dict[int, frozenset[int]] = {}
         self._hung: dict[tuple[int, int], Optional[str]] = {}
@@ -204,19 +234,21 @@ class Rehangs:
         branch ``silenced`` is silenced, or None if under the sponsor."""
         if branch not in self.movable:
             return None
-        tree = self.tree
-        root = tree.root_branches[branch]
+        root = self.roots[branch]
         crossed = self._crossed.get(branch)
         if crossed is None:
-            flow, _ = _disjoint_paths(self.graph.successors, root, frozenset())
+            flow, _ = _disjoint_paths(self.successors, root, frozenset())
             crossed = self._crossed[branch] = frozenset(
-                tree.branch_of[w] for _, w in flow if w != root)
+                self.branch_of[w] for _, w in flow if w != root)
         if silenced not in crossed:
             return None
         pair = silenced, branch
         if pair not in self._hung:
-            removed = tree.branch_members(tree.root_branches[silenced])
-            flow, two = _disjoint_paths(self.graph.successors, root, removed)
+            # the silenced branch's members, as ``CriticalTree.branch_members``
+            gone = self.roots[silenced]
+            start = self.pre[gone]
+            removed = frozenset(self.preorder[start:start + self.size[gone]])
+            flow, two = _disjoint_paths(self.successors, root, removed)
             self._hung[pair] = None if two else self._nearest_cut(root, flow, removed)
         return self._hung[pair]
 
@@ -258,7 +290,7 @@ class Rehangs:
     def _inviters(self) -> dict[str, list[str]]:
         """Every participant's inviters other than the sponsor, built for
         the first cut that needs them."""
-        successors, preorder = self.graph.successors, self.tree.preorder
+        successors, preorder = self.successors, self.preorder
         inviters: dict[str, list[str]] = {v: [] for v in preorder}
         for u in preorder:
             for w in successors[u]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from statistics import median
 from typing import Iterator, Optional, Sequence
 
@@ -112,26 +112,18 @@ def rooted_tree_shapes(max_agents: int) -> Iterator[tuple[int, ...]]:
     """All unlabeled rooted tree shapes with 1..max_agents agents.
 
     A shape is a parent vector: entry k is the parent index of agent k,
-    with -1 meaning the root.  Shapes are deduplicated up to isomorphism
-    via a canonical form.
+    with -1 meaning the root, and agent k hangs under the root or an agent
+    before her.  Of the vectors in lexicographic order, the first of each
+    shape is kept, by a canonical form.
     """
     for n in range(1, max_agents + 1):
         seen = set()
-        for parents in _increasing_parent_vectors(n):
+        for rest in product(*(range(-1, k) for k in range(1, n))):
+            parents = (-1, *rest)
             form = _canonical_form(parents)
             if form not in seen:
                 seen.add(form)
                 yield parents
-
-
-def _increasing_parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for p in range(-1, len(prefix)):
-            yield from rec(prefix + [p])
-    yield from rec([-1])
 
 
 def _canonical_form(parents: tuple[int, ...]):

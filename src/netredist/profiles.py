@@ -107,17 +107,21 @@ def star_profile(values: Mapping[str, object]) -> ReportProfile:
     return ReportProfile(frozenset(reports), reports)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedGraph:
     """The directed graph induced by a report profile.
 
     ``successors`` maps each vertex to its invitees in sorted order (the
     sponsor included, edges into the sponsor dropped); ``reachable`` is the
-    participant set: every vertex with a directed path from the sponsor.
+    participant set: every vertex with a directed path from the sponsor,
+    found on first read.
     """
 
-    successors: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False)
-    reachable: frozenset[str]
+    successors: Mapping[str, tuple[str, ...]] = field(repr=False)
+
+    @cached_property
+    def reachable(self) -> frozenset[str]:
+        return self.reachable_from(SPONSOR)
 
     def reachable_from(self, root: str, removed: frozenset[str] = frozenset()) -> frozenset[str]:
         """Vertices reachable from ``root`` when ``removed`` vertices are deleted."""
@@ -136,12 +140,11 @@ class InducedGraph:
 
 
 def induce_graph(profile: ReportProfile) -> InducedGraph:
-    """Build the invitation graph of a profile and its participant set."""
+    """Build the invitation graph of a profile."""
     succ = {SPONSOR: tuple(sorted(profile.sponsor_neighbors))}
     for i, t in profile.reports.items():
         succ[i] = tuple(sorted(j for j in t.neighbors if j != SPONSOR))
-    graph = InducedGraph(succ, frozenset())
-    return InducedGraph(succ, graph.reachable_from(SPONSOR))
+    return InducedGraph(succ)
 
 
 # --- JSON network format ------------------------------------------------

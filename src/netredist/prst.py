@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from netredist.critical_tree import CriticalTree
 from netredist.profiles import SPONSOR
+
+if TYPE_CHECKING:  # the tree keeps its coefficients, so it imports this module
+    from netredist.critical_tree import CriticalTree
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

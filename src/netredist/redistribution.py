@@ -9,9 +9,8 @@ scheme used as a baseline: on star networks the two coincide payment for
 payment.  Pricing, counterfactual or not, lives in ``auctions``; this
 module only shares.
 
-The sharing coefficients come from the market's ``Structure``, the
-package's one memo (see ``auctions``), which keeps those of the last
-alpha.
+The sharing coefficients come from the market's critical tree, which
+``auctions`` memoises and which keeps those of the last alpha.
 
 The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue get a rebate, and reward sharing gives branch
@@ -44,8 +43,8 @@ def run_nrmf(mechanism: MechanismId,
     if not m.ranked:
         return auction(mechanism, m)  # no sale and no branch to share with
 
-    omega = m.structure.omega(params)
     tree = m.tree
+    omega = tree.omega(params)
     preorder, pre, size = tree.preorder, tree.pre, tree.size
     revenues = {root: silenced_revenue(mechanism, m, root) for root in tree.root_branches}
     redistribution = dict.fromkeys(profile.agents, ZERO)

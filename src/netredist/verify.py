@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Optional, Sequence, TypeAlias
 
 from netredist.profiles import AgentType, ReportProfile, induce_graph
@@ -325,13 +325,16 @@ def shrink_pairs(profile: ReportProfile) -> list[tuple[ReportProfile, ReportProf
 
 def leaf_extension_pairs(profile: ReportProfile,
                          leaf_value: Fraction) -> list[tuple[ReportProfile, ReportProfile]]:
-    """(original, extended) pairs appending one leaf to each participant."""
+    """(original, extended) pairs appending one leaf to each participant.
+    The leaf of ``host`` is the first ``zz_{host}_{k}`` that is no agent's
+    id yet."""
     pairs = []
     reachable = induce_graph(profile).reachable
     for host in sorted(reachable):
         reports = dict(profile.reports)
         host_type = reports[host]
-        leaf = f"zz_{host}_0"
+        leaf = next(leaf for leaf in (f"zz_{host}_{k}" for k in count())
+                    if leaf not in reports)
         reports[leaf] = AgentType(leaf_value, frozenset())
         reports[host] = AgentType(host_type.value, host_type.neighbors | {leaf})
         pairs.append((profile, ReportProfile(profile.sponsor_neighbors, reports)))

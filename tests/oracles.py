@@ -138,11 +138,11 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
     return rehangs
 
 
-def every_rehang(structure) -> list[dict[int, str]]:
+def every_rehang(tree: CriticalTree) -> list[dict[int, str]]:
     """``rehangs_oracle``'s list, read one (silenced, root) pair at a time
-    from a market ``Structure``'s lazy answers."""
-    branches = range(len(structure.tree.root_branches))
-    rehangs = structure.rehangs
+    from a market tree's lazy answers."""
+    branches = range(len(tree.root_branches))
+    rehangs = tree.rehangs
     if rehangs is None:
         return [{} for _ in branches]
     return [{c: parent for c in branches if (parent := rehangs.hang(b, c)) is not None}
@@ -356,7 +356,7 @@ def exact(value):
 
 
 def clear_memo() -> None:
-    """Forget the structure ``market`` reuses, the package's one memo."""
+    """Forget the critical tree ``market`` reuses, the package's one memo."""
     auctions._last_structure = None
 
 

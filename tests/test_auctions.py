@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from netredist.auctions import (
     MechanismError,
@@ -10,14 +11,16 @@ from netredist.auctions import (
     idm,
     market,
     run_auction,
+    silenced_revenue,
     tnm,
     vcg,
 )
 from netredist.critical_tree import critical_tree
-from netredist.profiles import ReportProfile, induce_graph
+from netredist.profiles import NULL_TYPE, ReportProfile, induce_graph, make_profile
 
 from networks import T, bidder_star, chain, reference_network_10
 from oracles import idm_oracle, random_digraph_profile, random_tree_profile, tnm_oracle
+from strategies import invitation_digraphs
 
 
 def test_mechanism_id_parse_and_str():
@@ -243,3 +246,24 @@ def test_integer_ranking_orders_like_the_fractions():
         reachable = induce_graph(profile).reachable
         want = sorted(sorted(reachable), key=profile.value_of, reverse=True)
         assert market(profile).ranked == tuple(want)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(invitation_digraphs())
+# silencing a0 leaves tnm's first link a1 bidding 0 against the zero bids
+# of a0 and a4 outside her branch; she tops a4 but not a0, so the silenced
+# a0 must rank among the zero bids in id order
+@example(make_profile({"a1", "a4"}, {"a0": T(0), "a1": T(0, {"a2", "a3"}), "a2": T(1, {"a0"}),
+                                     "a3": T(1, {"a0"}), "a4": T(0, {"a0"})}))
+def test_silenced_revenue_is_the_revenue_of_a_rerun(profile):
+    # the definition: re-run the auction with the silenced agent's report
+    # emptied
+    m = market(profile)
+    for text in ("vcg", "idm", "tnm", "fixed:2"):
+        mechanism = MechanismId.parse(text)
+        # the chain auctions take branch roots; vcg and fixed price any
+        # participant, as cavallo silences each
+        silenced = m.tree.root_branches if text in ("idm", "tnm") else m.ranked
+        for i in silenced:
+            rerun = run_auction(mechanism, profile.replace(i, NULL_TYPE)).surplus
+            assert silenced_revenue(mechanism, m, i) == rerun, (text, i)

@@ -190,6 +190,15 @@ def test_bad_mechanism_is_input_error(capsys, network_file):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_negative_fixed_price_says_why(capsys, network_file):
+    # the same message as ``experiment bb --price -1``
+    code = main(["run", network_file, "--mechanism", "fixed:-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: fixed_price requires a price >= 0\n"
+
+
 def test_verify_pass_exits_zero(capsys, tmp_path, network_file):
     code, out = run_cli(capsys, "verify", "--property", "ir",
                         "--mechanism", "nrmf:idm", "--instances",

@@ -1,10 +1,12 @@
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from netredist.critical_tree import Rehangs, critical_tree
 from netredist.profiles import (
@@ -16,8 +18,9 @@ from netredist.profiles import (
     make_profile,
 )
 
-from networks import T, misreport_deviation, reach_diamond, reference_network_10
+from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
 from oracles import brute_parent_map, random_digraph_profile
+from strategies import invitation_digraphs
 
 
 def test_diamond_parent_skips_non_critical_intermediaries():
@@ -225,29 +228,28 @@ def test_index_matches_networkx_dominators():
     assert dict(tree.branch_of) == {v: roots.index(line(v)[-1]) for v in idom}
 
 
-@st.composite
-def invitation_digraphs(draw) -> ReportProfile:
-    """Up to eight agents, each inviting up to three others and the
-    sponsor one or two of them, so that roots the sponsor does not invite
-    are common; shrinks towards fewer agents and invitations."""
-    ids = [f"a{k}" for k in range(draw(st.integers(min_value=1, max_value=8)))]
-    invitations = st.sets(st.sampled_from(ids), min_size=1, max_size=3)
-    reports = {i: T(1, draw(invitations) - {i}) for i in ids}
-    sponsored = draw(st.sets(st.sampled_from(ids), min_size=1, max_size=2))
-    return ReportProfile(frozenset(sponsored), reports)
-
-
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(invitation_digraphs())
 def test_every_rehang_is_the_parent_in_the_silenced_critical_tree(profile):
     # the definition: rebuild the critical tree with root b's report
     # emptied and read root c's parent, sharing no code with ``Rehangs``
-    graph = induce_graph(profile)
-    tree = critical_tree(graph)
-    rehangs = Rehangs(graph, tree)
+    tree = critical_tree(induce_graph(profile))
+    rehangs = Rehangs(tree)
     roots = tree.root_branches
     for b, silenced in enumerate(roots):
         parent = critical_tree(induce_graph(profile.replace(silenced, NULL_TYPE))).parent
         for c, root in enumerate(roots):
             expected = None if parent[root] == SPONSOR else parent[root]
             assert rehangs.hang(b, c) == expected, (silenced, root)
+
+
+def test_a_tree_and_its_rehangs_free_without_the_cycle_collector():
+    tree = critical_tree(induce_graph(cross_invited()))
+    assert tree.rehangs.hang(0, 3) == "B"
+    gone = weakref.ref(tree)
+    gc.disable()
+    try:
+        del tree
+        assert gone() is None
+    finally:
+        gc.enable()

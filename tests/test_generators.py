@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from statistics import mean
 
@@ -94,6 +95,13 @@ def test_rooted_tree_shapes_counts():
     for parents in rooted_tree_shapes(7):
         by_size[len(parents)] = by_size.get(len(parents), 0) + 1
     assert by_size == {1: 1, 2: 2, 3: 4, 4: 9, 5: 20, 6: 48, 7: 115}
+
+
+def test_rooted_tree_shapes_keep_their_vectors_and_order():
+    # small_tree_instances and the audit inputs are drawn in this order
+    shapes = list(rooted_tree_shapes(7))
+    digest = hashlib.sha256(repr(shapes).encode()).hexdigest()
+    assert digest == "f8ec52c118a3f4fdbb66d59af36686ecf90e2030278ab292e04c07beb494036e"
 
 
 def test_tree_profile_wires_parent_vector():

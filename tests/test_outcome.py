@@ -93,7 +93,7 @@ def first_import():
     outcome = redistribution.run_nrmf(auctions.MechanismId("idm"), profile,
                                       SharingParams(Fraction(1, 2)))
     kept = {"ReportProfile": profiles.ReportProfile, "outcome class": type(outcome),
-            "CriticalTree": CriticalTree, "memo tree": auctions._last_structure.tree}
+            "CriticalTree": CriticalTree, "memo tree": auctions._last_structure[1]}
     return {name: weakref.ref(obj) for name, obj in kept.items()}
 
 refs = first_import()

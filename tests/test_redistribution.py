@@ -8,6 +8,7 @@ from netredist.auctions import MechanismId, market, utility
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
     AgentType,
+    InducedGraph,
     ProfileError,
     ReportProfile,
     induce_graph,
@@ -227,6 +228,23 @@ def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
     assert calls == ["induce_graph", "critical_tree"]
 
 
+def test_the_dominator_search_is_the_only_walk_of_the_graph(monkeypatch):
+    walks = []
+    real = InducedGraph.reachable_from
+
+    def counted(graph, *args):
+        walks.append(args)
+        return real(graph, *args)
+
+    monkeypatch.setattr(InducedGraph, "reachable_from", counted)
+    for mech in MECHANISMS:
+        clear_memo()
+        run_nrmf(mech, cross_invited(), HALF)
+    clear_memo()
+    cavallo(cross_invited())
+    assert walks == []
+
+
 def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
     network = reference_network_10()
     agent = next(i for i in network.agents if network.reports[i].neighbors)
@@ -244,13 +262,13 @@ def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
 
 def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
     clear_memo()
-    structure = market(reference_network_10()).structure
-    omega = structure.omega(HALF)
-    assert structure.omega(HALF) is omega
-    assert structure.omega(SharingParams(Fraction(2, 4))) is omega
-    other = structure.omega(ALPHAS[1])
-    assert other is not omega and other == prst(structure.tree, ALPHAS[1]).omega
-    assert structure.omega(HALF) == omega
+    tree = market(reference_network_10()).tree
+    omega = tree.omega(HALF)
+    assert tree.omega(HALF) is omega
+    assert tree.omega(SharingParams(Fraction(2, 4))) is omega
+    other = tree.omega(ALPHAS[1])
+    assert other is not omega and other == prst(tree, ALPHAS[1]).omega
+    assert tree.omega(HALF) == omega
 
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
@@ -258,21 +276,21 @@ def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
     clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
-        rehangs = market(profile).structure.rehangs
+        rehangs = market(profile).tree.rehangs
         run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
-        assert market(profile).structure.rehangs is rehangs
+        assert market(profile).tree.rehangs is rehangs
     # R loses its two paths with A silenced and with B silenced: one
     # new-parent search each, whatever the alpha
     assert searches == ["R", "R"]
     # C invites R too: another structure, other answers
     changed = profile.replace("C", T(3, ["R"]))
     run_nrmf(MechanismId("idm"), changed, HALF)
-    assert market(changed).structure.rehangs is not rehangs
+    assert market(changed).tree.rehangs is not rehangs
 
 
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():
     profile = cross_invited()
-    assert every_rehang(market(profile).structure) == [{3: "B"}, {3: "A"}, {}, {}]
+    assert every_rehang(market(profile).tree) == [{3: "B"}, {3: "A"}, {}, {}]
     # with A silenced the chain is B, R, Rc: idm prices it at the best bid
     # outside B's branch (C: 3) and tnm stops at B.  Left under the sponsor,
     # R would head the chain, and both would charge B's 5 instead.
@@ -291,7 +309,7 @@ def test_silencing_a_branch_rehangs_a_root_under_another_branch():
 def test_a_root_left_one_path_hangs_under_its_nearest_cut_point():
     profile = nearest_cut()
     # branches A, B, R, X: with B silenced R's cut points are A, X and Y
-    assert every_rehang(market(profile).structure) == [
+    assert every_rehang(market(profile).tree) == [
         {2: "B", 3: "B"}, {2: "Y", 3: "A"}, {}, {2: "B"}]
     expected = {
         "idm": {"A": 0, "B": 0, "R": 2, "X": 1},
@@ -305,10 +323,10 @@ def test_a_root_left_one_path_hangs_under_its_nearest_cut_point():
 
 
 def assert_rehangs_match_oracle(m) -> bool:
-    """Every (silenced, root) answer of the market's structure equals the
+    """Every (silenced, root) answer of the market's tree equals the
     eager oracle's; True if some root moves."""
-    expected = rehangs_oracle(m.structure.graph, m.tree)
-    assert every_rehang(m.structure) == expected
+    expected = rehangs_oracle(induce_graph(m.profile), m.tree)
+    assert every_rehang(m.tree) == expected
     return any(expected)
 
 
@@ -372,10 +390,10 @@ def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     m = market(profile)
-    expected = rehangs_oracle(m.structure.graph, m.tree)
+    expected = rehangs_oracle(induce_graph(m.profile), m.tree)
     assert asked and all(expected[b].get(c) == parent for b, c, parent in asked)
     assert any(parent is not None for *_, parent in asked)
-    rehangs = m.structure.rehangs
+    rehangs = m.tree.rehangs
     for c in {c for _, c, _ in asked}:
         assert [rehangs.hang(b, c) for b in range(len(expected))] == [
             moved.get(c) for moved in expected]
@@ -401,7 +419,7 @@ def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkey
     profile = ReportProfile(tree.sponsor_neighbors, reports)
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
-    movable = market(profile).structure.rehangs.movable
+    movable = market(profile).tree.rehangs.movable
     assert movable and asked
     assert not any(c in movable for _, c, _ in asked) and searches == []
     # on a cross-dense digraph few of the silenced branches meet the two

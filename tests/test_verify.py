@@ -8,7 +8,7 @@ import pytest
 from netredist import auctions, verify
 from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
-from netredist.profiles import AgentType, ReportProfile, induce_graph
+from netredist.profiles import AgentType, ReportProfile, induce_graph, make_profile
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.verify import (
@@ -352,6 +352,20 @@ def test_leaf_extension_pairs_attach_to_every_participant():
     for original, extended in pairs:
         assert original == bidder_star()
         assert len(extended.reports) == 4
+
+
+def test_leaf_extension_pairs_never_replace_an_agent():
+    # A already invites an agent named like the leaf the pairs would add
+    profile = make_profile({"A"}, {"A": T(3, {"zz_A_0"}), "zz_A_0": T(7)})
+    pairs = leaf_extension_pairs(profile, Fraction(0))
+    for (original, extended), host in zip(pairs, ["A", "zz_A_0"], strict=True):
+        assert original == profile
+        [leaf] = extended.reports.keys() - profile.reports.keys()
+        value, invited = profile.value_of(host), profile.reports[host].neighbors
+        assert extended.reports == {**profile.reports, leaf: T(0),
+                                    host: T(value, invited | {leaf})}
+    report = check_revenue_invariant(nrmf_mechanism(IDM, HALF), pairs)
+    assert (report.verdict, report.checked, report.skipped) == (True, 2, 0)
 
 
 def test_revenue_monotonic_for_vcg_on_growth_pairs():
