@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
 from netredist.critical_tree import CriticalTree, critical_tree
-from netredist.profiles import ReportProfile, induce_graph
+from netredist.profiles import ReportProfile, _echo, induce_graph, parse_value
 
 ZERO = Fraction(0)
 
@@ -96,7 +96,7 @@ class MechanismId:
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
-            raise MechanismError(f"unknown mechanism {self.kind!r}")
+            raise MechanismError(f"unknown mechanism {_echo(self.kind)}")
         if self.kind == "fixed_price":
             if self.price is None or self.price < 0:
                 raise MechanismError("fixed_price requires a price >= 0")
@@ -107,9 +107,9 @@ class MechanismId:
     def parse(text: str) -> "MechanismId":
         if text.startswith("fixed:"):
             try:
-                price = Fraction(text[len("fixed:"):])
+                price = parse_value(text[len("fixed:"):])
             except (ValueError, ZeroDivisionError):
-                raise MechanismError(f"bad fixed price in {text!r}") from None
+                raise MechanismError(f"bad fixed price in {_echo(text)}") from None
             return MechanismId("fixed_price", price)
         return MechanismId(text)
 
@@ -297,10 +297,7 @@ def silenced_revenue(mechanism: MechanismId, m: Market, silenced: str) -> Fracti
         return bid(next(ranking, None))
     if mechanism.kind == "fixed_price":
         return mechanism.price if bid(next(ranking)) >= mechanism.price else ZERO
-    rehangs = m.tree.rehangs
-    b = m.tree.branch_of[silenced]
-    hang = None if rehangs is None else lambda k: rehangs.hang(b, k)
-    chain, outsiders = chain_walk(m.tree, ranking, hang)
+    chain, outsiders = chain_walk(m.tree, ranking, m.tree.branch_of[silenced])
     return bid(outsiders[0 if mechanism.kind == "idm" else tnm_stop(chain, outsiders, bid)])
 
 
@@ -324,21 +321,22 @@ def _silenced_ranking(m: Market, silenced: str) -> Iterator[str]:
         yield silenced
 
 
-def chain_walk(tree: CriticalTree,
-               ranked: Iterable[str],
-               hang: Optional[Callable[[int], Optional[str]]] = None
-               ) -> tuple[list[str], list[Optional[str]]]:
+def chain_walk(tree: CriticalTree, ranked: Iterable[str],
+               silenced: Optional[int] = None) -> tuple[list[str], list[Optional[str]]]:
     """The top bidder's critical chain and the best bid outside each link.
 
     ``ranked`` yields the participants best bid first; the first is the
-    top bidder.  ``hang`` re-hangs whole branches: the root of branch
-    ``k`` hangs under agent ``hang(k)`` instead of the sponsor, unless
-    that is None, so a chain may run through several branches.  ``chain``
-    runs from the topmost critical ancestor down to the top bidder, and
-    ``outsiders[k]`` is the first bidder outside ``chain[k]``'s subtree,
-    or None.  Subtrees only grow up the chain, so one pointer walked
-    bottom-up over the ranking finds every outsider in one pass.
+    top bidder.  With branch ``silenced`` silenced, a whole branch ``k``
+    may re-hang: its root hangs under agent ``tree.hang(silenced, k)``
+    instead of the sponsor, unless that is None, so a chain may run
+    through several branches.  ``chain`` runs from the topmost critical
+    ancestor down to the top bidder, and ``outsiders[k]`` is the first
+    bidder outside ``chain[k]``'s subtree, or None.  Subtrees only grow
+    up the chain, so one pointer walked bottom-up over the ranking finds
+    every outsider in one pass.
     """
+    # with nothing silenced, or no root to move, every root stays put
+    rehung = silenced is not None and tree.movable
     bidders = iter(ranked)
     top = next(bidders)
     chain: list[str] = []
@@ -346,7 +344,7 @@ def chain_walk(tree: CriticalTree,
     while link is not None:
         segment = tree.ancestors(link)
         chain[:0] = segment
-        link = hang(tree.branch_of[segment[0]]) if hang else None
+        link = tree.hang(silenced, tree.branch_of[segment[0]]) if rehung else None
 
     pre, size, branch_of = tree.pre, tree.size, tree.branch_of
     outsiders: list[Optional[str]] = [None] * len(chain)
@@ -358,8 +356,8 @@ def chain_walk(tree: CriticalTree,
         while bidder is not None:
             # lift the bidder along re-hung roots into chain[k]'s branch
             entry = bidder
-            while hang and branch_of[entry] != branch:
-                up = hang(branch_of[entry])
+            while rehung and branch_of[entry] != branch:
+                up = tree.hang(silenced, branch_of[entry])
                 if up is None:
                     break
                 entry = up

@@ -29,7 +29,7 @@ from netredist.generators import (
     bb_experiment,
     generate,
 )
-from netredist.profiles import ProfileError, load_profile, profile_to_dict
+from netredist.profiles import ProfileError, _echo, load_profile, parse_value, profile_to_dict
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
@@ -148,9 +148,9 @@ def main(argv=None) -> int:
 def _rational(flag: str, text: str) -> Fraction:
     """The exact value of a rational flag; a bad one is an input error."""
     try:
-        return Fraction(text)
+        return parse_value(text)
     except (ValueError, ZeroDivisionError):
-        raise GenerationError(f"bad {flag} {text!r}") from None
+        raise GenerationError(f"bad {flag} {_echo(text)}") from None
 
 
 def _growth_model(args) -> GrowthModel:
@@ -329,9 +329,9 @@ def _parse_sizes(text: str) -> list[int]:
     try:
         sizes = [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise GenerationError(f"bad --sizes {text!r}") from None
+        raise GenerationError(f"bad --sizes {_echo(text)}") from None
     if not sizes:
-        raise GenerationError(f"--sizes {text!r} names no size")
+        raise GenerationError(f"--sizes {_echo(text)} names no size")
     return sizes
 
 

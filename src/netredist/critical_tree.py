@@ -16,12 +16,12 @@ A branch (an agent together with everyone who depends on her) is the
 contiguous run of the preorder starting at her, so membership is one
 comparison of positions and the whole index takes O(n) memory.
 
-The tree also keeps, once asked, what else every market of its structure
-shares: ``Rehangs``, where a branch root hangs once another branch is
-silenced, answered per query from augmenting paths alone (by Menger's
-theorem most roots keep two disjoint paths from the sponsor and stay, and
-the rest hang under the minimum cut nearest to them), and the sharing
-coefficients of the last alpha.
+The tree also answers, once asked, what else every market of its
+structure shares: ``hang``, where a branch root hangs once another branch
+is silenced, read off augmenting paths alone (by Menger's theorem most
+roots keep two disjoint paths from the sponsor and stay, and the rest hang
+under the minimum cut nearest to them), and the sharing coefficients of
+the last alpha.  It keeps every answer.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class CriticalTree:
     ``root_branches`` are the sponsor's children in canonical order and
     ``branch_of`` maps every participant to the index of its branch in
     that list.  ``successors`` is the graph's, for the re-hangs.
-    ``rehangs`` and ``omega`` are answered on first use and kept: an
-    answer the tree keeps never changes.
+    ``movable``, ``hang`` and ``omega`` are answered on first use and
+    kept: an answer the tree keeps never changes.
     """
 
     parent: Mapping[str, str]
@@ -63,12 +63,45 @@ class CriticalTree:
     successors: Mapping[str, Sequence[str]] = field(compare=False, repr=False)
 
     @cached_property
-    def rehangs(self) -> Optional[Rehangs]:
-        """Where the branch roots hang with a branch silenced, which only
-        the chain auctions ask; None when the sponsor invites every root,
-        so that none can move."""
-        rehangs = Rehangs(self)
-        return rehangs if rehangs.movable else None
+    def movable(self) -> frozenset[int]:
+        """The branches whose root the sponsor does not invite: the only
+        roots a silenced branch can move."""
+        sponsored = set(self.successors[SPONSOR])
+        return frozenset(k for k, root in enumerate(self.root_branches)
+                         if root not in sponsored)
+
+    def hang(self, silenced: int, branch: int) -> Optional[str]:
+        """The agent under which the root of branch ``branch`` hangs once
+        branch ``silenced`` is silenced, or None if under the sponsor.
+
+        Silencing branch ``b`` keeps its root, with no invitations, and
+        drops everyone depending on her.  A root the sponsor invites stays
+        under her.  Any other root ``c`` has the sponsor as her nearest cut
+        point, so by Menger's theorem some two sponsor-to-``c`` invitation
+        paths share no agent; two augmenting paths find them, once per
+        ``c``.  A silenced branch that meets neither leaves ``c`` under the
+        sponsor.  For one that does, the same search without ``b`` runs
+        once per pair: if it finds two paths again, ``c`` stays; if it
+        finds one, ``c``'s new parent is the minimum cut nearest to her,
+        read off the residual network the search leaves (``_nearest_cut``).
+        """
+        if branch not in self.movable:
+            return None
+        root = self.root_branches[branch]
+        # kept beside the fields, as ``omega`` keeps its last answer
+        crossed = self.__dict__.setdefault("_crossed", {})
+        if branch not in crossed:
+            flow, _ = _disjoint_paths(self.successors, root, frozenset())
+            crossed[branch] = frozenset(self.branch_of[w] for _, w in flow if w != root)
+        if silenced not in crossed[branch]:
+            return None
+        hung = self.__dict__.setdefault("_hung", {})
+        pair = silenced, branch
+        if pair not in hung:
+            removed = self.branch_members(self.root_branches[silenced])
+            flow, two = _disjoint_paths(self.successors, root, removed)
+            hung[pair] = None if two else self._nearest_cut(root, flow, removed)
+        return hung[pair]
 
     def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
         """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
@@ -92,6 +125,51 @@ class CriticalTree:
         """``root`` plus every agent that participates only through her."""
         start = self.pre[root]
         return frozenset(self.preorder[start:start + self.size[root]])
+
+    def _nearest_cut(self, root: str, flow: set[tuple[str, str]],
+                     removed: frozenset[str]) -> str:
+        """The nearest cut point of ``root`` once ``removed`` is gone, read
+        off ``flow``, the one sponsor-to-``root`` path left.
+
+        The agents whose entry still reaches ``root``'s in the residual
+        network of ``_augment`` lie on the sink side of the minimum cut
+        nearest to her (Ford and Fulkerson).  The path crosses that cut
+        once, and with a flow of 1 the cut is one agent on it: walking up
+        from ``root``, the first agent whose entry is outside.
+        """
+        inviters = self._inviters
+        invitee = {u: w for u, w in flow}
+        entries, stack = {root}, [root]
+        while stack:
+            w = stack.pop()
+            # the exits with an arc into entry w: of an inviter whose
+            # invitation the path does not use, and w's own once she is on it
+            exits = [u for u in inviters[w] if u not in removed and (u, w) not in flow]
+            if w in invitee:
+                exits.append(w)
+            for u in exits:
+                # the entry with an arc into exit u: u's own, or once she is
+                # on the path, her invitee's, back along the invitation
+                v = invitee.get(u, u)
+                if v not in entries:
+                    entries.add(v)
+                    stack.append(v)
+        inviter = {w: u for u, w in flow}
+        v = inviter[root]
+        while v in entries:
+            v = inviter[v]
+        return v
+
+    @cached_property
+    def _inviters(self) -> dict[str, list[str]]:
+        """Every participant's inviters other than the sponsor, built for
+        the first cut that needs them."""
+        successors, preorder = self.successors, self.preorder
+        inviters: dict[str, list[str]] = {v: [] for v in preorder}
+        for u in preorder:
+            for w in successors[u]:
+                inviters[w].append(u)
+        return inviters
 
 
 def critical_tree(graph: InducedGraph) -> CriticalTree:
@@ -198,104 +276,6 @@ def _intersect(a: str, b: str, idom: dict, index: dict) -> str:
         while index[b] > index[a]:
             b = idom[b]
     return a
-
-
-class Rehangs:
-    """Where the branch roots hang once one branch is silenced, answered
-    per query and kept.
-
-    Silencing branch ``b`` keeps its root, with no invitations, and drops
-    everyone depending on her.  A root the sponsor invites stays under
-    her.  Any other root ``c`` has the sponsor as her nearest cut point,
-    so by Menger's theorem some two sponsor-to-``c`` invitation paths
-    share no agent; two augmenting paths find them, once per ``c``.  A
-    silenced branch that meets neither leaves ``c`` under the sponsor.
-    For one that does, the same search without ``b`` runs once per pair:
-    if it finds two paths again, ``c`` stays; if it finds one, ``c``'s new
-    parent is the minimum cut nearest to her, read off the residual
-    network the search leaves (``_nearest_cut``).
-    """
-
-    def __init__(self, tree: CriticalTree):
-        # the tree keeps this object, so it keeps the tree's parts, not the
-        # tree: a cycle would wait for the collector after every market
-        self.successors, self.roots, self.branch_of = (
-            tree.successors, tree.root_branches, tree.branch_of)
-        self.preorder, self.pre, self.size = tree.preorder, tree.pre, tree.size
-        sponsored = set(self.successors[SPONSOR])
-        #: The branches whose root the sponsor does not invite.
-        self.movable = frozenset(k for k, root in enumerate(self.roots)
-                                 if root not in sponsored)
-        self._crossed: dict[int, frozenset[int]] = {}
-        self._hung: dict[tuple[int, int], Optional[str]] = {}
-
-    def hang(self, silenced: int, branch: int) -> Optional[str]:
-        """The agent under which the root of branch ``branch`` hangs once
-        branch ``silenced`` is silenced, or None if under the sponsor."""
-        if branch not in self.movable:
-            return None
-        root = self.roots[branch]
-        crossed = self._crossed.get(branch)
-        if crossed is None:
-            flow, _ = _disjoint_paths(self.successors, root, frozenset())
-            crossed = self._crossed[branch] = frozenset(
-                self.branch_of[w] for _, w in flow if w != root)
-        if silenced not in crossed:
-            return None
-        pair = silenced, branch
-        if pair not in self._hung:
-            # the silenced branch's members, as ``CriticalTree.branch_members``
-            gone = self.roots[silenced]
-            start = self.pre[gone]
-            removed = frozenset(self.preorder[start:start + self.size[gone]])
-            flow, two = _disjoint_paths(self.successors, root, removed)
-            self._hung[pair] = None if two else self._nearest_cut(root, flow, removed)
-        return self._hung[pair]
-
-    def _nearest_cut(self, root: str, flow: set[tuple[str, str]],
-                     removed: frozenset[str]) -> str:
-        """The nearest cut point of ``root`` once ``removed`` is gone, read
-        off ``flow``, the one sponsor-to-``root`` path left.
-
-        The agents whose entry still reaches ``root``'s in the residual
-        network of ``_augment`` lie on the sink side of the minimum cut
-        nearest to her (Ford and Fulkerson).  The path crosses that cut
-        once, and with a flow of 1 the cut is one agent on it: walking up
-        from ``root``, the first agent whose entry is outside.
-        """
-        inviters = self._inviters
-        invitee = {u: w for u, w in flow}
-        entries, stack = {root}, [root]
-        while stack:
-            w = stack.pop()
-            # the exits with an arc into entry w: of an inviter whose
-            # invitation the path does not use, and w's own once she is on it
-            exits = [u for u in inviters[w] if u not in removed and (u, w) not in flow]
-            if w in invitee:
-                exits.append(w)
-            for u in exits:
-                # the entry with an arc into exit u: u's own, or once she is
-                # on the path, her invitee's, back along the invitation
-                v = invitee.get(u, u)
-                if v not in entries:
-                    entries.add(v)
-                    stack.append(v)
-        inviter = {w: u for u, w in flow}
-        v = inviter[root]
-        while v in entries:
-            v = inviter[v]
-        return v
-
-    @cached_property
-    def _inviters(self) -> dict[str, list[str]]:
-        """Every participant's inviters other than the sponsor, built for
-        the first cut that needs them."""
-        successors, preorder = self.successors, self.preorder
-        inviters: dict[str, list[str]] = {v: [] for v in preorder}
-        for u in preorder:
-            for w in successors[u]:
-                inviters[w].append(u)
-        return inviters
 
 
 def _disjoint_paths(successors: Mapping[str, Sequence[str]], target: str,

@@ -194,12 +194,20 @@ ECHO_CHARS = 80
 
 
 def _echo(raw: object) -> str:
-    """``repr(raw)``, cut to ``ECHO_CHARS`` characters with its full length
+    """``repr(raw)``, cut as ``_cut`` cuts it."""
+    return _cut(repr(raw))
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to ``ECHO_CHARS`` characters with its full length
     appended when it is longer, so the error stays one short line."""
-    text = repr(raw)
     if len(text) <= ECHO_CHARS:
         return text
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
+#: The largest exponent, either sign, that a value may be written with.
+MAX_EXPONENT = 10_000
 
 
 def parse_value(text: str) -> Fraction:
@@ -209,12 +217,23 @@ def parse_value(text: str) -> Fraction:
     ten, without ``Fraction``'s pattern match, however many digits they
     have, so every value ``profile_to_dict`` writes reads back.  Any other
     string goes to ``Fraction(text)``, which accepts or rejects it as it
-    always has.
+    always has, except that an exponent beyond ``MAX_EXPONENT`` either way
+    is a ``ValueError`` before ``Fraction`` spends time and memory that
+    grow with it.
     """
     whole, _, frac = text.partition(".")
     digits = whole + frac
     if digits.isascii() and digits.isdigit():
         return Fraction(_long_int(digits), 10 ** len(frac))
+    marker = max(text.rfind("e"), text.rfind("E"))
+    if marker >= 0:
+        try:
+            exponent = int(text[marker + 1:])
+        except ValueError:  # not an exponent: Fraction rejects the text
+            pass
+        else:
+            if abs(exponent) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {MAX_EXPONENT} in {_echo(text)}")
     return Fraction(text)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from netredist.profiles import SPONSOR
+from netredist.profiles import SPONSOR, _cut
+from netredist.render import fraction_str
 
 if TYPE_CHECKING:  # the tree keeps its coefficients, so it imports this module
     from netredist.critical_tree import CriticalTree
@@ -36,9 +37,9 @@ class SharingParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
-            raise SharingError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise SharingError(f"alpha must lie in (0, 1), got {_cut(fraction_str(self.alpha))}")
         if self.reward < 0:
-            raise SharingError(f"reward must be non-negative, got {self.reward}")
+            raise SharingError(f"reward must be non-negative, got {_cut(fraction_str(self.reward))}")
 
     @staticmethod
     def of(alpha, reward=1) -> "SharingParams":

@@ -25,11 +25,11 @@ from netredist.auctions import (
 )
 from netredist.critical_tree import (
     CriticalTree,
-    Rehangs,
     critical_tree,
     immediate_dominators,
 )
 from netredist.profiles import (
+    MAX_EXPONENT,
     NULL_TYPE,
     SPONSOR,
     AgentType,
@@ -97,8 +97,8 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
     branch linked along its own tree, plus the crossing invitations, with
     ``b``'s members other than its root left out.  ``result[b][c]`` is the
     agent under which branch ``c``'s root hangs with ``b`` silenced;
-    roots left under the sponsor are absent.  ``Rehangs`` reads the same
-    answers off augmenting paths, so the two share no code.
+    roots left under the sponsor are absent.  ``CriticalTree.hang`` reads
+    the same answers off augmenting paths, so the two share no code.
     """
     successors = graph.successors
     roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
@@ -142,10 +142,7 @@ def every_rehang(tree: CriticalTree) -> list[dict[int, str]]:
     """``rehangs_oracle``'s list, read one (silenced, root) pair at a time
     from a market tree's lazy answers."""
     branches = range(len(tree.root_branches))
-    rehangs = tree.rehangs
-    if rehangs is None:
-        return [{} for _ in branches]
-    return [{c: parent for c in branches if (parent := rehangs.hang(b, c)) is not None}
+    return [{c: parent for c in branches if (parent := tree.hang(b, c)) is not None}
             for b in branches]
 
 
@@ -153,27 +150,27 @@ def counted_searches(monkeypatch) -> list:
     """Record the root of every new-parent search: one per (silenced,
     root) pair that loses its two disjoint paths."""
     searches = []
-    real = Rehangs._nearest_cut
+    real = CriticalTree._nearest_cut
 
-    def counted_search(rehangs, root, *path):
+    def counted_search(tree, root, *path):
         searches.append(root)
-        return real(rehangs, root, *path)
+        return real(tree, root, *path)
 
-    monkeypatch.setattr(Rehangs, "_nearest_cut", counted_search)
+    monkeypatch.setattr(CriticalTree, "_nearest_cut", counted_search)
     return searches
 
 
 def counted_hangs(monkeypatch) -> list:
     """Record every (silenced, root) re-hang a chain walk asks and its answer."""
     asked = []
-    real = Rehangs.hang
+    real = CriticalTree.hang
 
-    def counted_hang(rehangs, silenced, branch):
-        parent = real(rehangs, silenced, branch)
+    def counted_hang(tree, silenced, branch):
+        parent = real(tree, silenced, branch)
         asked.append((silenced, branch, parent))
         return parent
 
-    monkeypatch.setattr(Rehangs, "hang", counted_hang)
+    monkeypatch.setattr(CriticalTree, "hang", counted_hang)
     return asked
 
 
@@ -391,10 +388,14 @@ def memo_free(run, *args):
 
 def agent_value_oracle(agent_id: str, raw: str) -> Fraction:
     """An agent entry's value, its error text included, as ``Fraction(str)``
-    reads it with no int-from-text digit limit.  ``profile_from_dict`` reads
-    every string so, except one past the limit that is not a plain decimal
-    (a sign, an exponent, a slash...), which it still rejects."""
+    reads it with no int-from-text digit limit, but with no exponent past
+    ``MAX_EXPONENT`` either way.  ``profile_from_dict`` reads every string
+    so, except one past the limit that is not a plain decimal (a sign, an
+    exponent, a slash...), which it still rejects."""
     try:
+        _, marker, exponent = raw.lower().rpartition("e")
+        if marker and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent past {MAX_EXPONENT}")
         value = without_digit_limit(Fraction, raw)
     except (ValueError, ZeroDivisionError):
         raise ProfileError(f"agent {agent_id!r}: bad value {raw!r}") from None

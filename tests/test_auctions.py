@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from netredist.auctions import (
     MechanismError,
     MechanismId,
+    chain_walk,
     fixed_price,
     idm,
     market,
@@ -267,3 +268,21 @@ def test_silenced_revenue_is_the_revenue_of_a_rerun(profile):
         for i in silenced:
             rerun = run_auction(mechanism, profile.replace(i, NULL_TYPE)).surplus
             assert silenced_revenue(mechanism, m, i) == rerun, (text, i)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(invitation_digraphs())
+def test_chain_walk_is_the_chain_of_the_silenced_critical_tree(profile):
+    # the definition: empty the silenced root's report, rebuild the
+    # critical tree, rank by (-value, id), and read the top bidder's
+    # ancestors and, for each link, the first bidder outside her branch
+    tree = market(profile).tree
+    for silenced in (None, *range(len(tree.root_branches))):
+        truth = (profile if silenced is None
+                 else profile.replace(tree.root_branches[silenced], NULL_TYPE))
+        rebuilt = critical_tree(induce_graph(truth))
+        ranked = sorted(rebuilt.agents, key=lambda i: (-truth.value_of(i), i))
+        chain = rebuilt.ancestors(ranked[0])
+        outsiders = [next((i for i in ranked if i not in rebuilt.branch_members(link)), None)
+                     for link in chain]
+        assert chain_walk(tree, ranked, silenced) == (chain, outsiders), silenced

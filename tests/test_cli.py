@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -577,6 +578,66 @@ def test_a_long_id_is_echoed_in_part_on_one_line(capsys, tmp_path, monkeypatch, 
     lines = captured.err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 300
     assert lines[0].startswith("error: long.json: ") and "characters)" in lines[0]
+
+
+def test_an_exponent_past_the_bound_is_a_bad_value_read_at_once(capsys, tmp_path):
+    # Fraction alone takes seconds to read 1e10000000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"sponsor_neighbors": ["A"],
+                                "agents": [{"id": "A", "value": "1e10000000"}]}))
+    started = time.perf_counter()
+    code = main(["tree", str(path)])
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    assert captured.err == f"error: {path}: agent 'A': bad value '1e10000000'\n"
+    path.write_text(json.dumps({"sponsor_neighbors": ["A"],
+                                "agents": [{"id": "A", "value": "1e10000"}]}))
+    assert main(["tree", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--alpha", "1e-200000", "shares", "{network}"], "bad --alpha '1e-200000'"),
+    (["shares", "{network}", "--reward", "1e200000"], "bad --reward '1e200000'"),
+    (["experiment", "bb", "--price", "1e-200000"], "bad --price '1e-200000'"),
+    (["run", "{network}", "--mechanism", "fixed:1e-200000"],
+     "bad fixed price in 'fixed:1e-200000'"),
+    (["verify", "--property", "ir", "--mechanism", "nrmf:fixed:1e200000",
+      "--instances", "{instances}"], "bad fixed price in 'fixed:1e200000'"),
+], ids=["alpha", "reward", "price", "fixed", "nrmf-fixed"])
+def test_rational_flags_read_values_as_network_files_do(capsys, tmp_path, network_file,
+                                                        argv, message):
+    names = {"network": network_file, "instances": str(Path(network_file).parent)}
+    started = time.perf_counter()
+    code = main([arg.format(**names) for arg in argv])
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    assert captured.err == f"error: {message}\n"
+
+
+LONG_FLAG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv,start", [
+    (["--alpha", LONG_FLAG, "tree", "{network}"], "bad --alpha 'xxx"),
+    (["--alpha", "7" * 5000, "tree", "{network}"], "alpha must lie in (0, 1), got 777"),
+    (["shares", "{network}", "--reward", "-" + "7" * 4000],
+     "reward must be non-negative, got -777"),
+    (["run", "{network}", "--mechanism", LONG_FLAG], "unknown mechanism 'xxx"),
+    (["run", "{network}", "--mechanism", "fixed:" + LONG_FLAG],
+     "bad fixed price in 'fixed:xxx"),
+    (["experiment", "abb", "--sizes", LONG_FLAG], "bad --sizes 'xxx"),
+    (["experiment", "abb", "--sizes", "," * 5000], "--sizes ',,,"),
+], ids=["alpha", "alpha-out-of-range", "reward", "mechanism", "fixed", "sizes",
+        "no-size"])
+def test_a_long_flag_is_echoed_in_part_on_one_line(capsys, network_file, argv, start):
+    code = main([arg.replace("{network}", network_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(captured.err.encode()) <= 200
+    assert lines[0].startswith(f"error: {start}") and "characters)" in lines[0]
 
 
 # --- the run path against the slow oracles ---------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from netredist.critical_tree import Rehangs, critical_tree
+from netredist.critical_tree import critical_tree
 from netredist.profiles import (
     NULL_TYPE,
     SPONSOR,
@@ -19,7 +19,7 @@ from netredist.profiles import (
 )
 
 from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
-from oracles import brute_parent_map, random_digraph_profile
+from oracles import brute_parent_map, counted_searches, random_digraph_profile
 from strategies import invitation_digraphs
 
 
@@ -232,20 +232,22 @@ def test_index_matches_networkx_dominators():
 @given(invitation_digraphs())
 def test_every_rehang_is_the_parent_in_the_silenced_critical_tree(profile):
     # the definition: rebuild the critical tree with root b's report
-    # emptied and read root c's parent, sharing no code with ``Rehangs``
+    # emptied and read root c's parent, sharing no code with ``hang``
     tree = critical_tree(induce_graph(profile))
-    rehangs = Rehangs(tree)
     roots = tree.root_branches
     for b, silenced in enumerate(roots):
         parent = critical_tree(induce_graph(profile.replace(silenced, NULL_TYPE))).parent
         for c, root in enumerate(roots):
             expected = None if parent[root] == SPONSOR else parent[root]
-            assert rehangs.hang(b, c) == expected, (silenced, root)
+            assert tree.hang(b, c) == expected, (silenced, root)
 
 
-def test_a_tree_and_its_rehangs_free_without_the_cycle_collector():
+def test_a_tree_and_its_rehangs_free_without_the_cycle_collector(monkeypatch):
+    # with A silenced R loses her two paths: a nearest-cut search hangs her
+    # under B, and the tree keeps that answer and the inviters it read
+    searches = counted_searches(monkeypatch)
     tree = critical_tree(induce_graph(cross_invited()))
-    assert tree.rehangs.hang(0, 3) == "B"
+    assert tree.hang(0, 3) == "B" and searches == ["R"]
     gone = weakref.ref(tree)
     gc.disable()
     try:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from netredist.profiles import (
+    MAX_EXPONENT,
     SPONSOR,
     AgentType,
     ProfileError,
@@ -169,7 +170,7 @@ def test_duplicate_agent_ids_rejected():
 # A plain decimal (ASCII digits[.digits]) is read without Fraction's
 # pattern match; everything else still goes through Fraction(str).
 VALUE_TEXTS = ["0", "7", "3.5", "0.25", "007.100", "1.", ".5", "+1.5", " 2.5 ",
-               "1_000", "1e3", "1E-2", "\u0661\u0662", "\u00b2", "1/3", "-0", "-1", "-1.5",
+               "1_000", "1e3", "1E-2", "1e10000", "1E-10001", "\u0661\u0662", "\u00b2", "1/3", "-0", "-1", "-1.5",
                "", ".", "1..2", "1.2.3", "abc", "1/0", "nan", "inf", "0x10",
                "1" * 5000, "1" * 3000 + "." + "1" * 3000, "0." + "0" * 4999 + "1"]
 
@@ -203,8 +204,10 @@ def test_values_read_as_fraction_of_the_string_reads_them(text):
 
 
 def test_random_value_strings_parse_as_fraction_parses_them():
+    # with one exception: an exponent past the bound is a ValueError
     rng = random.Random(11)
     alphabet = "0123456789" * 3 + "._+-e/ \u0661"
+    past_bound = []
     for _ in range(5000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
         try:
@@ -213,8 +216,14 @@ def test_random_value_strings_parse_as_fraction_parses_them():
             with pytest.raises(type(e)):
                 parse_value(text)
         else:
+            if "e" in text and abs(int(text.rpartition("e")[2])) > MAX_EXPONENT:
+                past_bound.append(text)
+                with pytest.raises(ValueError, match="exponent"):
+                    parse_value(text)
+                continue
             value = parse_value(text)
             assert (type(value), value) == (Fraction, expected), text
+    assert len(past_bound) == 6 and "6e97534" in past_bound
 
 
 def test_a_json_integer_past_the_int_text_limit_is_a_profile_error(tmp_path):

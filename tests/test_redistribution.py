@@ -276,16 +276,16 @@ def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
     clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
-        rehangs = market(profile).tree.rehangs
+        tree = market(profile).tree
         run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
-        assert market(profile).tree.rehangs is rehangs
+        assert market(profile).tree is tree
     # R loses its two paths with A silenced and with B silenced: one
     # new-parent search each, whatever the alpha
     assert searches == ["R", "R"]
     # C invites R too: another structure, other answers
     changed = profile.replace("C", T(3, ["R"]))
     run_nrmf(MechanismId("idm"), changed, HALF)
-    assert market(changed).tree.rehangs is not rehangs
+    assert market(changed).tree is not tree
 
 
 def test_silencing_a_branch_rehangs_a_root_under_another_branch():
@@ -393,9 +393,8 @@ def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
     expected = rehangs_oracle(induce_graph(m.profile), m.tree)
     assert asked and all(expected[b].get(c) == parent for b, c, parent in asked)
     assert any(parent is not None for *_, parent in asked)
-    rehangs = m.tree.rehangs
     for c in {c for _, c, _ in asked}:
-        assert [rehangs.hang(b, c) for b in range(len(expected))] == [
+        assert [m.tree.hang(b, c) for b in range(len(expected))] == [
             moved.get(c) for moved in expected]
 
 
@@ -419,7 +418,7 @@ def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkey
     profile = ReportProfile(tree.sponsor_neighbors, reports)
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
-    movable = market(profile).tree.rehangs.movable
+    movable = market(profile).tree.movable
     assert movable and asked
     assert not any(c in movable for _, c, _ in asked) and searches == []
     # on a cross-dense digraph few of the silenced branches meet the two
