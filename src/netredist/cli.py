@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -29,8 +30,8 @@ from netredist.generators import (
     bb_experiment,
     generate,
 )
-from netredist.profiles import ProfileError, _echo, load_profile, parse_value, profile_to_dict
-from netredist.prst import SharingError, SharingParams, prst, share_totals
+from netredist.profiles import ProfileError, _cut, _echo, load_profile, parse_value, profile_to_dict
+from netredist.prst import SharingError, SharingParams, prst
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
 from netredist.verify import (
@@ -68,8 +69,20 @@ AUDITS = {
 }
 
 
+#: A quoted value in an argparse message, or a bare word.
+_WORD = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose error messages echo a long value in part, as
+    ``profiles._cut`` cuts it; subparsers are built from this class too."""
+
+    def error(self, message):
+        super().error(_WORD.sub(lambda word: _cut(word[0]), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netredist",
         description="Auctions on invitation networks with revenue redistribution.",
     )
@@ -406,7 +419,7 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     data = {
         "alpha": fraction_str(alpha),
         "reward": fraction_str(reward),
-        "total": fraction_str(share_totals(shares)),
+        "total": fraction_str(sum(share.values(), Fraction(0))),
         "shares": rows,
     }
     _emit(args, data, rows)

@@ -64,7 +64,7 @@ class ShareVector:
     def share(self) -> dict[str, Fraction]:
         """Monetary shares, ``share[i] == omega[i] * reward``; built anew
         on every access."""
-        return {i: w * self.reward for i, w in self.omega.items()}
+        return {i: w * self.reward if w else ZERO for i, w in self.omega.items()}
 
 
 def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
@@ -77,9 +77,13 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
         omega_i = pass_parent * (base + (total - base) * alpha)
         pass_i  = pass_parent * (total - base) * (1 - alpha)
 
-    ``total - base`` is always >= 0 and vanishes exactly when an agent is
-    an only child with all of her parent's descendants below her, in which
-    case her whole line keeps nothing back for deeper agents.
+    ``total - base`` is always >= 0 and vanishes exactly for a leaf
+    (``n_own = 0``) and for an only child (``n_own = n_sib - 1``): a leaf
+    or an only child passes nothing on.  So every agent with an only child
+    among her strict ancestors keeps 0.  The walk leaves those at 0: at the
+    first child of an agent who passes nothing it jumps to the end of that
+    agent's preorder interval, so a pure chain costs one fraction, not one
+    per agent.
 
     With ``P = n_sib``, ``o = n_own`` and ``alpha = a/b`` the spread is
     ``total - base = o * (P - o - 1) / (P * (P - o))``, so each agent
@@ -95,33 +99,40 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
     a, b = params.alpha.numerator, params.alpha.denominator
-    n = len(tree.parent)  # all agents are below the sponsor
-    parent, size = tree.parent, tree.size
+    preorder, pre, parent, size = tree.preorder, tree.pre, tree.parent, tree.size
+    n = len(preorder)  # all agents are below the sponsor
 
-    omega: dict[str, Fraction] = {}
-    omega_pass: dict[str, Fraction] = {SPONSOR: ONE}
+    omega = dict.fromkeys(preorder, ZERO)
+    omega_pass = dict.fromkeys((SPONSOR, *preorder), ZERO)
+    omega_pass[SPONSOR] = ONE
     leaf_omega: dict[str, Fraction] = {}  # parent -> her leaf children's omega
     # preorder visits every parent before her children
-    for i in tree.preorder:
+    k = 0
+    while k < n:
+        i = preorder[k]
         p = parent[i]
+        pass_p = omega_pass[p]
+        if not pass_p:  # the rest of p's interval keeps 0: skip it
+            k = pre[p] + size[p]
+            continue
+        k += 1
         parent_count = n if p == SPONSOR else size[p] - 1
         own_count = size[i] - 1
         if not own_count:
             w = leaf_omega.get(p)
             if w is None:
-                w = leaf_omega[p] = omega_pass[p] / parent_count
+                w = leaf_omega[p] = pass_p / parent_count
             omega[i] = w
-            omega_pass[i] = ZERO
             continue
         spread = own_count * (parent_count - own_count - 1)
         den = b * parent_count * (parent_count - own_count)
-        pass_p = omega_pass[p]
         omega[i] = pass_p * Fraction(b * parent_count + a * spread, den)
-        omega_pass[i] = pass_p * Fraction(spread * (b - a), den) if spread else ZERO
+        if spread:
+            omega_pass[i] = pass_p * Fraction(spread * (b - a), den)
 
     return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
 
 
 def share_totals(shares: ShareVector) -> Fraction:
     """Sum of all monetary shares; equals the reward exactly."""
-    return sum(shares.share.values(), Fraction(0))
+    return sum((w * shares.reward for w in shares.omega.values() if w), ZERO)

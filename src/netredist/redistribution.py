@@ -13,7 +13,8 @@ The sharing coefficients come from the market's critical tree, which
 ``auctions`` memoises and which keeps those of the last alpha.
 
 The arithmetic is per branch, not per agent.  Only the members of a
-branch with nonzero revenue get a rebate, and reward sharing gives branch
+branch with nonzero revenue and a nonzero coefficient get a rebate; every
+agent below an only child has coefficient 0.  Reward sharing gives branch
 ``b``'s members exactly the mass ``size[b] / n``, so the surplus is the
 auction's revenue less ``sum(R_b * size[b]) / n``, one term per branch.
 """
@@ -54,7 +55,9 @@ def run_nrmf(mechanism: MechanismId,
         if revenue:
             start = pre[root]
             for i in preorder[start:start + size[root]]:
-                redistribution[i] = omega[i] * revenue
+                w = omega[i]
+                if w:  # an agent below an only child keeps 0
+                    redistribution[i] = w * revenue
             mass += revenue * size[root]
     return auction(mechanism, m, redistribution, mass / len(preorder), revenues)
 

@@ -28,6 +28,7 @@ from netredist.critical_tree import (
     critical_tree,
     immediate_dominators,
 )
+from netredist.generators import tree_profile
 from netredist.profiles import (
     MAX_EXPONENT,
     NULL_TYPE,
@@ -477,6 +478,22 @@ def random_tree_profile(rng: random.Random, n: int,
         for i in ids
     }
     return ReportProfile(frozenset(children.get(SPONSOR, ())), reports)
+
+
+def random_chains_profile(rng: random.Random, value_max: int = 50) -> ReportProfile:
+    """A small random tree with only-child chains hanging off its agents
+    and leaves off random chain agents, the shape of the ``deep``
+    benchmark: every agent below an only child keeps 0 of a reward."""
+    parents = [rng.randrange(-1, k) for k in range(rng.randint(1, 8))]
+    for _ in range(rng.randint(1, 3)):
+        top = rng.randrange(-1, len(parents))
+        links: list[int] = []
+        for _ in range(rng.randint(2, 20)):
+            links.append(len(parents))
+            parents.append(links[-2] if len(links) > 1 else top)
+        for _ in range(rng.randint(0, 4)):
+            parents.append(rng.choice(links))
+    return tree_profile(parents, [rng.randint(0, value_max) for _ in parents])
 
 
 def sparse_digraph_profile(rng: random.Random, n: int) -> ReportProfile:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -638,6 +639,47 @@ def test_a_long_flag_is_echoed_in_part_on_one_line(capsys, network_file, argv, s
     lines = captured.err.splitlines()
     assert len(lines) == 1 and len(captured.err.encode()) <= 200
     assert lines[0].startswith(f"error: {start}") and "characters)" in lines[0]
+
+
+def _parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (EXIT_INPUT_ERROR, "")
+    return captured.err
+
+
+@pytest.mark.parametrize("argv,start", [
+    (["--seed", LONG_FLAG, "tree", "{network}"],
+     "netredist: error: argument --seed: invalid int value: 'xxx"),
+    (["--output", LONG_FLAG, "tree", "{network}"],
+     "netredist: error: argument --output: invalid choice: 'xxx"),
+    (["generate", "--n", LONG_FLAG], "netredist generate: error: argument --n: invalid int"),
+    (["tree", "{network}", LONG_FLAG], "netredist: error: unrecognized arguments: xxx"),
+], ids=["seed", "output", "subcommand", "unrecognized"])
+def test_an_argparse_error_echoes_a_long_value_in_part(capsys, network_file, argv, start):
+    err = _parse_error(capsys, [arg.replace("{network}", network_file) for arg in argv])
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: netredist")  # argparse's usage block is kept
+    assert all(len(line.encode()) <= 200 for line in lines)
+    assert lines[-1].startswith(start) and "... (50" in lines[-1]
+    if "--output" in argv:
+        assert lines[-1].endswith(("table')", "table)"))  # the choices are not cut
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "abc", "tree", "x"],
+    ["--output", "xml", "tree", "x"],
+    ["bogus"],
+    ["tree"],
+    ["run", "x", "--mechanism"],
+    ["verify", "--property", "x" * 60, "--mechanism", "vcg", "--instances", "x"],
+    ["tree", "x", "y" * 80],
+], ids=["seed", "output", "command", "missing", "no-value", "choice", "unrecognized"])
+def test_a_short_argparse_error_keeps_its_bytes(capsys, monkeypatch, argv):
+    err = _parse_error(capsys, argv)
+    monkeypatch.setattr(type(cli.PARSER), "error", argparse.ArgumentParser.error)
+    assert err == _parse_error(capsys, argv)
 
 
 # --- the run path against the slow oracles ---------------------------------

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,14 @@ from netredist.profiles import induce_graph
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 
 from networks import chain, share_tree_18
-from oracles import prst_oracle, random_digraph_profile, random_tree_profile
+from oracles import (
+    prst_oracle,
+    random_chains_profile,
+    random_digraph_profile,
+    random_tree_profile,
+)
+
+PRST_MODULE = importlib.import_module("netredist.prst")  # the package exports the function
 
 
 def shares_of(profile, alpha, reward=1):
@@ -124,6 +133,11 @@ def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
 ALPHAS = (Fraction(1, 2), Fraction(1, 5), Fraction(7, 9), Fraction(99, 100))
 
 
+def _under_one_root(rng, n):
+    """A random tree whose sponsor invites a single agent."""
+    return tree_profile([-1] + [rng.randrange(0, k) for k in range(1, n)], [1] * n)
+
+
 def _oracle_cases():
     rng = random.Random(7)
     yield share_tree_18()
@@ -132,6 +146,11 @@ def _oracle_cases():
         yield tree_profile([-1] * n, [1] * n)  # star
     for _ in range(120):
         yield _random_tree(rng, rng.randint(1, 60))
+    for _ in range(60):
+        yield random_chains_profile(rng)
+        yield _under_one_root(rng, rng.randint(1, 40))
+        yield random_digraph_profile(rng, rng.randint(1, 30),
+                                     edge_prob=rng.choice((0.03, 0.08, 0.2)))
 
 
 def test_closed_form_equals_the_per_node_recursion():
@@ -143,7 +162,50 @@ def test_closed_form_equals_the_per_node_recursion():
             for field in ("omega", "omega_pass"):
                 got, want = getattr(fast, field), getattr(slow, field)
                 assert got == want
+                assert list(got) == list(want)  # same key order
                 assert all(type(got[i]) is type(want[i]) for i in want)
+
+
+SHAPES = {
+    "random": lambda rng: _random_tree(rng, rng.randint(1, 40)),
+    "chains": random_chains_profile,
+    "one-root": lambda rng: _under_one_root(rng, rng.randint(1, 40)),
+    "digraph": lambda rng: random_digraph_profile(rng, rng.randint(1, 25),
+                                                  edge_prob=rng.choice((0.05, 0.15))),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)),
+       st.integers(min_value=0, max_value=10**6),
+       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
+def test_property_an_agent_keeps_zero_iff_she_is_below_an_only_child(shape, seed, alpha):
+    tree = critical_tree(induce_graph(SHAPES[shape](random.Random(seed))))
+    children = Counter(tree.parent.values())
+    omega = prst(tree, SharingParams(alpha)).omega
+    for i in tree.agents:
+        below_only_child = any(children[tree.parent[a]] == 1
+                               for a in tree.ancestors(i)[:-1])
+        assert (omega[i] == 0) == below_only_child
+
+
+def test_a_pure_chain_costs_one_fraction(monkeypatch):
+    # Every agent below the head of a chain keeps 0, so the walk skips them
+    # and only the head's coefficient is built.
+    tree = critical_tree(induce_graph(chain([1] * 20_000)))
+    params = SharingParams.of(Fraction(2, 3))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(PRST_MODULE, "Fraction", counted)
+    shares = prst(tree, params)
+    monkeypatch.undo()
+    nonzero = [i for i, w in shares.omega.items() if w]
+    assert nonzero == ["c0"] and shares.omega["c0"] == 1
+    assert len(built) <= len(nonzero)
 
 
 def test_every_sponsor_branch_keeps_its_share_of_the_agents():

@@ -19,6 +19,7 @@ from netredist.redistribution import cavallo, check_cavallo_equivalence, run_nrm
 from networks import (
     T,
     bidder_star,
+    chain,
     cross_invited,
     nearest_cut,
     reference_network_10,
@@ -33,6 +34,7 @@ from oracles import (
     exact,
     memo_free,
     nrmf_rerun_oracle,
+    random_chains_profile,
     random_digraph_profile,
     random_tree_profile,
     rehangs_oracle,
@@ -345,6 +347,34 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
         m = market(profile)
         rehung += bool(m.ranked) and assert_rehangs_match_oracle(m)
     assert rehung > 200  # the counterfactual trees often differ from the actual one
+
+
+def test_nrmf_matches_rerun_oracle_below_only_children():
+    # Every agent below an only child has coefficient 0 and gets no rebate,
+    # even in a branch with nonzero counterfactual revenue.
+    rng = random.Random(20240703)
+    profiles = [random_chains_profile(rng) for _ in range(80)]
+    profiles.append(chain([rng.randint(0, 50) for _ in range(300)]))
+    skipped = 0
+    for profile in profiles:
+        for mech in MECHANISMS:
+            for params in ALPHAS:
+                assert_matches_oracle(run_nrmf(mech, profile, params),
+                                      nrmf_rerun_oracle(mech, profile, params), profile)
+        tree = market(profile).tree
+        revenues = run_nrmf(MechanismId("idm"), profile, HALF).branch_revenues
+        omega = tree.omega(HALF)
+        skipped += any(revenues[tree.root_branches[b]] and not omega[i]
+                       for i, b in tree.branch_of.items())
+    assert skipped > 15
+
+
+def test_nrmf_on_a_long_chain_matches_the_rerun_oracle():
+    # Every agent below the head keeps 0; the one branch's pot is empty.
+    long_chain = chain([random.Random(5).randint(0, 50) for _ in range(20_000)])
+    idm = MechanismId("idm")
+    assert_matches_oracle(run_nrmf(idm, long_chain, HALF),
+                          nrmf_rerun_oracle(idm, long_chain, HALF), long_chain)
 
 
 def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
