@@ -275,6 +275,8 @@ def _run_rows(outcome, truth, digits: int) -> list[dict]:
 
 
 def _cmd_run(args, alpha: Fraction) -> int:
+    # a bad mechanism is rejected before the network is read
+    mech = None if args.mechanism == "cavallo" else MechanismId.parse(args.mechanism)
     profile = load_profile(args.network)
     truth = profile
     if args.true_values:
@@ -285,11 +287,7 @@ def _cmd_run(args, alpha: Fraction) -> int:
             raise ProfileError(
                 f"{args.true_values}: agents differ from the network's "
                 f"({len(missing)} missing, {len(unknown)} unknown)")
-    if args.mechanism == "cavallo":
-        outcome = cavallo(profile)
-    else:
-        mech = MechanismId.parse(args.mechanism)
-        outcome = run_nrmf(mech, profile, SharingParams(alpha))
+    outcome = cavallo(profile) if mech is None else run_nrmf(mech, profile, SharingParams(alpha))
     rows = _run_rows(outcome, truth, args.precision)
     data = {
         "mechanism": args.mechanism,
@@ -318,6 +316,8 @@ def _make_audit_mechanism(spec: str, alpha: Fraction):
 
 
 def _cmd_verify(args, alpha: Fraction) -> int:
+    # a bad mechanism is rejected before the instances are listed or read
+    mechanism = _make_audit_mechanism(args.mechanism, alpha)
     paths = sorted(
         os.path.join(args.instances, f)
         for f in os.listdir(args.instances)
@@ -326,7 +326,6 @@ def _cmd_verify(args, alpha: Fraction) -> int:
     if not paths:
         raise ProfileError(f"no .json instances in {args.instances}")
     instances = [load_profile(p) for p in paths]
-    mechanism = _make_audit_mechanism(args.mechanism, alpha)
     report = AUDITS[args.property](mechanism, instances)
     print(_json_text(report.to_dict()))
     return EXIT_OK if report.verdict else EXIT_PROPERTY_FAILURE

@@ -4,11 +4,11 @@ invitation structure.
 Each participant's parent is the nearest agent whose absence would cut her
 off from the sponsor; this is exactly the immediate-dominator tree of the
 induced graph rooted at the sponsor.  ``immediate_dominators`` computes it
-with the iterative data-flow algorithm (Cooper/Harvey/Kennedy) after one
-depth-first search of the graph.  An agent with one inviter is dominated
-immediately by her, so only agents with two or more inviters are iterated
-to the fixpoint; on an invitation tree that is nobody, and the pass is one
-linear sweep.
+in one Semi-NCA pass: a depth-first numbering, semidominators in reverse
+preorder through path-compressed ``eval``, then each dominator read off
+the tree built so far.  Nothing is iterated to a fixpoint, so returned
+invitations (rings, reciprocal chains) take near-linear work, as a tree
+does.
 
 One depth-first pass over the finished tree then indexes it by preorder
 intervals: every participant's preorder position, subtree size and depth.
@@ -215,67 +215,65 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
 def immediate_dominators(successors: Mapping[str, Sequence[str]],
                          root: str) -> dict[str, str]:
     """Immediate dominator of every vertex reachable from ``root`` (itself
-    excluded), by the Cooper/Harvey/Kennedy iteration over ``successors``.
+    excluded), by one Semi-NCA pass over ``successors`` (Georgiadis, Tarjan
+    and Werneck, JGAA 2006).
 
-    One depth-first search gives the reverse postorder and every vertex's
-    predecessors.  The first sweep settles each vertex with a single
-    predecessor for good; only the others are swept again until nothing
-    changes.
+    A depth-first search numbers the vertices in preorder.  In reverse
+    preorder each gets her semidominator (Lengauer and Tarjan, TOPLAS 1979)
+    from a path-compressed ``eval`` over her predecessors, where only the
+    vertices numbered above her count as linked.  Her immediate dominator
+    is then the first vertex numbered at most her semidominator on the way
+    up from her search parent through the dominator tree built so far.
     """
-    preds: dict[str, list[str]] = {root: []}
-    order: list[str] = []
-    stack = [(root, iter(successors.get(root, ())))]
+    number = {root: 0}
+    vertices, parent, preds = [root], [0], [[]]
+    stack = [(0, iter(successors.get(root, ())))]
     while stack:
         v, targets = stack[-1]
         for w in targets:
-            if w in preds:
-                preds[w].append(v)
-            else:
-                preds[w] = [v]
-                stack.append((w, iter(successors.get(w, ()))))
+            k = number.get(w)
+            if k is None:
+                number[w] = k = len(vertices)
+                vertices.append(w)
+                parent.append(v)
+                preds.append([v])
+                stack.append((k, iter(successors.get(w, ()))))
                 break
+            preds[k].append(v)
         else:
-            order.append(v)
             stack.pop()
-    order.reverse()
-    index = {v: k for k, v in enumerate(order)}
 
-    idom = {root: root}
-    merges = []
-    for v in order[1:]:
-        if len(preds[v]) == 1:
-            idom[v] = preds[v][0]
-        else:
-            merges.append(v)
-            idom[v] = _meet(preds[v], idom, index)
-    changed = bool(merges)
-    while changed:
-        changed = False
-        for v in merges:
-            new = _meet(preds[v], idom, index)
-            if idom[v] != new:
-                idom[v] = new
-                changed = True
-    return {v: idom[v] for v in order[1:]}
+    n = len(vertices)
+    semi = list(range(n))
+    label = list(range(n))  # the least semidominator on the compressed path up
+    ancestor = parent[:]
+    for w in range(n - 1, 0, -1):
+        s = w
+        for v in preds[w]:
+            if v > w:
+                # eval: the least label from v up to the first vertex not
+                # linked, compressing the path on the way
+                path, u = [], v
+                while ancestor[u] > w:
+                    path.append(u)
+                    u = ancestor[u]
+                for u in reversed(path):
+                    a = ancestor[u]
+                    if label[a] < label[u]:
+                        label[u] = label[a]
+                    ancestor[u] = ancestor[a]
+                v = label[v]
+            if v < s:
+                s = v
+        semi[w] = label[w] = s
 
-
-def _meet(preds: list[str], idom: dict[str, str], index: dict[str, int]) -> str:
-    """The nearest common dominator of the predecessors swept so far (a
-    vertex's parent in the search always is)."""
-    new = None
-    for p in preds:
-        if p in idom:
-            new = p if new is None else _intersect(new, p, idom, index)
-    return new
-
-
-def _intersect(a: str, b: str, idom: dict, index: dict) -> str:
-    while a != b:
-        while index[a] > index[b]:
-            a = idom[a]
-        while index[b] > index[a]:
-            b = idom[b]
-    return a
+    idom = parent  # lowered in place, in preorder
+    for w in range(1, n):
+        d = idom[w]
+        while d > semi[w]:
+            d = idom[d]
+        idom[w] = d
+    return {vertices[w]: vertices[idom[w]] for w in range(1, n)}
 
 
 def _disjoint_paths(successors: Mapping[str, Sequence[str]], target: str,

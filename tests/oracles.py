@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive.  The cut-point and resale oracles
 are built on raw reachability queries only, so they share no code path
-with the dominator-tree or auction implementations they audit.  The
+with the dominator-tree or auction implementations they audit; the
+fixpoint dominators are a second, faster reference for the tree.  The
 re-run oracles for the redistribution counterfactuals rebuild a silenced
 copy of the profile and run the public auction on it once per branch or
 agent, so they share the auctions but not the counterfactual index.
@@ -23,11 +24,7 @@ from netredist.auctions import (
     utility,
     vcg,
 )
-from netredist.critical_tree import (
-    CriticalTree,
-    critical_tree,
-    immediate_dominators,
-)
+from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.generators import tree_profile
 from netredist.profiles import (
     MAX_EXPONENT,
@@ -73,6 +70,57 @@ def brute_parent_map(graph: InducedGraph) -> dict[str, str]:
     return {j: brute_parent(graph, j) for j in graph.reachable}
 
 
+def fixpoint_dominators(successors, root: str) -> dict[str, str]:
+    """Immediate dominator of every vertex reachable from ``root`` (itself
+    excluded), by the iterative data-flow fixpoint of Cooper, Harvey and
+    Kennedy ("A simple, fast dominance algorithm", 2001).
+
+    One depth-first search gives the reverse postorder and every vertex's
+    predecessors; sweeps over it meet the dominators of each vertex's
+    predecessors until nothing changes.  It shares no code with the
+    package's Semi-NCA pass.
+    """
+    preds: dict[str, list[str]] = {root: []}
+    order: list[str] = []
+    stack = [(root, iter(successors.get(root, ())))]
+    while stack:
+        v, targets = stack[-1]
+        for w in targets:
+            if w in preds:
+                preds[w].append(v)
+            else:
+                preds[w] = [v]
+                stack.append((w, iter(successors.get(w, ()))))
+                break
+        else:
+            order.append(v)
+            stack.pop()
+    order.reverse()
+    index = {v: k for k, v in enumerate(order)}
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
+    idom = {root: root}
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            new = None
+            for p in preds[v]:
+                if p in idom:
+                    new = p if new is None else intersect(new, p)
+            if idom.get(v) != new:
+                idom[v] = new
+                changed = True
+    return {v: idom[v] for v in order[1:]}
+
+
 def dependants(graph: InducedGraph, v: str) -> frozenset[str]:
     """``v`` plus every agent unreachable once ``v`` is removed."""
     return frozenset({v}) | (
@@ -99,7 +147,8 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
     ``b``'s members other than its root left out.  ``result[b][c]`` is the
     agent under which branch ``c``'s root hangs with ``b`` silenced;
     roots left under the sponsor are absent.  ``CriticalTree.hang`` reads
-    the same answers off augmenting paths, so the two share no code.
+    the same answers off augmenting paths and the dominators come from
+    ``fixpoint_dominators``, so the two share no code.
     """
     successors = graph.successors
     roots, branch_of, pre, size = tree.root_branches, tree.branch_of, tree.pre, tree.size
@@ -134,7 +183,7 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
         skeleton = {v: ([] if v == silenced else out) for v, out in edges.items()
                     if branch_of[v] != b or v == silenced}
         skeleton[SPONSOR] = successors[SPONSOR]
-        parent = immediate_dominators(skeleton, SPONSOR)
+        parent = fixpoint_dominators(skeleton, SPONSOR)
         rehangs.append({c: parent[r] for c, r in enumerate(roots) if parent[r] != SPONSOR})
     return rehangs
 

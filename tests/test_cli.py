@@ -617,6 +617,26 @@ def test_rational_flags_read_values_as_network_files_do(capsys, tmp_path, networ
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "{network}", "--mechanism", "nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
+    (["run", "{missing}", "--mechanism", "nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
+    (["verify", "--property", "ir", "--mechanism", "auction:idm", "--instances",
+      "{instances}"], "unknown mechanism 'auction:idm'"),
+    (["verify", "--property", "ir", "--mechanism", "nrmf:bogus", "--instances",
+      "{missing}"], "unknown mechanism 'bogus'"),
+], ids=["run", "run-missing-file", "verify", "verify-missing-dir"])
+def test_a_bad_mechanism_is_rejected_before_any_file_is_read(capsys, monkeypatch,
+                                                             network_file, argv, message):
+    loads = []
+    monkeypatch.setattr(cli, "load_profile", lambda path: loads.append(path))
+    names = {"network": network_file, "instances": str(Path(network_file).parent),
+             "missing": str(Path(network_file).parent / "missing")}
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, loads) == (EXIT_INPUT_ERROR, "", [])
+    assert captured.err == f"error: {message}\n"
+
+
 LONG_FLAG = "x" * 5000
 
 

@@ -1,14 +1,12 @@
 import gc
 import random
-import sys
 import weakref
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from netredist.critical_tree import critical_tree
+from netredist.critical_tree import critical_tree, immediate_dominators
 from netredist.profiles import (
     NULL_TYPE,
     SPONSOR,
@@ -19,7 +17,12 @@ from netredist.profiles import (
 )
 
 from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
-from oracles import brute_parent_map, counted_searches, random_digraph_profile
+from oracles import (
+    brute_parent_map,
+    counted_searches,
+    fixpoint_dominators,
+    random_digraph_profile,
+)
 from strategies import invitation_digraphs
 
 
@@ -89,39 +92,24 @@ def test_subtree_matches_unreachability_oracle():
             assert tree.branch_members(v) - {v} == cut - {v}
 
 
-def counted_sweeps(monkeypatch) -> list:
-    """Record the predecessor list of every multi-inviter step of the
-    dominator fixpoint."""
-    module = sys.modules[critical_tree.__module__]
-    steps = []
-    real = module._meet
-
-    def counted(preds, idom, index):
-        steps.append(preds)
-        return real(preds, idom, index)
-
-    monkeypatch.setattr(module, "_meet", counted)
-    return steps
+def test_a_tree_is_its_own_dominator_tree():
+    graph = induce_graph(reference_network_10())
+    parent = dict(critical_tree(graph).parent)
+    assert parent["L"] == "K"
+    assert parent == fixpoint_dominators(graph.successors, SPONSOR) == brute_parent_map(graph)
 
 
-def test_a_tree_takes_one_sweep_and_no_merge(monkeypatch):
-    steps = counted_sweeps(monkeypatch)
-    tree = critical_tree(induce_graph(reference_network_10()))
-    assert tree.parent["L"] == "K" and steps == []
-
-
-def test_an_inviter_later_in_reverse_postorder_takes_another_sweep(monkeypatch):
+def test_an_inviter_later_in_reverse_postorder_is_met():
     # the search runs s, a, c, d and then b, so the reverse postorder is
-    # s, b, a, c, d: d invites c from later in it.  The first sweep sees only
-    # a among c's inviters and hangs c under a; the second meets a with d
-    # and moves c under the sponsor; the third changes nothing.
+    # s, b, a, c, d: d invites c from later in it, and c's only cut point
+    # is the sponsor, not a
     profile = make_profile(["a", "b"], {"a": T(1, ["c"]), "b": T(1, ["d"]),
                                         "c": T(1, ["d"]), "d": T(1, ["c"])})
-    steps = counted_sweeps(monkeypatch)
     graph = induce_graph(profile)
     assert dict(critical_tree(graph).parent) == brute_parent_map(graph) == dict.fromkeys(
         "abcd", SPONSOR)
-    assert len(steps) == 3 * 2  # three sweeps over c and d
+    assert immediate_dominators(graph.successors, SPONSOR) == fixpoint_dominators(
+        graph.successors, SPONSOR)
 
 
 def _ladder_profile(rng, rungs, back_edges):
@@ -141,34 +129,34 @@ def _ladder_profile(rng, rungs, back_edges):
     return ReportProfile(frozenset({sides["L"][0], sides["R"][0]}), reports)
 
 
-def test_multi_sweep_fixpoints_match_the_cut_point_oracle(monkeypatch):
+def test_multi_sweep_fixpoints_match_the_cut_point_oracle():
+    # ladders on which the fixpoint oracle sweeps more than twice
     rng = random.Random(20241018)
-    steps = counted_sweeps(monkeypatch)
-    sweeps_past_two = 0
     for _ in range(60):
         graph = induce_graph(_ladder_profile(rng, rng.randint(3, 9), rng.randint(1, 6)))
-        steps.clear()
-        assert dict(critical_tree(graph).parent) == brute_parent_map(graph)
-        sweeps_past_two += len(steps) > 2 * _merges(graph)
-    assert sweeps_past_two > 10
+        parent = dict(critical_tree(graph).parent)
+        assert parent == brute_parent_map(graph)
+        assert parent == fixpoint_dominators(graph.successors, SPONSOR)
 
 
-def test_a_long_ladder_matches_networkx_dominators(monkeypatch):
+def test_a_long_ladder_matches_networkx_dominators():
     nx = pytest.importorskip("networkx")
-    steps = counted_sweeps(monkeypatch)
     graph = induce_graph(_ladder_profile(random.Random(7), 300, 120))
     parent = dict(critical_tree(graph).parent)
     digraph = nx.DiGraph((u, v) for u, targets in graph.successors.items() for v in targets)
     assert parent == {v: d for v, d in nx.immediate_dominators(digraph, SPONSOR).items()
                       if v != SPONSOR}
+    assert parent == fixpoint_dominators(graph.successors, SPONSOR)
     assert len(set(parent.values())) > 2  # not a flat tree
-    assert len(steps) > 2 * _merges(graph)
 
 
-def _merges(graph) -> int:
-    """The agents with two or more inviters, which the fixpoint sweeps."""
-    inviters = Counter(j for targets in graph.successors.values() for j in targets)
-    return sum(1 for j in graph.reachable if inviters[j] > 1)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(invitation_digraphs())
+def test_semi_nca_equals_the_fixpoint_and_the_cut_points(profile):
+    graph = induce_graph(profile)
+    parent = immediate_dominators(graph.successors, SPONSOR)
+    assert parent == fixpoint_dominators(graph.successors, SPONSOR)
+    assert parent == brute_parent_map(graph)
 
 
 def _multi_chain_profile(rng, chains=7, length=60, leaves=100, extra_edges=40):
