@@ -152,14 +152,16 @@ def market(profile: ReportProfile) -> Market:
     if last is None or last[0] != key:
         last = _last_structure = key, critical_tree(induce_graph(profile))
     tree = last[1]
+    agents, reports = tree.agents, profile.reports
     # rank by exact integer images of the values over their common
-    # denominator, so the sort compares ints, not Fractions; a stable sort
-    # by descending image keeps equal values in id order
-    values = {i: profile.value_of(i) for i in tree.agents}
-    common = lcm(*{v.denominator for v in values.values()})
-    image = {i: v.numerator * (common // v.denominator) for i, v in values.items()}
-    ranked = sorted(image, key=image.__getitem__, reverse=True)
-    return Market(profile, tree, tuple(ranked))
+    # denominator, each value's ratio read once, so the sort compares ints,
+    # not Fractions; a stable sort by descending image keeps equal values
+    # in id order
+    ratios = [reports[i].value.as_integer_ratio() for i in agents]
+    common = lcm(*{d for _, d in ratios})
+    image = [n * (common // d) for n, d in ratios]
+    ranked = sorted(range(len(agents)), key=image.__getitem__, reverse=True)
+    return Market(profile, tree, tuple(map(agents.__getitem__, ranked)))
 
 
 def run_auction(mechanism: MechanismId, profile: ReportProfile) -> Outcome:

@@ -17,8 +17,10 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from netredist.auctions import MechanismError, MechanismId, market, utility
 from netredist.generators import (
@@ -30,7 +32,15 @@ from netredist.generators import (
     bb_experiment,
     generate,
 )
-from netredist.profiles import ProfileError, _cut, _echo, load_profile, parse_value, profile_to_dict
+from netredist.profiles import (
+    MAX_EXPONENT,
+    ProfileError,
+    _cut,
+    _echo,
+    load_profile,
+    parse_value,
+    profile_to_dict,
+)
 from netredist.prst import SharingError, SharingParams, prst
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
@@ -150,6 +160,9 @@ def main(argv=None) -> int:
         alpha = _rational("--alpha", args.alpha)
         if args.precision < 0:
             raise GenerationError(f"--precision must be >= 0, got {args.precision}")
+        if args.precision > MAX_EXPONENT:  # rendering time and memory grow with it
+            raise GenerationError(
+                f"--precision must be <= {MAX_EXPONENT}, got {args.precision}")
         SharingParams(alpha)  # every subcommand rejects an alpha outside (0, 1)
         return COMMANDS[args.command](args, alpha)
     except (ProfileError, MechanismError, SharingError, GenerationError,
@@ -171,36 +184,70 @@ def _growth_model(args) -> GrowthModel:
                        value_max=args.vmax, seed=args.seed)
 
 
-def _emit(args, data: dict, rows: list[dict]) -> None:
+#: Kinds of a row's column: an agent id, which JSON escapes; an int; and
+#: text JSON writes as it is, between quotes (``decimal_str`` and
+#: ``fraction_str`` output is digits, signs, points and slashes).
+ID, INT, PLAIN = "id", "int", "plain"
+
+#: Each kind's field in a row's JSON template.
+JSON_SPECS = {ID: "%s", INT: "%d", PLAIN: '"%s"'}
+
+
+@dataclass(frozen=True)
+class Rows:
+    """The rows of one result: ``columns`` are (name, kind) pairs, fixed
+    once by the rows' builder, and each of ``values`` is one row's values
+    in column order.  JSON writes the rows as records; CSV and the text
+    table write them as they are."""
+
+    columns: tuple[tuple[str, str], ...]
+    values: list[tuple]
+
+    @property
+    def names(self) -> list[str]:
+        return [name for name, _ in self.columns]
+
+
+RUN_COLUMNS = (("agent", ID), ("allocation", INT), ("auction_payment", PLAIN),
+               ("redistribution", PLAIN), ("final_payment", PLAIN), ("utility", PLAIN))
+TREE_COLUMNS = (("agent", ID), ("parent", ID), ("branch", ID), ("subtree_size", INT))
+SHARES_COLUMNS = (("agent", ID), ("omega", PLAIN), ("share", PLAIN))
+EXPERIMENT_COLUMNS = (("n", INT), ("seed", INT), ("surplus", PLAIN),
+                      ("max_branch_fraction", PLAIN), ("branch_count", INT))
+
+
+def _emit(args, data: dict, rows: Rows) -> None:
     """Emit one result as JSON (structured), CSV or a text table (rows)."""
     if args.output == "json":
         print(_json_text(data))
     elif args.output == "csv":
-        if rows:
+        if rows.values:
             buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(buf)
+            writer.writerow(rows.names)
+            writer.writerows(rows.values)
             sys.stdout.write(buf.getvalue())
     else:
-        if not rows:
+        if not rows.values:
             return
-        headers = list(rows[0])
+        headers = rows.names
         widths = [
-            max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
+            max(len(h), *(len(str(r[k])) for r in rows.values))
+            for k, h in enumerate(headers)
         ]
         print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        for r in rows:
-            print("  ".join(str(r[h]).ljust(w) for h, w in zip(headers, widths)))
+        for r in rows.values:
+            print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
 
 
 def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``,
+    where ``Rows`` stand for the list of their records.
 
     With ``indent=2`` the ``json`` module falls back to its pure-Python
-    encoder, which is slow on long lists.  So strings, dicts with str keys
-    and lists are written here, a list of flat records (the rows) from one
-    template, and every other value by ``json.dumps``.
+    encoder, which is slow on long lists.  So strings, dicts with str keys,
+    lists and rows are written here, every row from one template, and every
+    other value by ``json.dumps``.
     """
     kind = type(obj)
     if kind is str:
@@ -210,57 +257,48 @@ def _json_text(obj, indent: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
                  for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list and obj:
-        items = _json_records(obj, inner) or [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+    if kind is Rows:
+        items = _json_rows(obj, inner)
+    elif kind is list:
+        items = [_json_text(v, inner) for v in obj]
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _json_records(items: list, indent: str):
-    """The JSON text of each of ``items`` from one template, or None unless
-    they are dicts with the same str keys whose values are, key by key,
-    all str or all int."""
-    keys = items[0].keys() if type(items[0]) is dict else None
-    if not keys or not all(type(k) is str for k in keys) or not all(
-            type(row) is dict and row.keys() == keys for row in items):
-        return None
+def _json_rows(rows: Rows, indent: str) -> list[str]:
+    """The JSON text of each row, a record nested at ``indent``, from one
+    ``%`` template with a field per column in key order, the row's values
+    read column by column: ids escaped, ints and plain text as they are."""
     inner = indent + "  "
     fields, columns = [], []
-    for k in sorted(keys):
-        column = [row[k] for row in items]
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            spec, column = "%s", list(map(encode_basestring_ascii, column))
-        elif kinds == {int}:
-            spec = "%d"
-        else:
-            return None
-        fields.append(f"{inner}{encode_basestring_ascii(k)}: ".replace("%", "%%") + spec)
-        columns.append(column)
+    for k in sorted(range(len(rows.columns)), key=rows.columns.__getitem__):
+        name, kind = rows.columns[k]
+        column = map(itemgetter(k), rows.values)
+        columns.append(map(encode_basestring_ascii, column) if kind == ID else column)
+        fields.append(f"{inner}{encode_basestring_ascii(name)}: ".replace("%", "%%")
+                      + JSON_SPECS[kind])
     template = "{" + ",".join(fields) + indent + "}"
-    return [template % values for values in zip(*columns)]
+    return list(map(template.__mod__, zip(*columns)))
 
 
-def _run_rows(outcome, truth, digits: int) -> list[dict]:
+def _run_rows(outcome, truth, digits: int) -> Rows:
     """One row per agent of the outcome's profile, amounts rendered at
     ``digits``, utilities at the values in ``truth``."""
     zero = decimal_str(Fraction(0), digits)
-    rows = []
+    values = []
     for i in outcome.profile.agents:
         allocated = outcome.allocation[i]
         paid = outcome.auction_payment[i]
         rebate = outcome.redistribution[i]
         if allocated or paid:
             final = outcome.final_payment[i]
-            rows.append({
-                "agent": i,
-                "allocation": allocated,
-                "auction_payment": decimal_str(paid, digits),
-                "redistribution": decimal_str(rebate, digits),
-                "final_payment": decimal_str(final, digits),
-                "utility": decimal_str(utility(allocated, truth.value_of(i), final),
-                                       digits),
-            })
+            values.append((
+                i, allocated, decimal_str(paid, digits), decimal_str(rebate, digits),
+                decimal_str(final, digits),
+                decimal_str(utility(allocated, truth.value_of(i), final), digits)))
             continue
         # With nothing won and nothing paid at auction, the final payment is
         # -rebate and the utility +rebate at any value.  A rebate is never
@@ -268,10 +306,8 @@ def _run_rows(outcome, truth, digits: int) -> list[dict]:
         # payment renders as the rebate with a minus sign.
         given = decimal_str(rebate, digits) if rebate else zero
         taken = "-" + given if rebate else zero
-        rows.append({"agent": i, "allocation": allocated, "auction_payment": zero,
-                     "redistribution": given, "final_payment": taken,
-                     "utility": given})
-    return rows
+        values.append((i, allocated, zero, given, taken, given))
+    return Rows(RUN_COLUMNS, values)
 
 
 def _cmd_run(args, alpha: Fraction) -> int:
@@ -347,17 +383,12 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _experiment_rows(result, digits: int) -> list[dict]:
-    return [
-        {
-            "n": r.n,
-            "seed": r.seed,
-            "surplus": decimal_str(r.surplus, digits),
-            "max_branch_fraction": decimal_str(r.max_branch_fraction, digits),
-            "branch_count": r.branch_count,
-        }
+def _experiment_rows(result, digits: int) -> Rows:
+    return Rows(EXPERIMENT_COLUMNS, [
+        (r.n, r.seed, decimal_str(r.surplus, digits),
+         decimal_str(r.max_branch_fraction, digits), r.branch_count)
         for r in result.records
-    ]
+    ])
 
 
 def _cmd_experiment(args, alpha: Fraction) -> int:
@@ -385,15 +416,9 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
 
 def _cmd_tree(args, alpha: Fraction) -> int:
     tree = market(load_profile(args.network)).tree
-    rows = [
-        {
-            "agent": i,
-            "parent": tree.parent[i],
-            "branch": tree.root_branches[tree.branch_of[i]],
-            "subtree_size": tree.size[i] - 1,
-        }
-        for i in tree.agents
-    ]
+    parent, roots, branch_of, size = tree.parent, tree.root_branches, tree.branch_of, tree.size
+    rows = Rows(TREE_COLUMNS, [(i, parent[i], roots[branch_of[i]], size[i] - 1)
+                               for i in tree.agents])
     data = {
         "root_branches": list(tree.root_branches),
         "parents": dict(tree.parent),
@@ -407,14 +432,10 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     tree = market(load_profile(args.network)).tree
     shares = prst(tree, SharingParams(alpha, reward))
     share = shares.share
-    rows = [
-        {
-            "agent": i,
-            "omega": fraction_str(shares.omega[i]),
-            "share": decimal_str(share[i], args.precision),
-        }
+    rows = Rows(SHARES_COLUMNS, [
+        (i, fraction_str(shares.omega[i]), decimal_str(share[i], args.precision))
         for i in tree.agents
-    ]
+    ])
     data = {
         "alpha": fraction_str(alpha),
         "reward": fraction_str(reward),

@@ -176,24 +176,27 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
     """Build the critical tree of ``graph`` restricted to reachable agents."""
     parent = immediate_dominators(graph.successors, SPONSOR)
     agents = tuple(sorted(parent))
-    children: dict[str, list[str]] = {v: [] for v in (SPONSOR, *agents)}
+    children: dict[str, list[str]] = {}  # of the sponsor and every agent with a child
     for v in agents:
-        children[parent[v]].append(v)
-    root_branches = tuple(children[SPONSOR])
+        children.setdefault(parent[v], []).append(v)
+    root_branches = tuple(children.get(SPONSOR, ()))
 
+    # one depth-first pass, children in canonical order, each child's
+    # depth and branch recorded as she is pushed
     preorder: list[str] = []
+    depth = dict.fromkeys(root_branches, 1)
+    branch_of = dict(zip(root_branches, range(len(root_branches))))
     stack = list(reversed(root_branches))
     while stack:
         v = stack.pop()
         preorder.append(v)
-        stack.extend(reversed(children[v]))
-    depth = dict.fromkeys(root_branches, 1)
-    branch_of = {root: k for k, root in enumerate(root_branches)}
-    for v in preorder:
-        p = parent[v]
-        if p != SPONSOR:
-            depth[v] = depth[p] + 1
-            branch_of[v] = branch_of[p]
+        below = children.get(v)
+        if below:
+            d, b = depth[v] + 1, branch_of[v]
+            for c in below:
+                depth[c] = d
+                branch_of[c] = b
+            stack.extend(reversed(below))
     size = dict.fromkeys(preorder, 1)
     for v in reversed(preorder):
         p = parent[v]
@@ -204,7 +207,7 @@ def critical_tree(graph: InducedGraph) -> CriticalTree:
         root_branches=root_branches,
         branch_of=branch_of,
         preorder=tuple(preorder),
-        pre={v: k for k, v in enumerate(preorder)},
+        pre=dict(zip(preorder, range(len(preorder)))),
         size=size,
         depth=depth,
         agents=agents,

@@ -63,8 +63,11 @@ class ReportProfile:
         for j in self.sponsor_neighbors:
             if j not in self.reports:
                 raise ProfileError(f"sponsor invites unknown agent {_echo(j)}")
+        known = {SPONSOR, *self.reports}
         for i, t in self.reports.items():
-            self._check_report(i, t)
+            # one set test per valid report; ``_check_report`` names a fault
+            if i in t.neighbors or not known.issuperset(t.neighbors):
+                self._check_report(i, t)
 
     def _check_report(self, i: str, report: AgentType) -> None:
         """Reject ``i``'s report if she invites herself or an unknown agent."""
@@ -143,7 +146,10 @@ def induce_graph(profile: ReportProfile) -> InducedGraph:
     """Build the invitation graph of a profile."""
     succ = {SPONSOR: tuple(sorted(profile.sponsor_neighbors))}
     for i, t in profile.reports.items():
-        succ[i] = tuple(sorted(j for j in t.neighbors if j != SPONSOR))
+        invitees = t.neighbors
+        if SPONSOR in invitees:  # an invitation of the sponsor is no edge
+            invitees = invitees - {SPONSOR}
+        succ[i] = tuple(sorted(invitees))
     return InducedGraph(succ)
 
 
@@ -156,6 +162,16 @@ def induce_graph(profile: ReportProfile) -> InducedGraph:
 
 
 def profile_from_dict(data: dict) -> ReportProfile:
+    """The profile a network file's object describes, read in one pass.
+
+    Each entry is checked for the types of its id and value, the value's
+    parse, a duplicate id, the type of its neighbour list, then the sign.
+    A plain decimal (ASCII digits, at most one point) is parsed in place
+    and cannot be negative, so its report is stored as it is, with no call
+    but to ``Fraction``; any other value goes through ``parse_value`` and
+    ``AgentType``'s own check.  ``ReportProfile`` then finds unknown
+    neighbours and self-invitations.
+    """
     if not isinstance(data, dict):
         raise ProfileError("network file must contain a JSON object")
     try:
@@ -165,7 +181,7 @@ def profile_from_dict(data: dict) -> ReportProfile:
         raise ProfileError(f"missing field: {e}") from None
     if not isinstance(agents, list):
         raise ProfileError("agents must be a list of agent entries")
-    reports = {}
+    reports: dict[str, AgentType] = {}
     for entry in agents:
         try:
             agent_id = entry["id"]
@@ -177,16 +193,38 @@ def profile_from_dict(data: dict) -> ReportProfile:
             raise ProfileError(f"agent id {_echo(agent_id)} must be a string")
         if not isinstance(raw_value, str):
             raise ProfileError(f"agent {_echo(agent_id)}: value must be a decimal string")
+        whole, _, frac = raw_value.partition(".")
+        digits = whole + frac
+        plain = digits.isascii() and digits.isdigit()
         try:
-            value = parse_value(raw_value)
+            value = (Fraction(int(digits), 10 ** len(frac))
+                     if plain and len(digits) <= _SHORT_DIGITS else parse_value(raw_value))
         except (ValueError, ZeroDivisionError):
             raise ProfileError(
                 f"agent {_echo(agent_id)}: bad value {_echo(raw_value)}") from None
         if agent_id in reports:
             raise ProfileError(f"duplicate agent id {_echo(agent_id)}")
-        neighbors = _id_set(neighbors, agent_id)
-        reports[agent_id] = AgentType(value, neighbors)
+        # a list of exact strs is frozen as it is; ``_id_set`` takes the
+        # rest, and rejects all but str subclasses
+        if type(neighbors) is list and _STR.issuperset(map(type, neighbors)):
+            neighbors = frozenset(neighbors)
+        else:
+            neighbors = _id_set(neighbors, agent_id)
+        if plain:  # no sign to check: stored as ``ReportProfile.replace`` stores its copy
+            report = object.__new__(AgentType)
+            report.__dict__.update(value=value, neighbors=neighbors)
+        else:
+            report = AgentType(value, neighbors)
+        reports[agent_id] = report
     return ReportProfile(_id_set(sponsor_neighbors), reports)
+
+
+#: The type of the neighbour ids frozen without ``_id_set``.
+_STR = frozenset({str})
+
+#: The most digits ``int`` reads from text under any int-from-text limit
+#: the interpreter accepts (``sys.int_info.str_digits_check_threshold``).
+_SHORT_DIGITS = 640
 
 
 #: The most characters of an offending input that an error message echoes.

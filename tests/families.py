@@ -5,7 +5,8 @@ Invitations in a social network are often returned, and returned
 invitations are what make a depth-first numbering disagree with the
 critical tree: on the rings, the two-ended chain and the zigzag, most
 agents are reached again from below.  The evenly grown tree is the shape
-every benchmark workload uses.
+every benchmark workload uses; the pure chain, the star and the chain
+whose bids rise down it are the extremes of depth and breadth.
 """
 
 from __future__ import annotations
@@ -69,6 +70,29 @@ def zigzag(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
     return _profile(rng, {left[0], *right[-1:]}, invitations, value_max)
 
 
+def pure_chain(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
+    """A one-way chain: the sponsor invites the first agent and each agent
+    the next, so every agent but the last is critical to all below her."""
+    ids = _ids(n)
+    return _profile(rng, ids[:1], {i: ids[k + 1:k + 2] for k, i in enumerate(ids)}, value_max)
+
+
+def star(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
+    """The sponsor invites every agent and no agent invites anyone."""
+    ids = _ids(n)
+    return _profile(rng, ids, dict.fromkeys(ids, []), value_max)
+
+
+def rising_bid_chain(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
+    """The pure chain with bids rising down it, from 1 to ``value_max``
+    (``rng`` is unused): the top bidder is the last agent, so every chain
+    auction walks the whole chain."""
+    ids = _ids(n)
+    reports = {i: T(1 + (value_max - 1) * k // max(n - 1, 1), ids[k + 1:k + 2])
+               for k, i in enumerate(ids)}
+    return ReportProfile(frozenset(ids[:1]), reports)
+
+
 def evenly_grown_tree(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
     """An evenly growing invitation tree, the benchmark workloads' shape."""
     return generate(GrowthModel(kind=EVENLY_GROWING, value_max=value_max,
@@ -81,4 +105,7 @@ FAMILIES = {
     "two_ended_chain": two_ended_chain,
     "zigzag": zigzag,
     "evenly_grown_tree": evenly_grown_tree,
+    "pure_chain": pure_chain,
+    "star": star,
+    "rising_bid_chain": rising_bid_chain,
 }

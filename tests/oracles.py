@@ -24,6 +24,7 @@ from netredist.auctions import (
     utility,
     vcg,
 )
+from netredist.cli import Rows
 from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.generators import tree_profile
 from netredist.profiles import (
@@ -34,7 +35,10 @@ from netredist.profiles import (
     InducedGraph,
     ProfileError,
     ReportProfile,
+    _echo,
+    _id_set,
     induce_graph,
+    parse_value,
 )
 from netredist.prst import ShareVector, SharingError, SharingParams
 from netredist.render import decimal_str
@@ -436,6 +440,56 @@ def memo_free(run, *args):
 # --- the command line's former input and output paths -------------------
 
 
+def profile_from_dict_oracle(data: dict) -> ReportProfile:
+    """A network file's profile read entry by entry through ``parse_value``,
+    ``_id_set`` and ``AgentType``, then checked report by report, with
+    every check and error text of ``profile_from_dict`` in the same order."""
+    if not isinstance(data, dict):
+        raise ProfileError("network file must contain a JSON object")
+    try:
+        sponsor_neighbors = data["sponsor_neighbors"]
+        agents = data["agents"]
+    except KeyError as e:
+        raise ProfileError(f"missing field: {e}") from None
+    if not isinstance(agents, list):
+        raise ProfileError("agents must be a list of agent entries")
+    reports = {}
+    for entry in agents:
+        try:
+            agent_id = entry["id"]
+            raw_value = entry["value"]
+            neighbors = entry.get("neighbors", [])
+        except (KeyError, TypeError) as e:
+            raise ProfileError(f"malformed agent entry {_echo(entry)}: {e}") from None
+        if not isinstance(agent_id, str):
+            raise ProfileError(f"agent id {_echo(agent_id)} must be a string")
+        if not isinstance(raw_value, str):
+            raise ProfileError(f"agent {_echo(agent_id)}: value must be a decimal string")
+        try:
+            value = parse_value(raw_value)
+        except (ValueError, ZeroDivisionError):
+            raise ProfileError(
+                f"agent {_echo(agent_id)}: bad value {_echo(raw_value)}") from None
+        if agent_id in reports:
+            raise ProfileError(f"duplicate agent id {_echo(agent_id)}")
+        neighbors = _id_set(neighbors, agent_id)
+        reports[agent_id] = AgentType(value, neighbors)
+    sponsored = _id_set(sponsor_neighbors)
+    # ``ReportProfile``'s checks, made here report by report and id by id
+    if SPONSOR in reports:
+        raise ProfileError(f"agent id {SPONSOR!r} is reserved for the sponsor")
+    for j in sponsored:
+        if j not in reports:
+            raise ProfileError(f"sponsor invites unknown agent {_echo(j)}")
+    for i, report in reports.items():
+        if i in report.neighbors:
+            raise ProfileError(f"agent {_echo(i)} lists itself as a neighbour")
+        for j in report.neighbors:
+            if j != SPONSOR and j not in reports:
+                raise ProfileError(f"agent {_echo(i)} references unknown agent {_echo(j)}")
+    return ReportProfile(sponsored, reports)
+
+
 def agent_value_oracle(agent_id: str, raw: str) -> Fraction:
     """An agent entry's value, its error text included, as ``Fraction(str)``
     reads it with no int-from-text digit limit, but with no exponent past
@@ -484,8 +538,21 @@ def without_digit_limit(run, *args):
 
 
 def json_text_oracle(data) -> str:
-    """The command line's JSON text: the standard library's indented encoder."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """The command line's JSON text: the standard library's indented
+    encoder, with rows written as their records."""
+    return json.dumps(as_records(data), indent=2, sort_keys=True)
+
+
+def as_records(data):
+    """``data`` with every ``cli.Rows`` in it, at any depth of dicts and
+    lists, replaced by the list of its records, one dict per row."""
+    if type(data) is Rows:
+        return [dict(zip(data.names, row)) for row in data.values]
+    if type(data) is dict:
+        return {k: as_records(v) for k, v in data.items()}
+    if type(data) is list:
+        return [as_records(v) for v in data]
+    return data
 
 
 # --- random instance generation -----------------------------------------

@@ -14,6 +14,7 @@ from netredist.auctions import MechanismId
 from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
+    MAX_EXPONENT,
     AgentType,
     ReportProfile,
     load_profile,
@@ -27,6 +28,7 @@ from netredist.redistribution import cavallo, run_nrmf
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import (
+    as_records,
     json_text_oracle,
     random_digraph_profile,
     run_rows_oracle,
@@ -340,6 +342,26 @@ def test_negative_precision_is_a_one_line_input_error(capsys, network_file):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_precision_up_to_the_exponent_bound_renders(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    save_profile(star_profile({"A": Fraction(1, 3), "B": 2}), path)
+    code, out = run_cli(capsys, "--precision", str(MAX_EXPONENT), "--output", "json",
+                        "run", str(path), "--mechanism", "vcg")
+    assert code == EXIT_OK
+    assert json.loads(out)["surplus"] == "0." + "3" * MAX_EXPONENT
+
+
+def test_precision_past_the_exponent_bound_is_a_one_line_input_error(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    save_profile(star_profile({"A": Fraction(1, 3), "B": 2}), path)
+    code = main(["--precision", str(MAX_EXPONENT + 1), "--output", "json",
+                 "run", str(path), "--mechanism", "vcg"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == f"error: --precision must be <= 10000, got {MAX_EXPONENT + 1}\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -740,7 +762,7 @@ def test_run_rows_match_four_renders_per_agent(digits):
         for mechanism in RUN_MECHANISMS:
             outcome = _outcome(profile, mechanism)
             for truth in (profile, _revalued(profile)):
-                assert cli._run_rows(outcome, truth, digits) == run_rows_oracle(
+                assert as_records(cli._run_rows(outcome, truth, digits)) == run_rows_oracle(
                     outcome, truth, digits)
 
 
@@ -817,26 +839,35 @@ def test_every_json_payload_matches_the_standard_encoder(capsys, monkeypatch, tm
     assert len(texts) == len(commands) + len(verdicts)
 
 
-def _random_json(rng, depth):
+def _random_json(rng, depth, rows=True):
+    """A random payload, with ``Rows`` only where the command line puts
+    them, in lists and dicts with str keys, and only when ``rows``."""
     strings = ["", "A", "Å", 'q"', "b\\", "%s", "50%", "\n\t", " ", "\x00", "\U0001f600"]
     scalars = [lambda: rng.choice(strings), lambda: rng.randint(-10**6, 10**6),
                lambda: None, lambda: rng.random() < 0.5, lambda: rng.random() * 100]
-    kind = rng.randrange(len(scalars) + (6 if depth else 0))
+    kind = rng.randrange(len(scalars) + ((6 if rows else 5) if depth else 0))
     if kind < len(scalars):
         return scalars[kind]()
     size = rng.randint(0, 4)
     if kind == len(scalars):  # str keys
-        return {rng.choice(strings): _random_json(rng, depth - 1) for _ in range(size)}
+        return {rng.choice(strings): _random_json(rng, depth - 1, rows) for _ in range(size)}
     if kind == len(scalars) + 1:  # other keys
-        return {rng.randint(0, 9): _random_json(rng, depth - 1) for _ in range(size)}
+        return {rng.randint(0, 9): _random_json(rng, depth - 1, False) for _ in range(size)}
     if kind == len(scalars) + 2:
-        return [_random_json(rng, depth - 1) for _ in range(size)]
+        return [_random_json(rng, depth - 1, rows) for _ in range(size)]
     if kind == len(scalars) + 3:
-        return tuple(_random_json(rng, depth - 1) for _ in range(size))
-    # a list of records: same keys, values mostly int or str
-    keys = rng.sample(strings, rng.randint(0, 4))
-    make = [rng.choice(scalars[:2] + scalars[:2] + scalars) for _ in keys]
-    return [{k: f() for k, f in zip(keys, make)} for _ in range(size)]
+        return tuple(_random_json(rng, depth - 1, False) for _ in range(size))
+    if kind == len(scalars) + 4:  # a list of records: same keys, values mostly int or str
+        keys = rng.sample(strings, rng.randint(0, 4))
+        make = [rng.choice(scalars[:2] + scalars[:2] + scalars) for _ in keys]
+        return [{k: f() for k, f in zip(keys, make)} for _ in range(size)]
+    # rows: ids of any text, ints, and amounts as the renderers write them
+    columns = tuple((name, rng.choice([cli.ID, cli.INT, cli.PLAIN]))
+                    for name in rng.sample(strings, rng.randint(1, 4)))
+    make = {cli.ID: scalars[0], cli.INT: scalars[1],
+            cli.PLAIN: lambda: rng.choice(["0", "-0.50", "12.345", "3/7", "-1/2"])}
+    return cli.Rows(columns, [tuple(make[kind]() for _, kind in columns)
+                              for _ in range(size)])
 
 
 def test_random_payloads_match_the_standard_encoder():

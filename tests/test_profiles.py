@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netredist.profiles import (
     MAX_EXPONENT,
@@ -21,7 +23,7 @@ from netredist.profiles import (
 )
 
 from networks import T, misreport_deviation, misreport_network, reference_network_10
-from oracles import agent_value_oracle
+from oracles import agent_value_oracle, profile_from_dict_oracle
 
 
 def test_agent_type_rejects_negative_value():
@@ -231,3 +233,111 @@ def test_a_json_integer_past_the_int_text_limit_is_a_profile_error(tmp_path):
     path.write_text('{"sponsor_neighbors": [], "agents": [], "n": ' + "1" * 5000 + "}")
     with pytest.raises(ProfileError, match="invalid JSON"):
         load_profile(path)
+
+
+class Name(str):
+    """An id of a str subclass, which a neighbour list may hold."""
+
+
+IDS = ["A", "B", "C", "D", "E"]
+VALID_VALUES = st.sampled_from(["3", "0.5", "12.34", "007.10", "1.", ".5", "0", "-0", "+4",
+                                "1/3", "1e3", "\u0663", "5" * 5000, "0." + "7" * 5000])
+# One fault each: a field replaced, an entry replaced or cut short, or the
+# sponsor's list.  A network gets up to two, often in one entry.
+FAULTS = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from([SPONSOR, "repeat", "", 1, None, ["A"]])),
+    st.tuples(st.just("value"), st.sampled_from([
+        "-1", "-2.5", "-1/3", "2/0", "1E-2", "1e10001", "x", "", ".", "1.2.3", " 6 ",
+        "\u00b2", "-" + "5" * 5000, 3, 2.5, None])),
+    st.tuples(st.just("neighbors"), st.sampled_from([
+        "A", ("A",), None, [1], ["A", None], {"A"}, ["Z"], ["B", "Z"], [Name("B")], "self"])),
+    st.tuples(st.just("entry"), st.sampled_from([5, "A", ["A"], None, "no id", "no value"])),
+    st.tuples(st.just("sponsor"), st.sampled_from(["A", [1], ["Z"], ("A",)])),
+)
+
+
+@st.composite
+def entry_lists(draw) -> dict:
+    """A valid network object on up to five agents with up to two faults."""
+    ids = IDS[:draw(st.integers(min_value=0, max_value=len(IDS)))]
+    entries = []
+    for i in ids:
+        entry = {"id": i, "value": draw(VALID_VALUES)}
+        invited = draw(st.lists(st.sampled_from([j for j in IDS if j != i] + [SPONSOR]),
+                                max_size=3))
+        if invited or draw(st.booleans()):
+            entry["neighbors"] = [j for j in invited if j in ids or j == SPONSOR]
+        entries.append(entry)
+    data = {"sponsor_neighbors": draw(st.lists(st.sampled_from(ids), max_size=2))
+                                 if ids else [],
+            "agents": entries}
+    k = None
+    for field, fault in draw(st.lists(FAULTS, max_size=2)):
+        if field == "sponsor":
+            data["sponsor_neighbors"] = fault
+            continue
+        if not entries:
+            continue
+        if k is None or draw(st.booleans()):  # else the same entry again
+            k = draw(st.integers(min_value=0, max_value=len(entries) - 1))
+        if fault == "repeat":  # the id of the entry before, or of the last
+            fault = ids[k - 1]
+        elif fault == "self":
+            fault = [ids[k]]
+        if field != "entry":
+            if type(entries[k]) is dict:
+                entries[k][field] = fault
+        elif fault in ("no id", "no value"):
+            if type(entries[k]) is dict:
+                entries[k].pop(fault[3:], None)
+        else:
+            entries[k] = fault
+    return data
+
+
+def _read(read, data):
+    """(profile, error text) of ``read(data)``."""
+    try:
+        return read(data), None
+    except ProfileError as e:
+        return None, str(e)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(entry_lists())
+def test_the_one_pass_loader_equals_the_entry_by_entry_oracle(data):
+    profile, error = _read(profile_from_dict, data)
+    expected, expected_error = _read(profile_from_dict_oracle, data)
+    assert error == expected_error
+    assert profile == expected
+    if expected is not None:
+        assert list(profile.reports) == list(expected.reports)
+        for i, report in expected.reports.items():
+            value = profile.value_of(i)
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == (
+                report.value.numerator, report.value.denominator)
+
+
+# Every fault an entry can have, applied to agent B of a valid network.
+ENTRY_FAULTS = [
+    ("id", SPONSOR), ("id", "A"), ("id", 1), ("id", None),
+    ("value", "-1"), ("value", "-1/3"), ("value", "2/0"), ("value", "x"), ("value", 3),
+    ("value", "-" + "5" * 5000), ("value", "1e10001"),
+    ("neighbors", "A"), ("neighbors", [1]), ("neighbors", None), ("neighbors", ["Z"]),
+    ("neighbors", ["B"]), ("neighbors", [Name("A")]),
+    ("id", ...), ("value", ...),  # the field left out
+]
+
+
+def test_every_two_faults_of_one_entry_read_as_the_oracle_reads_them():
+    for faults in itertools.product(ENTRY_FAULTS, repeat=2):
+        entry = {"id": "B", "value": "2.5", "neighbors": ["A", SPONSOR]}
+        for field, fault in faults:
+            if fault is ...:
+                entry.pop(field, None)
+            else:
+                entry[field] = fault
+        data = {"sponsor_neighbors": ["A"],
+                "agents": [{"id": "A", "value": "1", "neighbors": ["B"]}, entry]}
+        assert _read(profile_from_dict, data) == _read(profile_from_dict_oracle, data), faults
