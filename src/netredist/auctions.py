@@ -33,9 +33,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
 from netredist.critical_tree import CriticalTree, critical_tree
-from netredist.profiles import ReportProfile, _echo, induce_graph, parse_value
-
-ZERO = Fraction(0)
+from netredist.profiles import ZERO, ReportProfile, _echo, induce_graph, parse_value
 
 
 class MechanismError(ValueError):

@@ -18,10 +18,11 @@ comparison of positions and the whole index takes O(n) memory.
 
 The tree also answers, once asked, what else every market of its
 structure shares: ``hang``, where a branch root hangs once another branch
-is silenced, read off augmenting paths alone (by Menger's theorem most
-roots keep two disjoint paths from the sponsor and stay, and the rest hang
-under the minimum cut nearest to them), and the sharing coefficients of
-the last alpha.  It keeps every answer.
+is silenced, and the sharing coefficients of the last alpha.  A root keeps
+two disjoint paths from the sponsor (Menger's theorem), found once by two
+augmenting paths, and stays unless the silenced branch meets them; for a
+branch that does, one more dominator pass with that branch silenced gives
+every root's new parent.  It keeps every answer.
 """
 
 from __future__ import annotations
@@ -75,33 +76,36 @@ class CriticalTree:
         branch ``silenced`` is silenced, or None if under the sponsor.
 
         Silencing branch ``b`` keeps its root, with no invitations, and
-        drops everyone depending on her.  A root the sponsor invites stays
-        under her.  Any other root ``c`` has the sponsor as her nearest cut
-        point, so by Menger's theorem some two sponsor-to-``c`` invitation
-        paths share no agent; two augmenting paths find them, once per
-        ``c``.  A silenced branch that meets neither leaves ``c`` under the
-        sponsor.  For one that does, the same search without ``b`` runs
-        once per pair: if it finds two paths again, ``c`` stays; if it
-        finds one, ``c``'s new parent is the minimum cut nearest to her,
-        read off the residual network the search leaves (``_nearest_cut``).
+        drops everyone depending on her, so the answer is the root's
+        parent in the critical tree of that network.  A root the sponsor
+        invites stays under her.  Any other root ``c`` has the sponsor as
+        her nearest cut point, so by Menger's theorem some two
+        sponsor-to-``c`` invitation paths share no agent; two augmenting
+        paths find them, once per ``c``.  A silenced branch that meets
+        neither leaves ``c`` under the sponsor.  For one that does, one
+        ``immediate_dominators`` pass over the graph in which ``b``'s root
+        invites no one, run once per ``b``, gives the new parent of every
+        movable root.
         """
         if branch not in self.movable:
             return None
-        root = self.root_branches[branch]
         # kept beside the fields, as ``omega`` keeps its last answer
         crossed = self.__dict__.setdefault("_crossed", {})
         if branch not in crossed:
-            flow, _ = _disjoint_paths(self.successors, root, frozenset())
+            root = self.root_branches[branch]
+            flow: set[tuple[str, str]] = set()
+            _augment(self.successors, root, flow)
+            _augment(self.successors, root, flow)
             crossed[branch] = frozenset(self.branch_of[w] for _, w in flow if w != root)
         if silenced not in crossed[branch]:
             return None
         hung = self.__dict__.setdefault("_hung", {})
-        pair = silenced, branch
-        if pair not in hung:
-            removed = self.branch_members(self.root_branches[silenced])
-            flow, two = _disjoint_paths(self.successors, root, removed)
-            hung[pair] = None if two else self._nearest_cut(root, flow, removed)
-        return hung[pair]
+        if silenced not in hung:
+            quiet = {**self.successors, self.root_branches[silenced]: ()}
+            parent = immediate_dominators(quiet, SPONSOR)
+            hung[silenced] = {k: up for k in self.movable
+                              if (up := parent[self.root_branches[k]]) != SPONSOR}
+        return hung[silenced].get(branch)
 
     def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
         """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
@@ -125,51 +129,6 @@ class CriticalTree:
         """``root`` plus every agent that participates only through her."""
         start = self.pre[root]
         return frozenset(self.preorder[start:start + self.size[root]])
-
-    def _nearest_cut(self, root: str, flow: set[tuple[str, str]],
-                     removed: frozenset[str]) -> str:
-        """The nearest cut point of ``root`` once ``removed`` is gone, read
-        off ``flow``, the one sponsor-to-``root`` path left.
-
-        The agents whose entry still reaches ``root``'s in the residual
-        network of ``_augment`` lie on the sink side of the minimum cut
-        nearest to her (Ford and Fulkerson).  The path crosses that cut
-        once, and with a flow of 1 the cut is one agent on it: walking up
-        from ``root``, the first agent whose entry is outside.
-        """
-        inviters = self._inviters
-        invitee = {u: w for u, w in flow}
-        entries, stack = {root}, [root]
-        while stack:
-            w = stack.pop()
-            # the exits with an arc into entry w: of an inviter whose
-            # invitation the path does not use, and w's own once she is on it
-            exits = [u for u in inviters[w] if u not in removed and (u, w) not in flow]
-            if w in invitee:
-                exits.append(w)
-            for u in exits:
-                # the entry with an arc into exit u: u's own, or once she is
-                # on the path, her invitee's, back along the invitation
-                v = invitee.get(u, u)
-                if v not in entries:
-                    entries.add(v)
-                    stack.append(v)
-        inviter = {w: u for u, w in flow}
-        v = inviter[root]
-        while v in entries:
-            v = inviter[v]
-        return v
-
-    @cached_property
-    def _inviters(self) -> dict[str, list[str]]:
-        """Every participant's inviters other than the sponsor, built for
-        the first cut that needs them."""
-        successors, preorder = self.successors, self.preorder
-        inviters: dict[str, list[str]] = {v: [] for v in preorder}
-        for u in preorder:
-            for w in successors[u]:
-                inviters[w].append(u)
-        return inviters
 
 
 def critical_tree(graph: InducedGraph) -> CriticalTree:
@@ -279,19 +238,11 @@ def immediate_dominators(successors: Mapping[str, Sequence[str]],
     return {vertices[w]: vertices[idom[w]] for w in range(1, n)}
 
 
-def _disjoint_paths(successors: Mapping[str, Sequence[str]], target: str,
-                    removed: frozenset[str]) -> tuple[set[tuple[str, str]], bool]:
-    """The invitations on two sponsor-to-``target`` paths that share no
-    agent and avoid ``removed``, and True; or on fewer, and False."""
-    flow: set[tuple[str, str]] = set()
-    return flow, all(_augment(successors, target, flow, removed) for _ in range(2))
-
-
 def _augment(successors: Mapping[str, Sequence[str]], target: str,
-             flow: set[tuple[str, str]], removed: frozenset[str]) -> bool:
+             flow: set[tuple[str, str]]) -> None:
     """Grow ``flow``, the invitations on sponsor-to-``target`` paths that
-    share no agent and avoid ``removed``, by one more path, which may
-    reroute the others; False if there is none.
+    share no agent, by one more path, which may reroute the others; there
+    must be one.
 
     A breadth-first search over the residual network in which every agent
     is an entry joined to an exit with capacity 1: an agent on a path can
@@ -308,7 +259,7 @@ def _augment(successors: Mapping[str, Sequence[str]], target: str,
         for v in exits:
             on_path = v in tails
             for w in successors[v]:
-                if w not in into and w not in removed and not (on_path and (v, w) in flow):
+                if w not in into and not (on_path and (v, w) in flow):
                     into[w] = v
                     entries.append(w)
             if v in inviter and v not in into:
@@ -320,8 +271,6 @@ def _augment(successors: Mapping[str, Sequence[str]], target: str,
             if u not in out_of:
                 out_of[u] = v
                 exits.append(u)
-    if target not in into:
-        return False
     v = target
     while v != SPONSOR:
         u = into[v]
@@ -330,4 +279,3 @@ def _augment(successors: Mapping[str, Sequence[str]], target: str,
         v = out_of[u]
         if v != u:
             flow.remove((u, v))
-    return True

@@ -21,12 +21,11 @@ from typing import Iterator, Optional, Sequence
 
 from netredist.auctions import MechanismId, market
 from netredist.critical_tree import CriticalTree
-from netredist.profiles import SPONSOR, AgentType, ReportProfile
+from netredist.profiles import SPONSOR, ZERO, AgentType, ReportProfile
 from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
 from netredist.render import fraction_str
 
-ZERO = Fraction(0)
 
 VALUE_DENOMINATOR = 100
 

@@ -42,8 +42,11 @@ class AgentType:
         return AgentType(Fraction(value), frozenset(neighbors))
 
 
+#: The one shared zero amount.
+ZERO = Fraction(0)
+
 #: The "stay silent" report used when a whole branch is blocked.
-NULL_TYPE = AgentType(Fraction(0), frozenset())
+NULL_TYPE = AgentType(ZERO, frozenset())
 
 
 @dataclass(frozen=True)

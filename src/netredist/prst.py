@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from netredist.profiles import SPONSOR, _cut
+from netredist.profiles import SPONSOR, ZERO, _cut
 from netredist.render import fraction_str
 
 if TYPE_CHECKING:  # the tree keeps its coefficients, so it imports this module
     from netredist.critical_tree import CriticalTree
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from netredist.auctions import MechanismId, Outcome, auction, market, silenced_revenue
-from netredist.profiles import ProfileError, ReportProfile
+from netredist.profiles import ZERO, ProfileError, ReportProfile
 from netredist.prst import SharingParams
 
-ZERO = Fraction(0)
 VCG = MechanismId("vcg")
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Callable, Optional, Sequence, TypeAlias
 
-from netredist.profiles import AgentType, ReportProfile, induce_graph
+from netredist.profiles import ZERO, AgentType, ReportProfile, induce_graph
 from netredist.auctions import (
     MechanismId,
     Outcome,
@@ -28,7 +28,6 @@ from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import fraction_str
 
-ZERO = Fraction(0)
 
 #: A mechanism under audit: report profile in, outcome out.  Left
 #: unevaluated: ``typing`` caches every subscription it evaluates, and a

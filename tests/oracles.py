@@ -151,7 +151,8 @@ def rehangs_oracle(graph: InducedGraph, tree: CriticalTree) -> list[dict[int, st
     ``b``'s members other than its root left out.  ``result[b][c]`` is the
     agent under which branch ``c``'s root hangs with ``b`` silenced;
     roots left under the sponsor are absent.  ``CriticalTree.hang`` reads
-    the same answers off augmenting paths and the dominators come from
+    the same answers off the package's Semi-NCA pass over the whole graph
+    with ``b``'s root silenced, and the skeleton's dominators come from
     ``fixpoint_dominators``, so the two share no code.
     """
     successors = graph.successors
@@ -200,18 +201,29 @@ def every_rehang(tree: CriticalTree) -> list[dict[int, str]]:
             for b in branches]
 
 
-def counted_searches(monkeypatch) -> list:
-    """Record the root of every new-parent search: one per (silenced,
-    root) pair that loses its two disjoint paths."""
-    searches = []
-    real = CriticalTree._nearest_cut
+def counted_passes(monkeypatch) -> list:
+    """Record the silenced root of every dominator pass ``hang`` runs: one
+    per silenced branch that meets the disjoint paths of a root asked about."""
+    passes = []
+    silenced_roots = []  # of the ``hang`` calls running
+    module = sys.modules[CriticalTree.__module__]
+    real_hang, real_pass = CriticalTree.hang, module.immediate_dominators
 
-    def counted_search(tree, root, *path):
-        searches.append(root)
-        return real(tree, root, *path)
+    def counted_hang(tree, silenced, branch):
+        silenced_roots.append(tree.root_branches[silenced])
+        try:
+            return real_hang(tree, silenced, branch)
+        finally:
+            silenced_roots.pop()
 
-    monkeypatch.setattr(CriticalTree, "_nearest_cut", counted_search)
-    return searches
+    def counted_pass(successors, root):
+        if silenced_roots:
+            passes.append(silenced_roots[-1])
+        return real_pass(successors, root)
+
+    monkeypatch.setattr(CriticalTree, "hang", counted_hang)
+    monkeypatch.setattr(module, "immediate_dominators", counted_pass)
+    return passes
 
 
 def counted_hangs(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from netredist.profiles import (
 from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
 from oracles import (
     brute_parent_map,
-    counted_searches,
+    counted_passes,
     fixpoint_dominators,
     random_digraph_profile,
 )
@@ -219,23 +219,25 @@ def test_index_matches_networkx_dominators():
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(invitation_digraphs())
 def test_every_rehang_is_the_parent_in_the_silenced_critical_tree(profile):
-    # the definition: rebuild the critical tree with root b's report
-    # emptied and read root c's parent, sharing no code with ``hang``
+    # the definition: induce the graph with root b's report emptied and
+    # read root c's parent off the fixpoint dominators, sharing no code
+    # with ``hang``
     tree = critical_tree(induce_graph(profile))
     roots = tree.root_branches
     for b, silenced in enumerate(roots):
-        parent = critical_tree(induce_graph(profile.replace(silenced, NULL_TYPE))).parent
+        graph = induce_graph(profile.replace(silenced, NULL_TYPE))
+        parent = fixpoint_dominators(graph.successors, SPONSOR)
         for c, root in enumerate(roots):
             expected = None if parent[root] == SPONSOR else parent[root]
             assert tree.hang(b, c) == expected, (silenced, root)
 
 
 def test_a_tree_and_its_rehangs_free_without_the_cycle_collector(monkeypatch):
-    # with A silenced R loses her two paths: a nearest-cut search hangs her
-    # under B, and the tree keeps that answer and the inviters it read
-    searches = counted_searches(monkeypatch)
+    # with A silenced R loses her two paths: one dominator pass with A
+    # silenced hangs her under B, and the tree keeps that answer
+    passes = counted_passes(monkeypatch)
     tree = critical_tree(induce_graph(cross_invited()))
-    assert tree.hang(0, 3) == "B" and searches == ["R"]
+    assert tree.hang(0, 3) == "B" and passes == ["A"]
     gone = weakref.ref(tree)
     gc.disable()
     try:

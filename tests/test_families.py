@@ -1,41 +1,47 @@
 """Work pins and outcome checks on the named hard families.
 
-A work pin counts what machine speed cannot move: the line events
-``sys.settrace`` sees inside ``critical_tree.py`` while one call runs.
-Doubling ``n`` should at most about double a near-linear pass.
+A work pin counts what machine speed cannot move: the line events and
+the function calls ``sys.settrace`` sees inside ``critical_tree.py`` while
+one call runs.  Doubling ``n`` should at most about double a near-linear
+pass.
 """
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from netredist.auctions import MechanismId
-from netredist.critical_tree import immediate_dominators
+from netredist.critical_tree import critical_tree, immediate_dominators
 from netredist.profiles import SPONSOR, induce_graph
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 
-from families import FAMILIES
-from oracles import cavallo_rerun_oracle, nrmf_rerun_oracle
+from families import FAMILIES, ring_entered_twice, two_ended_chain, zigzag
+from oracles import cavallo_rerun_oracle, every_rehang, nrmf_rerun_oracle
 
 HALF = SharingParams.of(Fraction(1, 2))
 MECHANISMS = [MechanismId.parse(m) for m in ("idm", "tnm", "vcg", "fixed:7")]
 
 
-def traced_lines(run, *args) -> int:
-    """The line events in ``critical_tree.py`` while ``run(*args)`` runs."""
+def traced_work(run, *args) -> Counter:
+    """The work in ``critical_tree.py`` while ``run(*args)`` runs: its line
+    events under ``"line"``, and the calls of each of its functions under
+    the function's name."""
     filename = immediate_dominators.__code__.co_filename
-    count = 0
+    work: Counter = Counter()
 
     def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
+        work["line"] += event == "line"
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == filename else None
+        if frame.f_code.co_filename != filename:
+            return None
+        work[frame.f_code.co_name] += 1
+        return local
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -43,7 +49,7 @@ def traced_lines(run, *args) -> int:
         run(*args)
     finally:
         sys.settrace(previous)
-    return count
+    return work
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -51,8 +57,22 @@ def test_dominator_work_at_most_about_doubles_with_n(family):
     work = []
     for n in (200, 400):
         successors = induce_graph(FAMILIES[family](n, random.Random(n))).successors
-        work.append(traced_lines(immediate_dominators, successors, SPONSOR))
+        work.append(traced_work(immediate_dominators, successors, SPONSOR)["line"])
     assert work[1] <= 2.2 * work[0], work
+
+
+@pytest.mark.parametrize("family", [two_ended_chain, ring_entered_twice, zigzag])
+def test_rehang_work_per_root_at_most_about_doubles_with_n(family):
+    # every (silenced, root) answer on a fresh tree: two augmenting paths
+    # per movable root and one dominator pass per silenced branch at most
+    per_root = []
+    for n in (60, 120):
+        tree = critical_tree(induce_graph(family(n, random.Random(n))))
+        work = traced_work(every_rehang, tree)
+        assert work["_augment"] <= 2 * len(tree.movable), work
+        assert work["immediate_dominators"] <= len(tree.root_branches), work
+        per_root.append(work["line"] / len(tree.root_branches))
+    assert per_root[1] <= 2.2 * per_root[0], per_root
 
 
 @pytest.mark.parametrize("family", FAMILIES)

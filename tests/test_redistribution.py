@@ -29,7 +29,7 @@ from oracles import (
     cavallo_rerun_oracle,
     clear_memo,
     counted_hangs,
-    counted_searches,
+    counted_passes,
     every_rehang,
     exact,
     memo_free,
@@ -274,7 +274,7 @@ def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
 
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
-    searches = counted_searches(monkeypatch)
+    passes = counted_passes(monkeypatch)
     clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
@@ -282,8 +282,8 @@ def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
         run_nrmf(MechanismId("idm"), profile, SharingParams(alpha))
         assert market(profile).tree is tree
     # R loses its two paths with A silenced and with B silenced: one
-    # new-parent search each, whatever the alpha
-    assert searches == ["R", "R"]
+    # dominator pass each, whatever the alpha
+    assert passes == ["A", "B"]
     # C invites R too: another structure, other answers
     changed = profile.replace("C", T(3, ["R"]))
     run_nrmf(MechanismId("idm"), changed, HALF)
@@ -428,8 +428,8 @@ def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
             moved.get(c) for moved in expected]
 
 
-def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkeypatch):
-    searches = counted_searches(monkeypatch)
+def test_dominator_passes_are_bounded_by_the_silenced_branches_that_cross_a_root(monkeypatch):
+    passes = counted_passes(monkeypatch)
     asked = counted_hangs(monkeypatch)
     rng = random.Random(20240705)
     # on a tree the sponsor invites every root: nothing is asked
@@ -437,7 +437,7 @@ def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkey
         profile = random_tree_profile(rng, rng.randint(1, 12))
         for mech in CHAIN_AUCTIONS:
             run_nrmf(mech, profile, HALF)
-    assert (searches, asked) == ([], [])
+    assert (passes, asked) == ([], [])
     # an evenly grown net plus 1% extra edges has movable roots, but the
     # chain walks never ask about them
     tree = generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=3, seed=7), 400)
@@ -450,17 +450,17 @@ def test_new_parent_searches_are_bounded_by_the_pairs_that_lose_two_paths(monkey
         run_nrmf(mech, profile, HALF)
     movable = market(profile).tree.movable
     assert movable and asked
-    assert not any(c in movable for _, c, _ in asked) and searches == []
+    assert not any(c in movable for _, c, _ in asked) and passes == []
     # on a cross-dense digraph few of the silenced branches meet the two
-    # disjoint paths of a root asked about, and fewer still cut them: each
-    # search is one pair that re-hangs its root, and is never repeated
+    # disjoint paths of a root asked about: each pass is for one of them,
+    # and none is repeated
     profile = sparse_digraph_profile(random.Random(1), 1000)
     clear_memo()
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     m = market(profile)
-    roots = m.tree.root_branches
-    moved = {(b, c) for b, c, parent in asked if parent is not None}
+    roots, crossed = m.tree.root_branches, m.tree.__dict__["_crossed"]
+    crossing = {roots[b] for _, c, _ in asked if c in crossed for b in crossed[c]}
     assert len(roots) == 482
-    assert len(searches) == len(moved) == 2
-    assert sorted(searches) == sorted(roots[c] for _, c in moved)
+    assert len(passes) == len(set(passes)) == 22
+    assert set(passes) <= crossing
