@@ -340,30 +340,33 @@ def chain_walk(tree: CriticalTree, ranked: Iterable[str],
     bidders = iter(ranked)
     top = next(bidders)
     chain: list[str] = []
+    height: dict[int, int] = {}  # chain branch -> links from its top one down
     link: Optional[str] = top
     while link is not None:
         segment = tree.ancestors(link)
         chain[:0] = segment
-        link = tree.hang(silenced, tree.branch_of[segment[0]]) if rehung else None
+        if not rehung:
+            break
+        height[tree.branch_of[segment[0]]] = len(chain)
+        link = tree.hang(silenced, tree.branch_of[segment[0]])
 
     pre, size, branch_of = tree.pre, tree.size, tree.branch_of
     outsiders: list[Optional[str]] = [None] * len(chain)
-    bidder: Optional[str] = top
+    bidder = entry = top
     for k in reversed(range(len(chain))):
         start = pre[chain[k]]
         end = start + size[chain[k]]
-        branch = branch_of[chain[k]]
         while bidder is not None:
-            # lift the bidder along re-hung roots into chain[k]'s branch
-            entry = bidder
-            while rehung and branch_of[entry] != branch:
+            # lift the bidder along re-hung roots, from where the last link
+            # left her, to the first chain branch at or above chain[k]'s
+            while rehung and height.get(branch_of[entry], 0) < len(chain) - k:
                 up = tree.hang(silenced, branch_of[entry])
                 if up is None:
                     break
                 entry = up
             if not start <= pre[entry] < end:
                 break
-            bidder = next(bidders, None)
+            bidder = entry = next(bidders, None)
         outsiders[k] = bidder
     return chain, outsiders
 

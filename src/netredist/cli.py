@@ -42,18 +42,16 @@ from netredist.profiles import (
     profile_to_dict,
 )
 from netredist.prst import SharingError, SharingParams, prst
-from netredist.redistribution import cavallo, run_nrmf
+from netredist.redistribution import run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
 from netredist.verify import (
-    auction_mechanism,
-    cavallo_mechanism,
     check_ic,
     check_ir,
     check_nd,
     check_revenue_invariant,
     check_revenue_monotonic,
     leaf_extension_pairs,
-    nrmf_mechanism,
+    parse_mechanism,
     shrink_pairs,
 )
 
@@ -108,14 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a mechanism with redistribution")
     run_p.add_argument("network", help="network JSON file")
     run_p.add_argument("--mechanism", default="idm",
-                       help="vcg | idm | tnm | fixed:<price> | cavallo")
+                       help="cavallo | auction:<kind> | nrmf:<kind>, <kind> = vcg | idm | "
+                            "tnm | fixed:<price>; a bare <kind> is nrmf:<kind>")
     run_p.add_argument("--true-values",
                        help="network JSON with private types, for utilities")
 
     ver_p = sub.add_parser("verify", help="audit a mechanism property")
     ver_p.add_argument("--property", required=True, choices=tuple(AUDITS))
     ver_p.add_argument("--mechanism", required=True,
-                       help="vcg | idm | tnm | fixed:<price> | cavallo | nrmf:<inner>")
+                       help="cavallo | auction:<kind> | nrmf:<kind>, <kind> = vcg | idm | "
+                            "tnm | fixed:<price>; a bare <kind> is auction:<kind>")
     ver_p.add_argument("--instances", required=True,
                        help="directory of network JSON files")
 
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp_p.add_subparsers(dest="experiment", required=True)
     abb_p = exp_sub.add_parser("abb", parents=[growth],
                                help="surplus convergence sweep")
-    abb_p.add_argument("--mechanism", default="idm", help="idm | tnm")
+    abb_p.add_argument("--mechanism", default="idm", help="vcg | idm | tnm | fixed:<price>")
     abb_p.add_argument("--sizes", default="50,200,1000",
                        help="comma-separated network sizes")
     abb_p.add_argument("--num-seeds", type=int, default=20)
@@ -311,8 +311,8 @@ def _run_rows(outcome, truth, digits: int) -> Rows:
 
 
 def _cmd_run(args, alpha: Fraction) -> int:
-    # a bad mechanism is rejected before the network is read
-    mech = None if args.mechanism == "cavallo" else MechanismId.parse(args.mechanism)
+    # a bad spec fails before any read; NRMF runs cli.run_nrmf, which tests rebind
+    mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
     profile = load_profile(args.network)
     truth = profile
     if args.true_values:
@@ -323,7 +323,7 @@ def _cmd_run(args, alpha: Fraction) -> int:
             raise ProfileError(
                 f"{args.true_values}: agents differ from the network's "
                 f"({len(missing)} missing, {len(unknown)} unknown)")
-    outcome = cavallo(profile) if mech is None else run_nrmf(mech, profile, SharingParams(alpha))
+    outcome = mechanism(profile)
     rows = _run_rows(outcome, truth, args.precision)
     data = {
         "mechanism": args.mechanism,
@@ -343,17 +343,9 @@ def _cmd_run(args, alpha: Fraction) -> int:
     return EXIT_OK
 
 
-def _make_audit_mechanism(spec: str, alpha: Fraction):
-    if spec == "cavallo":
-        return cavallo_mechanism()
-    if spec.startswith("nrmf:"):
-        return nrmf_mechanism(MechanismId.parse(spec[len("nrmf:"):]), alpha)
-    return auction_mechanism(MechanismId.parse(spec))
-
-
 def _cmd_verify(args, alpha: Fraction) -> int:
     # a bad mechanism is rejected before the instances are listed or read
-    mechanism = _make_audit_mechanism(args.mechanism, alpha)
+    mechanism = parse_mechanism(args.mechanism, alpha, "auction")
     paths = sorted(
         os.path.join(args.instances, f)
         for f in os.listdir(args.instances)

@@ -40,13 +40,24 @@ def auction_mechanism(mechanism: MechanismId) -> Mechanism:
     return lambda profile: run_auction(mechanism, profile)
 
 
-def nrmf_mechanism(mechanism: MechanismId, alpha: Fraction) -> Mechanism:
+def nrmf_mechanism(mechanism: MechanismId, alpha: Fraction, nrmf=None) -> Mechanism:
     params = SharingParams(alpha)
-    return lambda profile: run_nrmf(mechanism, profile, params)
+    return lambda profile: (nrmf or run_nrmf)(mechanism, profile, params)
 
 
 def cavallo_mechanism() -> Mechanism:
     return cavallo
+
+
+def parse_mechanism(spec: str, alpha: Fraction, bare: str, nrmf=None) -> Mechanism:
+    """``cavallo``, ``auction:<kind>`` (the plain auction) or ``nrmf:<kind>``
+    (NRMF over it at ``alpha``, by ``nrmf`` or else ``run_nrmf``), ``<kind>`` as
+    ``MechanismId.parse`` reads it; a bare ``<kind>`` takes the form ``bare``."""
+    if spec == "cavallo":
+        return cavallo_mechanism()
+    form, kind = spec.split(":", 1) if spec.startswith(("auction:", "nrmf:")) else (bare, spec)
+    mech = MechanismId.parse(kind)
+    return nrmf_mechanism(mech, alpha, nrmf) if form == "nrmf" else auction_mechanism(mech)
 
 
 def _utility(outcome: Outcome, i: str, true_value: Fraction) -> Fraction:

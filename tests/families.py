@@ -6,7 +6,8 @@ invitations are what make a depth-first numbering disagree with the
 critical tree: on the rings, the two-ended chain and the zigzag, most
 agents are reached again from below.  The evenly grown tree is the shape
 every benchmark workload uses; the pure chain, the star and the chain
-whose bids rise down it are the extremes of depth and breadth.
+whose bids rise down it are the extremes of depth and breadth.  The
+sparse digraph is the random shape with many invitations across branches.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import ReportProfile
 
 from networks import T
+from oracles import sparse_digraph_profile
 
 
 def _profile(rng: random.Random, sponsored, invitations, value_max: int) -> ReportProfile:
@@ -93,6 +95,15 @@ def rising_bid_chain(n: int, rng: random.Random, value_max: int = 20) -> ReportP
     return ReportProfile(frozenset(ids[:1]), reports)
 
 
+def sparse_digraph(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
+    """``oracles.sparse_digraph_profile``, each value v in [0, 100] cut to
+    the integer floor(v * value_max / 100), so a small ``value_max`` makes
+    ties common."""
+    profile = sparse_digraph_profile(rng, n)
+    return ReportProfile(profile.sponsor_neighbors, {
+        i: T(t.value * value_max // 100, t.neighbors) for i, t in profile.reports.items()})
+
+
 def evenly_grown_tree(n: int, rng: random.Random, value_max: int = 20) -> ReportProfile:
     """An evenly growing invitation tree, the benchmark workloads' shape."""
     return generate(GrowthModel(kind=EVENLY_GROWING, value_max=value_max,
@@ -108,4 +119,5 @@ FAMILIES = {
     "pure_chain": pure_chain,
     "star": star,
     "rising_bid_chain": rising_bid_chain,
+    "sparse_digraph": sparse_digraph,
 }

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from netredist import cli
-from netredist.auctions import MechanismId
+from netredist.auctions import MechanismId, run_auction
 from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
@@ -25,6 +25,7 @@ from netredist.profiles import (
 )
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
+from netredist.render import fraction_str
 
 from networks import T, bidder_star, reference_network_10, star_with_tail
 from oracles import (
@@ -640,13 +641,20 @@ def test_rational_flags_read_values_as_network_files_do(capsys, tmp_path, networ
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["run", "{network}", "--mechanism", "nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
-    (["run", "{missing}", "--mechanism", "nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
-    (["verify", "--property", "ir", "--mechanism", "auction:idm", "--instances",
+    (["run", "{network}", "--mechanism", "nrmf:nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
+    (["run", "{missing}", "--mechanism", "nrmf:nrmf:idm"], "unknown mechanism 'nrmf:idm'"),
+    (["verify", "--property", "ir", "--mechanism", "auction:auction:idm", "--instances",
       "{instances}"], "unknown mechanism 'auction:idm'"),
     (["verify", "--property", "ir", "--mechanism", "nrmf:bogus", "--instances",
       "{missing}"], "unknown mechanism 'bogus'"),
-], ids=["run", "run-missing-file", "verify", "verify-missing-dir"])
+    (["run", "{missing}", "--mechanism", "nrmf:cavallo"], "unknown mechanism 'cavallo'"),
+    (["run", "{missing}", "--mechanism", "auction:bogus"], "unknown mechanism 'bogus'"),
+    (["verify", "--property", "ir", "--mechanism", "nrmf:cavallo", "--instances",
+      "{missing}"], "unknown mechanism 'cavallo'"),
+    (["verify", "--property", "ir", "--mechanism", "auction:bogus", "--instances",
+      "{missing}"], "unknown mechanism 'bogus'"),
+], ids=["run", "run-missing-file", "verify", "verify-missing-dir", "run-nrmf-cavallo",
+        "run-auction-bogus", "verify-nrmf-cavallo", "verify-auction-bogus"])
 def test_a_bad_mechanism_is_rejected_before_any_file_is_read(capsys, monkeypatch,
                                                              network_file, argv, message):
     loads = []
@@ -657,6 +665,49 @@ def test_a_bad_mechanism_is_rejected_before_any_file_is_read(capsys, monkeypatch
     captured = capsys.readouterr()
     assert (code, captured.out, loads) == (EXIT_INPUT_ERROR, "", [])
     assert captured.err == f"error: {message}\n"
+
+
+GRAMMAR_KINDS = ("idm", "tnm", "vcg", "fixed:30")
+
+
+@pytest.mark.parametrize("output", ["json", "csv", "table"])
+@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
+def test_run_nrmf_kind_is_run_kind_but_for_the_echoed_mechanism(capsys, network_file,
+                                                                kind, output):
+    _, bare = run_cli(capsys, "--output", output, "run", network_file, "--mechanism", kind)
+    code, spelled = run_cli(capsys, "--output", output, "run", network_file,
+                            "--mechanism", "nrmf:" + kind)
+    assert code == EXIT_OK
+    if output == "json":
+        echo = '"mechanism": "%s"'
+        assert bare.count(echo % kind) == 1
+        bare = bare.replace(echo % kind, echo % ("nrmf:" + kind))
+    assert spelled == bare
+
+
+@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
+def test_verify_auction_kind_prints_the_bytes_of_verify_kind(capsys, network_file, kind):
+    instances = str(Path(network_file).parent)
+    bare, spelled = (
+        run_cli(capsys, "verify", "--property", "ic", "--mechanism", spec,
+                "--instances", instances)
+        for spec in (kind, "auction:" + kind))
+    assert spelled == bare
+
+
+def test_run_auction_kind_runs_the_plain_auction(capsys, network_file):
+    code, out = run_cli(capsys, "--output", "json", "--precision", "20", "run", network_file,
+                        "--mechanism", "auction:idm")
+    profile = load_profile(network_file)
+    outcome = run_auction(MechanismId("idm"), profile)
+    data = json.loads(out)
+    assert code == EXIT_OK
+    assert (data["winner"], data["surplus_exact"]) == (outcome.winner,
+                                                       fraction_str(outcome.surplus))
+    assert data["agents"] == run_rows_oracle(outcome, profile, 20)
+    # not NRMF over it, which rebates
+    assert data["agents"] != run_rows_oracle(run_nrmf(MechanismId("idm"), profile, HALF),
+                                             profile, 20)
 
 
 LONG_FLAG = "x" * 5000

@@ -13,14 +13,20 @@ from fractions import Fraction
 
 import pytest
 
-from netredist.auctions import MechanismId
+from netredist.auctions import MechanismId, market
 from netredist.critical_tree import critical_tree, immediate_dominators
 from netredist.profiles import SPONSOR, induce_graph
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 
 from families import FAMILIES, ring_entered_twice, two_ended_chain, zigzag
-from oracles import cavallo_rerun_oracle, every_rehang, nrmf_rerun_oracle
+from oracles import (
+    cavallo_rerun_oracle,
+    clear_memo,
+    counted_hangs,
+    every_rehang,
+    nrmf_rerun_oracle,
+)
 
 HALF = SharingParams.of(Fraction(1, 2))
 MECHANISMS = [MechanismId.parse(m) for m in ("idm", "tnm", "vcg", "fixed:7")]
@@ -54,11 +60,16 @@ def traced_work(run, *args) -> Counter:
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_dominator_work_at_most_about_doubles_with_n(family):
-    work = []
+    # per vertex and edge the pass reaches, so that the pin follows the
+    # pass and not how much of a random digraph the sponsor happens to
+    # reach; the reached part doubles with n on every other family
+    per_size = []
     for n in (200, 400):
-        successors = induce_graph(FAMILIES[family](n, random.Random(n))).successors
-        work.append(traced_work(immediate_dominators, successors, SPONSOR)["line"])
-    assert work[1] <= 2.2 * work[0], work
+        graph = induce_graph(FAMILIES[family](n, random.Random(n)))
+        size = sum(1 + len(graph.successors[v]) for v in graph.reachable | {SPONSOR})
+        work = traced_work(immediate_dominators, graph.successors, SPONSOR)["line"]
+        per_size.append(work / size)
+    assert per_size[1] <= 1.1 * per_size[0], per_size
 
 
 @pytest.mark.parametrize("family", [two_ended_chain, ring_entered_twice, zigzag])
@@ -73,6 +84,19 @@ def test_rehang_work_per_root_at_most_about_doubles_with_n(family):
         assert work["immediate_dominators"] <= len(tree.root_branches), work
         per_root.append(work["line"] / len(tree.root_branches))
     assert per_root[1] <= 2.2 * per_root[0], per_root
+
+
+@pytest.mark.parametrize("family,bound", [
+    (two_ended_chain, 1000), (ring_entered_twice, 250), (zigzag, 400)])
+def test_each_bidder_climbs_the_rehung_roots_once_per_chain_walk(monkeypatch, family, bound):
+    # hang calls per root branch in NRMF over idm and tnm: 807 / 178 / 327
+    # here, and 2,400 / 392 / 526 when every link restarts each bidder's climb
+    profile = family(120, random.Random(0))
+    asked = counted_hangs(monkeypatch)
+    clear_memo()
+    for mech in MECHANISMS[:2]:
+        run_nrmf(mech, profile, HALF)
+    assert len(asked) <= bound * len(market(profile).tree.root_branches)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
