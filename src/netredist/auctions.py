@@ -53,15 +53,14 @@ class Outcome:
     exactly for every agent, and ``surplus`` is the exact sum of final
     payments.  ``branch_revenues`` is keyed by branch root id, in the order
     given by ``branch_roots``.  A plain auction redistributes 0 to every
-    agent and has no branches.  ``utilities`` are measured against the
-    reported values in ``profile`` and computed on first read; the utility
-    at a true value ``v`` is ``utility(allocation[i], v, final_payment[i])``.
+    agent and has no branches.  ``final_payment`` and ``utilities`` are
+    derived on first read, so equality compares neither; ``utilities`` are
+    measured against the reported values in ``profile``.
     """
 
     allocation: dict[str, int]
     auction_payment: dict[str, Fraction]
     redistribution: dict[str, Fraction]
-    final_payment: dict[str, Fraction]
     branch_revenues: dict[str, Fraction]
     branch_roots: tuple[str, ...]
     surplus: Fraction
@@ -69,11 +68,22 @@ class Outcome:
     profile: ReportProfile = field(compare=False, repr=False)
 
     @cached_property
+    def final_payment(self) -> dict[str, Fraction]:
+        """Every agent's auction payment less her redistribution."""
+        return {i: final(p, self.redistribution[i]) for i, p in self.auction_payment.items()}
+
+    @cached_property
     def utilities(self) -> dict[str, Fraction]:
         """Every agent's utility at her reported value."""
         value_of = self.profile.value_of
         return {i: utility(allocated, value_of(i), self.final_payment[i])
                 for i, allocated in self.allocation.items()}
+
+
+def final(paid: Fraction, rebate: Fraction) -> Fraction:
+    """The auction payment less the rebate, with no Fraction arithmetic on
+    zeros: most agents get no rebate, and most of those who do paid nothing."""
+    return (paid - rebate if paid else -rebate) if rebate else paid
 
 
 def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
@@ -220,15 +230,8 @@ def auction(mechanism: MechanismId, m: Market,
         redistribution = dict.fromkeys(payment, ZERO)
     if branch_revenues is None:
         branch_revenues = {}
-    # no Fraction arithmetic on zeros: all but a few agents pay nothing,
-    # and agents outside the tree or below a chain head get no rebate
-    final_payment = payment.copy()
-    for i, rebate in redistribution.items():
-        if rebate:
-            paid = final_payment[i]
-            final_payment[i] = paid - rebate if paid else -rebate
     # the auction's revenue is the sum of its payments
-    return Outcome(allocation, payment, redistribution, final_payment, branch_revenues,
+    return Outcome(allocation, payment, redistribution, branch_revenues,
                    tuple(branch_revenues), revenue - redistributed, winner, m.profile)
 
 

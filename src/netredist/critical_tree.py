@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from netredist.profiles import SPONSOR, InducedGraph
-from netredist.prst import SharingParams, prst
+from netredist.prst import SharingParams, walk
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class CriticalTree:
         last = self.__dict__.get("_omega")
         if last is None or last[0] is not alpha and last[0] != alpha:
             # kept beside the fields, as ``cached_property`` keeps its values
-            last = self.__dict__["_omega"] = alpha, prst(self, params).omega
+            last = self.__dict__["_omega"] = alpha, walk(self, alpha)[0]
         return last[1]
 
     def ancestors(self, i: str) -> list[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
 from netredist.profiles import SPONSOR, ZERO, _cut
@@ -85,33 +86,42 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     per agent.
 
     With ``P = n_sib``, ``o = n_own`` and ``alpha = a/b`` the spread is
-    ``total - base = o * (P - o - 1) / (P * (P - o))``, so each agent
-    costs one exact fraction per output:
+    ``total - base = o * (P - o - 1) / (P * (P - o))``.  The walk carries
+    every pass-down mass as an integer pair ``pn/pd`` reduced by one
+    ``gcd``, so each agent costs one exact fraction, her coefficient:
 
-        omega_i = pass_parent * (b*P + a*o*(P - o - 1)) / (b*P*(P - o))
-        pass_i  = pass_parent * o*(P - o - 1)*(b - a) / (b*P*(P - o))
+        omega_i = pn * (b*P + a*o*(P - o - 1)) / (pd * b*P*(P - o))
+        pass_i  = pn * o*(P - o - 1)*(b - a) / (pd * b*P*(P - o))
 
-    A leaf has ``o = 0``: she keeps ``pass_parent / P`` and passes nothing
+    A leaf has ``o = 0``: she keeps ``pn / (pd * P)`` and passes nothing
     on, whatever alpha is.  That value depends on her parent alone, so all
     leaf children of one parent share one coefficient, computed once.
     """
+    omega, passes = walk(tree, params.alpha)
+    omega_pass = {SPONSOR: ONE, **dict.fromkeys(tree.preorder, ZERO)}
+    omega_pass.update((i, Fraction(*pair)) for i, pair in passes.items() if i != SPONSOR)
+    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
+
+
+def walk(tree: CriticalTree, alpha: Fraction) -> tuple[dict[str, Fraction], dict]:
+    """``prst``'s coefficients, and its nonzero pass-down masses as reduced
+    integer pairs ``(numerator, denominator)``, the sponsor's included."""
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
-    a, b = params.alpha.numerator, params.alpha.denominator
+    a, b = alpha.numerator, alpha.denominator
     preorder, pre, parent, size = tree.preorder, tree.pre, tree.parent, tree.size
     n = len(preorder)  # all agents are below the sponsor
 
     omega = dict.fromkeys(preorder, ZERO)
-    omega_pass = dict.fromkeys((SPONSOR, *preorder), ZERO)
-    omega_pass[SPONSOR] = ONE
+    passes = {SPONSOR: (1, 1)}  # an agent who passes nothing has no entry
     leaf_omega: dict[str, Fraction] = {}  # parent -> her leaf children's omega
     # preorder visits every parent before her children
     k = 0
     while k < n:
         i = preorder[k]
         p = parent[i]
-        pass_p = omega_pass[p]
-        if not pass_p:  # the rest of p's interval keeps 0: skip it
+        pn, pd = passes.get(p, (0, 1))
+        if not pn:  # the rest of p's interval keeps 0: skip it
             k = pre[p] + size[p]
             continue
         k += 1
@@ -120,16 +130,17 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
         if not own_count:
             w = leaf_omega.get(p)
             if w is None:
-                w = leaf_omega[p] = pass_p / parent_count
+                w = leaf_omega[p] = Fraction(pn, pd * parent_count)
             omega[i] = w
             continue
         spread = own_count * (parent_count - own_count - 1)
-        den = b * parent_count * (parent_count - own_count)
-        omega[i] = pass_p * Fraction(b * parent_count + a * spread, den)
+        den = pd * b * parent_count * (parent_count - own_count)
+        omega[i] = Fraction(pn * (b * parent_count + a * spread), den)
         if spread:
-            omega_pass[i] = pass_p * Fraction(spread * (b - a), den)
-
-    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
+            num = pn * spread * (b - a)
+            g = gcd(num, den)
+            passes[i] = num // g, den // g
+    return omega, passes
 
 
 def share_totals(shares: ShareVector) -> Fraction:

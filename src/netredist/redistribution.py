@@ -16,12 +16,14 @@ The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue and a nonzero coefficient get a rebate; every
 agent below an only child has coefficient 0.  Reward sharing gives branch
 ``b``'s members exactly the mass ``size[b] / n``, so the surplus is the
-auction's revenue less ``sum(R_b * size[b]) / n``, one term per branch.
+auction's revenue less ``sum(R_b * size[b]) / n``, summed as one integer
+over the revenues' common denominator into one fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from netredist.auctions import MechanismId, Outcome, auction, market, silenced_revenue
 from netredist.profiles import ZERO, ProfileError, ReportProfile
@@ -49,7 +51,8 @@ def run_nrmf(mechanism: MechanismId,
     revenues = {root: silenced_revenue(mechanism, m, root) for root in tree.root_branches}
     redistribution = dict.fromkeys(profile.agents, ZERO)
     # branch b's members share its revenue with total mass size[b] / n
-    mass = ZERO
+    common = lcm(*(revenue.denominator for revenue in revenues.values()))
+    mass = 0
     for root, revenue in revenues.items():
         if revenue:
             start = pre[root]
@@ -57,8 +60,9 @@ def run_nrmf(mechanism: MechanismId,
                 w = omega[i]
                 if w:  # an agent below an only child keeps 0
                     redistribution[i] = w * revenue
-            mass += revenue * size[root]
-    return auction(mechanism, m, redistribution, mass / len(preorder), revenues)
+            mass += revenue.numerator * (common // revenue.denominator) * size[root]
+    redistributed = Fraction(mass, common * len(preorder))
+    return auction(mechanism, m, redistribution, redistributed, revenues)
 
 
 def cavallo(profile: ReportProfile) -> Outcome:

@@ -353,7 +353,6 @@ def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
         allocation={i: auction.allocation[i] for i in profile.agents},
         auction_payment={i: auction.auction_payment[i] for i in profile.agents},
         redistribution=redistribution,
-        final_payment=final_payment,
         branch_revenues=branch_revenues,
         branch_roots=branch_roots,
         surplus=sum(final_payment.values(), ZERO),
@@ -364,8 +363,7 @@ def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
 
 def _no_sale(profile: ReportProfile) -> Outcome:
     zero = {i: ZERO for i in profile.agents}
-    return Outcome({i: 0 for i in profile.agents}, zero, zero, zero, {}, (), ZERO, None,
-                   profile)
+    return Outcome({i: 0 for i in profile.agents}, zero, zero, {}, (), ZERO, None, profile)
 
 
 def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,

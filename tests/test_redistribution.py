@@ -349,6 +349,29 @@ def test_nrmf_matches_rerun_oracle_on_random_digraphs():
     assert rehung > 200  # the counterfactual trees often differ from the actual one
 
 
+def test_nrmf_matches_rerun_oracle_on_values_of_mixed_denominators():
+    # Each value k becomes k/3, k/7 or k/100, so the branches' revenues
+    # have denominators of their own and the mass is summed over their
+    # common one.
+    rng = random.Random(20261020)
+    mechanisms = [MechanismId.parse(m) for m in ("vcg", "idm", "tnm", "fixed:10/7")]
+    mixed = 0
+    for _ in range(300):
+        integral = random_digraph_profile(rng, rng.randint(1, 10),
+                                          edge_prob=rng.choice((0.15, 0.3)), value_max=30)
+        profile = ReportProfile(integral.sponsor_neighbors, {
+            i: AgentType(t.value / rng.choice((3, 7, 100)), t.neighbors)
+            for i, t in integral.reports.items()})
+        for mech in mechanisms:
+            for params in ALPHAS:
+                outcome = run_nrmf(mech, profile, params)
+                assert_matches_oracle(outcome, nrmf_rerun_oracle(mech, profile, params),
+                                      profile)
+                assert outcome.surplus == sum(outcome.final_payment.values())
+                mixed += len({r.denominator for r in outcome.branch_revenues.values()}) > 1
+    assert mixed > 200
+
+
 def test_nrmf_matches_rerun_oracle_below_only_children():
     # Every agent below an only child has coefficient 0 and gets no rebate,
     # even in a branch with nonzero counterfactual revenue.
