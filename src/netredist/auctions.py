@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.profiles import ZERO, ReportProfile, _echo, induce_graph, parse_value
@@ -53,24 +53,22 @@ class Outcome:
     exactly for every agent, and ``surplus`` is the exact sum of final
     payments.  ``branch_revenues`` is keyed by branch root id, in the order
     given by ``branch_roots``.  A plain auction redistributes 0 to every
-    agent and has no branches.  ``final_payment`` and ``utilities`` are
-    derived on first read, so equality compares neither; ``utilities`` are
-    measured against the reported values in ``profile``.
+    agent and has no branches.  ``auction`` gives ``final_payment`` as a
+    ``FinalPayments`` view, which derives each amount on read.
+    ``utilities`` are measured against the reported values in ``profile``
+    and computed on first read; the utility at a true value ``v`` is
+    ``utility(allocation[i], v, final_payment[i])``.
     """
 
     allocation: dict[str, int]
     auction_payment: dict[str, Fraction]
     redistribution: dict[str, Fraction]
+    final_payment: Mapping[str, Fraction]
     branch_revenues: dict[str, Fraction]
     branch_roots: tuple[str, ...]
     surplus: Fraction
     winner: Optional[str]
     profile: ReportProfile = field(compare=False, repr=False)
-
-    @cached_property
-    def final_payment(self) -> dict[str, Fraction]:
-        """Every agent's auction payment less her redistribution."""
-        return {i: final(p, self.redistribution[i]) for i, p in self.auction_payment.items()}
 
     @cached_property
     def utilities(self) -> dict[str, Fraction]:
@@ -80,10 +78,26 @@ class Outcome:
                 for i, allocated in self.allocation.items()}
 
 
-def final(paid: Fraction, rebate: Fraction) -> Fraction:
-    """The auction payment less the rebate, with no Fraction arithmetic on
-    zeros: most agents get no rebate, and most of those who do paid nothing."""
-    return (paid - rebate if paid else -rebate) if rebate else paid
+class FinalPayments(Mapping):
+    """Every agent's auction payment less her rebate, derived on each read
+    with no Fraction arithmetic on zeros: most agents get no rebate, and
+    most of those who do paid nothing."""
+
+    def __init__(self, paid: dict[str, Fraction], rebate: dict[str, Fraction]):
+        self.paid, self.rebate = paid, rebate
+
+    def __getitem__(self, i: str) -> Fraction:
+        paid, rebate = self.paid[i], self.rebate[i]
+        return (paid - rebate if paid else -rebate) if rebate else paid
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.paid)
+
+    def __len__(self) -> int:
+        return len(self.paid)
+
+    def __repr__(self) -> str:
+        return f"FinalPayments({dict(self)!r})"
 
 
 def utility(allocated: int, value: Fraction, payment: Fraction) -> Fraction:
@@ -231,8 +245,9 @@ def auction(mechanism: MechanismId, m: Market,
     if branch_revenues is None:
         branch_revenues = {}
     # the auction's revenue is the sum of its payments
-    return Outcome(allocation, payment, redistribution, branch_revenues,
-                   tuple(branch_revenues), revenue - redistributed, winner, m.profile)
+    return Outcome(allocation, payment, redistribution, FinalPayments(payment, redistribution),
+                   branch_revenues, tuple(branch_revenues), revenue - redistributed, winner,
+                   m.profile)
 
 
 def sale(mechanism: MechanismId, m: Market

@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from netredist.auctions import MechanismError, MechanismId, final, market, utility
+from netredist.auctions import MechanismError, MechanismId, market, utility
 from netredist.generators import (
     BRANCH_INDEPENDENT,
     EVENLY_GROWING,
@@ -41,7 +41,7 @@ from netredist.profiles import (
     parse_value,
     profile_to_dict,
 )
-from netredist.prst import SharingError, SharingParams
+from netredist.prst import SharingError, SharingParams, shares
 from netredist.redistribution import run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
 from netredist.verify import (
@@ -294,11 +294,11 @@ def _run_rows(outcome, truth, digits: int) -> Rows:
         paid = outcome.auction_payment[i]
         rebate = outcome.redistribution[i]
         if allocated or paid:
-            total = final(paid, rebate)
+            final = outcome.final_payment[i]
             values.append((
                 i, allocated, decimal_str(paid, digits), decimal_str(rebate, digits),
-                decimal_str(total, digits),
-                decimal_str(utility(allocated, truth.value_of(i), total), digits)))
+                decimal_str(final, digits),
+                decimal_str(utility(allocated, truth.value_of(i), final), digits)))
             continue
         # With nothing won and nothing paid at auction, the final payment is
         # -rebate and the utility +rebate at any value.  A rebate is never
@@ -423,7 +423,7 @@ def _cmd_shares(args, alpha: Fraction) -> int:
     reward = _rational("--reward", args.reward)
     tree = market(load_profile(args.network)).tree
     omega = tree.omega(SharingParams(alpha, reward))
-    share = {i: w * reward if w else w for i, w in omega.items()}
+    share = shares(omega, reward)
     rows = Rows(SHARES_COLUMNS, [
         (i, fraction_str(omega[i]), decimal_str(share[i], args.precision))
         for i in tree.agents

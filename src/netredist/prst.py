@@ -62,9 +62,13 @@ class ShareVector:
 
     @property
     def share(self) -> dict[str, Fraction]:
-        """Monetary shares, ``share[i] == omega[i] * reward``; built anew
-        on every access."""
-        return {i: w * self.reward if w else ZERO for i, w in self.omega.items()}
+        """Monetary shares, built anew on every access."""
+        return shares(self.omega, self.reward)
+
+
+def shares(omega: Mapping[str, Fraction], reward: Fraction) -> dict[str, Fraction]:
+    """Monetary shares, ``share[i] == omega[i] * reward``."""
+    return {i: w * reward if w else ZERO for i, w in omega.items()}
 
 
 def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:

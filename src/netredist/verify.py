@@ -20,7 +20,6 @@ from netredist.profiles import ZERO, AgentType, ReportProfile, induce_graph
 from netredist.auctions import (
     MechanismId,
     Outcome,
-    final,
     market,
     run_auction,
     utility,
@@ -62,8 +61,7 @@ def parse_mechanism(spec: str, alpha: Fraction, bare: str, nrmf=None) -> Mechani
 
 
 def _utility(outcome: Outcome, i: str, true_value: Fraction) -> Fraction:
-    return utility(outcome.allocation[i], true_value,
-                   final(outcome.auction_payment[i], outcome.redistribution[i]))
+    return utility(outcome.allocation[i], true_value, outcome.final_payment[i])
 
 
 # The deviation space: a finite stand-in for "all possible reports" of a

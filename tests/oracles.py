@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 from netredist import auctions
@@ -353,6 +354,7 @@ def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
         allocation={i: auction.allocation[i] for i in profile.agents},
         auction_payment={i: auction.auction_payment[i] for i in profile.agents},
         redistribution=redistribution,
+        final_payment=final_payment,
         branch_revenues=branch_revenues,
         branch_roots=branch_roots,
         surplus=sum(final_payment.values(), ZERO),
@@ -363,7 +365,8 @@ def _outcome_by_terms(profile: ReportProfile, auction: Outcome,
 
 def _no_sale(profile: ReportProfile) -> Outcome:
     zero = {i: ZERO for i in profile.agents}
-    return Outcome({i: 0 for i in profile.agents}, zero, zero, {}, (), ZERO, None, profile)
+    return Outcome({i: 0 for i in profile.agents}, zero, zero, zero, {}, (), ZERO, None,
+                   profile)
 
 
 def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
@@ -411,7 +414,7 @@ def cavallo_rerun_oracle(profile: ReportProfile):
 def exact(value):
     """A field as a comparable whose numbers keep their type and whose
     keys keep their order, so 0 and Fraction(0) differ."""
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return [(k, type(v), v) for k, v in value.items()]
     return type(value), value
 

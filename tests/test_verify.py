@@ -84,7 +84,8 @@ def test_ir_catches_a_planted_overcharger():
         outcome = vcg(profile)
         payment = dict(outcome.auction_payment)
         payment[outcome.winner] = payment[outcome.winner] + 5
-        return dataclasses.replace(outcome, auction_payment=payment, surplus=outcome.surplus + 5)
+        return dataclasses.replace(outcome, auction_payment=payment, final_payment=payment,
+                                   surplus=outcome.surplus + 5)
 
     runs = []
 
@@ -210,8 +211,8 @@ def test_every_audited_mechanism_reuses_the_structure(monkeypatch):
 
 def _same_as_fresh_run(outcome, reference, profile) -> bool:
     fresh = memo_free(reference, profile)
-    # final payments and utilities are derived on read, so not fields
-    names = [f.name for f in dataclasses.fields(fresh)] + ["final_payment", "utilities"]
+    # utilities are computed on read, so not a field
+    names = [f.name for f in dataclasses.fields(fresh)] + ["utilities"]
     return all(exact(getattr(outcome, name)) == exact(getattr(fresh, name))
                for name in names)
 
