@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from netredist.auctions import MechanismError, MechanismId, market, utility
+from netredist.auctions import MechanismError, market, utility
 from netredist.generators import (
     BRANCH_INDEPENDENT,
     EVENLY_GROWING,
@@ -77,6 +77,10 @@ AUDITS = {
 }
 
 
+#: ``--mechanism``'s help; the bare form differs between subcommands.
+MECHANISM_HELP = ("cavallo | auction:<kind> | nrmf:<kind>, <kind> = vcg | idm | tnm | "
+                  "fixed:<price>; a bare <kind> is {}:<kind>")
+
 #: A quoted value in an argparse message, or a bare word.
 _WORD = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
 
@@ -105,17 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a mechanism with redistribution")
     run_p.add_argument("network", help="network JSON file")
-    run_p.add_argument("--mechanism", default="idm",
-                       help="cavallo | auction:<kind> | nrmf:<kind>, <kind> = vcg | idm | "
-                            "tnm | fixed:<price>; a bare <kind> is nrmf:<kind>")
+    run_p.add_argument("--mechanism", default="idm", help=MECHANISM_HELP.format("nrmf"))
     run_p.add_argument("--true-values",
                        help="network JSON with private types, for utilities")
 
     ver_p = sub.add_parser("verify", help="audit a mechanism property")
     ver_p.add_argument("--property", required=True, choices=tuple(AUDITS))
     ver_p.add_argument("--mechanism", required=True,
-                       help="cavallo | auction:<kind> | nrmf:<kind>, <kind> = vcg | idm | "
-                            "tnm | fixed:<price>; a bare <kind> is auction:<kind>")
+                       help=MECHANISM_HELP.format("auction"))
     ver_p.add_argument("--instances", required=True,
                        help="directory of network JSON files")
 
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp_p.add_subparsers(dest="experiment", required=True)
     abb_p = exp_sub.add_parser("abb", parents=[growth],
                                help="surplus convergence sweep")
-    abb_p.add_argument("--mechanism", default="idm", help="vcg | idm | tnm | fixed:<price>")
+    abb_p.add_argument("--mechanism", default="idm", help=MECHANISM_HELP.format("nrmf"))
     abb_p.add_argument("--sizes", default="50,200,1000",
                        help="comma-separated network sizes")
     abb_p.add_argument("--num-seeds", type=int, default=20)
@@ -390,8 +391,8 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
     seeds = [args.seed + k for k in range(args.num_seeds)]
     model = _growth_model(args)
     if args.experiment == "abb":
-        mech = MechanismId.parse(args.mechanism)
-        result = abb_experiment(mech, model, sizes, seeds, alpha)
+        mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
+        result = abb_experiment(mechanism, model, sizes, seeds)
         data = result.to_dict()
     else:
         price = _rational("--price", args.price)

@@ -242,24 +242,25 @@ def _augment(successors: Mapping[str, Sequence[str]], target: str,
              flow: set[tuple[str, str]]) -> None:
     """Grow ``flow``, the invitations on sponsor-to-``target`` paths that
     share no agent, by one more path, which may reroute the others; there
-    must be one.
+    must be one, and the sponsor must not invite ``target``.
 
     A breadth-first search over the residual network in which every agent
     is an entry joined to an exit with capacity 1: an agent on a path can
     be left back along it, from her entry to her inviter's exit, or
-    re-entered from her exit.
+    re-entered from her exit.  It also follows invitations on a path, each
+    from an exit already reached to an entry whose one move leads back to
+    it: a dead end.  The target is not entered so, as her inviter on a path
+    is an agent whose exit is reached only through her.
     """
     inviter = {w: u for u, w in flow if w != target}
-    tails = {u for u, _ in flow}
     into: dict[str, str] = {}  # an agent's entry, by the exit it is reached from
     out_of: dict[str, str] = {SPONSOR: SPONSOR}  # an exit, by the entry
     exits = [SPONSOR]
     while exits and target not in into:
         entries = []
         for v in exits:
-            on_path = v in tails
             for w in successors[v]:
-                if w not in into and not (on_path and (v, w) in flow):
+                if w not in into:
                     into[w] = v
                     entries.append(w)
             if v in inviter and v not in into:

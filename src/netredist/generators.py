@@ -22,9 +22,8 @@ from typing import Iterator, Optional, Sequence
 from netredist.auctions import MechanismId, market
 from netredist.critical_tree import CriticalTree
 from netredist.profiles import SPONSOR, ZERO, AgentType, ReportProfile
-from netredist.prst import SharingParams
-from netredist.redistribution import run_nrmf
 from netredist.render import fraction_str
+from netredist.verify import Mechanism, nrmf_mechanism
 
 
 VALUE_DENOMINATOR = 100
@@ -230,45 +229,43 @@ class ExperimentResult:
         }
 
 
-def _sweep(mechanism: MechanismId,
+def _sweep(mechanism: Mechanism,
            model: GrowthModel,
            sizes: Sequence[int],
            seeds: Sequence[int],
-           alpha: Fraction,
            bound: Optional[Fraction] = None,
            ) -> Iterator[tuple[ExperimentRecord, ReportProfile, CriticalTree]]:
-    """Run the mechanism with redistribution on one generated network per
-    (size, seed), sizes ascending; yields each record with its profile and
-    critical tree."""
-    params = SharingParams(alpha)
+    """Run the mechanism on one generated network per (size, seed), sizes
+    ascending; yields each record with its profile and critical tree."""
     for n in sorted(sizes):
         for seed in seeds:
             profile = generate(model.with_seed(seed), n)
-            outcome = run_nrmf(mechanism, profile, params)
+            outcome = mechanism(profile)
             tree = market(profile).tree
-            fractions = branch_fractions(tree)
-            record = ExperimentRecord(
-                n=n, seed=seed, surplus=outcome.surplus,
-                max_branch_fraction=max(fractions.values()),
-                branch_count=len(fractions), bound=bound,
-            )
+            fractions = branch_fractions(tree).values()
+            record = ExperimentRecord(n=n, seed=seed, surplus=outcome.surplus,
+                                      max_branch_fraction=max(fractions),
+                                      branch_count=len(fractions), bound=bound)
             yield record, profile, tree
 
 
-def abb_experiment(mechanism: MechanismId,
+def abb_experiment(mechanism: MechanismId | Mechanism,
                    model: GrowthModel,
                    sizes: Sequence[int],
                    seeds: Sequence[int],
                    alpha: Fraction = Fraction(1, 2)) -> ExperimentResult:
-    """Surplus left undistributed across a ladder of network sizes.
+    """Surplus left undistributed across a ladder of network sizes, under
+    ``mechanism`` (profile in, outcome out), or NRMF at ``alpha`` over an
+    auction named by a ``MechanismId``.
 
-    For fixed-branch growth every record also carries the surplus bound
-    ``2 / initial_branches * value_max``.
+    For fixed-branch growth every record also carries NRMF's surplus bound
+    ``2 / initial_branches * value_max``, which other mechanisms need not meet.
     """
-    bound = None
-    if model.kind == BRANCH_INDEPENDENT:
-        bound = Fraction(2, model.initial_branches) * model.value_max
-    sweep = _sweep(mechanism, model, sizes, seeds, alpha, bound)
+    if isinstance(mechanism, MechanismId):
+        mechanism = nrmf_mechanism(mechanism, alpha)
+    bound = (Fraction(2, model.initial_branches) * model.value_max
+             if model.kind == BRANCH_INDEPENDENT else None)
+    sweep = _sweep(mechanism, model, sizes, seeds, bound)
     return ExperimentResult(tuple(record for record, _, _ in sweep))
 
 
@@ -284,22 +281,15 @@ def bb_experiment(price: Fraction,
     branches contained a willing buyer (the structural condition under
     which the surplus must vanish).
     """
-    mechanism = MechanismId("fixed_price", price)
-    records = []
-    two_branch_buyers = 0
-    exact_zero = 0
-    for record, profile, tree in _sweep(mechanism, model, sizes, seeds, alpha):
-        buyer_branches = {
-            tree.branch_of[i] for i in tree.parent if profile.value_of(i) >= price
-        }
-        if len(buyer_branches) >= 2:
-            two_branch_buyers += 1
-        if record.surplus == 0:
-            exact_zero += 1
+    mechanism = nrmf_mechanism(MechanismId("fixed_price", price), alpha)
+    records, two_branch_buyers = [], 0
+    for record, profile, tree in _sweep(mechanism, model, sizes, seeds):
+        buyers = {tree.branch_of[i] for i in tree.parent if profile.value_of(i) >= price}
+        two_branch_buyers += len(buyers) >= 2
         records.append(record)
     summary = {
         "runs": len(records),
-        "exact_zero": exact_zero,
+        "exact_zero": sum(record.surplus == 0 for record in records),
         "runs_with_two_buyer_branches": two_branch_buyers,
     }
     return ExperimentResult(tuple(records)), summary

@@ -66,9 +66,12 @@ def _utility(outcome: Outcome, i: str, true_value: Fraction) -> Fraction:
 
 # The deviation space: a finite stand-in for "all possible reports" of a
 # single agent.  The valuation grid holds 0, every distinct value present in
-# the instance, and each of those shifted one unit up and down; the
-# implemented mechanisms are piecewise constant between the order
-# statistics of the reports, so this grid separates all outcome regions.
+# the instance, and each of those shifted one unit up and down.  The
+# mechanisms are piecewise constant between the reports' order statistics
+# and a posted price p, but the grid can miss a region: the open interval
+# between two other agents' values less than a unit apart, the deviating
+# agent's id between theirs, and [p, v) for p less than a unit below a
+# value v (ROADMAP item 5).
 # Neighbour deviations enumerate the full powerset up to the degree cap and
 # fall back to seeded sampling above it.
 UNIT_STEP = Fraction(1)

@@ -268,6 +268,43 @@ def test_experiment_abb_runs_small(capsys):
     assert {a["n"] for a in data["aggregates"]} == {10, 15}
 
 
+@pytest.mark.parametrize("model", ["evenly", "branch-independent"])
+@pytest.mark.parametrize("spec,reference", [
+    ("cavallo", cavallo),
+    ("auction:idm", lambda profile: run_auction(MechanismId("idm"), profile)),
+], ids=["cavallo", "auction-idm"])
+def test_experiment_abb_sweeps_any_mechanism(capsys, model, spec, reference):
+    code, out = run_cli(capsys, "--output", "json", "experiment", "abb", "--model", model,
+                        "--mechanism", spec, "--sizes", "10,20", "--num-seeds", "3")
+    assert code == EXIT_OK
+    records = json.loads(out)["records"]
+    growth = GrowthModel(kind=cli.GROWTH_KINDS[model])
+    assert [(r["n"], r["seed"]) for r in records] == [(n, s) for n in (10, 20)
+                                                      for s in range(3)]
+    for r in records:
+        profile = generate(growth.with_seed(r["seed"]), r["n"])
+        assert r["surplus"] == fraction_str(reference(profile).surplus)
+        # the bound is NRMF's, carried whatever the mechanism
+        assert r.get("bound") == ("50" if model == "branch-independent" else None)
+
+
+@pytest.mark.parametrize("output", ["json", "csv", "table"])
+def test_experiment_abb_bare_kind_is_nrmf_kind(capsys, output):
+    bare, spelled = (
+        run_cli(capsys, "--output", output, "experiment", "abb", "--mechanism", spec,
+                "--sizes", "10,15", "--num-seeds", "2")
+        for spec in ("idm", "nrmf:idm"))
+    assert spelled == bare and bare[0] == EXIT_OK
+
+
+def test_experiment_abb_runs_nrmf_through_the_cli_binding(capsys, monkeypatch):
+    # as for ``run``: a test that rebinds ``cli.run_nrmf`` reaches the sweep too
+    calls = []
+    monkeypatch.setattr(cli, "run_nrmf", lambda *args: calls.append(args) or run_nrmf(*args))
+    code, _ = run_cli(capsys, "experiment", "abb", "--sizes", "10", "--num-seeds", "2")
+    assert (code, len(calls)) == (EXIT_OK, 2)
+
+
 def test_experiment_bb_reports_summary(capsys):
     code, out = run_cli(capsys, "--output", "json", "experiment", "bb",
                         "--price", "50", "--model", "branch-independent",
@@ -373,7 +410,12 @@ def test_precision_past_the_exponent_bound_is_a_one_line_input_error(capsys, tmp
     (["experiment", "abb", "--sizes", "ten"], "bad --sizes 'ten'"),
     (["verify", "--property", "ir", "--mechanism", "vcg", "--instances", "{empty}"],
      "no .json instances in {empty}"),
-], ids=["alpha", "precision", "reward", "price", "sizes", "no-instances"])
+    (["experiment", "abb", "--mechanism", "nrmf:bogus"], "unknown mechanism 'bogus'"),
+    (["experiment", "abb", "--mechanism", "auction:fixed:-1"],
+     "fixed_price requires a price >= 0"),
+    (["experiment", "abb", "--mechanism", "cavallo:idm"], "unknown mechanism 'cavallo:idm'"),
+], ids=["alpha", "precision", "reward", "price", "sizes", "no-instances",
+        "experiment-nrmf-bogus", "experiment-negative-price", "experiment-cavallo-kind"])
 def test_every_bad_flag_is_one_pinned_error_line(capsys, tmp_path, network_file,
                                                   argv, message):
     names = {"network": network_file, "empty": str(tmp_path / "empty")}

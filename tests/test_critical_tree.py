@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from netredist.critical_tree import critical_tree, immediate_dominators
+from netredist.critical_tree import _augment, critical_tree, immediate_dominators
 from netredist.profiles import (
     NULL_TYPE,
     SPONSOR,
@@ -230,6 +230,35 @@ def test_every_rehang_is_the_parent_in_the_silenced_critical_tree(profile):
         for c, root in enumerate(roots):
             expected = None if parent[root] == SPONSOR else parent[root]
             assert tree.hang(b, c) == expected, (silenced, root)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(invitation_digraphs())
+def test_two_augmentations_leave_two_disjoint_sponsor_to_root_paths(profile):
+    # Menger: a root the sponsor does not invite has two sponsor-to-root
+    # invitation paths sharing no agent, and two augmentations must leave
+    # exactly such a pair as the flow
+    tree = critical_tree(induce_graph(profile))
+    for k in tree.movable:
+        root = tree.root_branches[k]
+        flow: set = set()
+        _augment(tree.successors, root, flow)
+        _augment(tree.successors, root, flow)
+        assert all(w in tree.successors[u] for u, w in flow)
+        after: dict = {}
+        for u, w in flow:
+            after.setdefault(u, []).append(w)
+        assert len(after[SPONSOR]) == 2
+        paths = []
+        for first in after[SPONSOR]:
+            path = [first]
+            while path[-1] != root:
+                (step,) = after[path[-1]]
+                assert step not in path
+                path.append(step)
+            paths.append(path)
+        assert set(paths[0]) & set(paths[1]) == {root}
+        assert len(paths[0]) + len(paths[1]) == len(flow)
 
 
 def test_a_tree_and_its_rehangs_free_without_the_cycle_collector(monkeypatch):

@@ -20,6 +20,7 @@ from netredist.generators import (
     tree_profile,
 )
 from netredist.profiles import SPONSOR, induce_graph
+from netredist.verify import parse_mechanism
 
 from oracles import counted_builds
 
@@ -133,9 +134,11 @@ def test_abb_experiment_records_and_aggregates():
     assert {a["n"] for a in data["aggregates"]} == {10, 20}
 
 
-def test_abb_experiment_builds_one_tree_per_network(monkeypatch):
+@pytest.mark.parametrize("spec", ["nrmf:idm", "auction:idm", "cavallo"])
+def test_abb_experiment_builds_one_tree_per_network(monkeypatch, spec):
+    mechanism = parse_mechanism(spec, Fraction(1, 2), "nrmf")
     builds = counted_builds(monkeypatch)
-    result = abb_experiment(MechanismId("idm"), GrowthModel(seed=0), [10, 20], range(3))
+    result = abb_experiment(mechanism, GrowthModel(seed=0), [10, 20], range(3))
     assert len(result.records) == 6
     assert len(builds) == 6
 
