@@ -169,11 +169,11 @@ def profile_from_dict(data: dict) -> ReportProfile:
 
     Each entry is checked for the types of its id and value, the value's
     parse, a duplicate id, the type of its neighbour list, then the sign.
-    A plain decimal (ASCII digits, at most one point) is parsed in place
-    and cannot be negative, so its report is stored as it is, with no call
-    but to ``Fraction``; any other value goes through ``parse_value`` and
-    ``AgentType``'s own check.  ``ReportProfile`` then finds unknown
-    neighbours and self-invitations.
+    A plain decimal (ASCII digits, at most one point) is read in place by
+    ``_long_int``, as ``parse_value`` reads it, and cannot be negative, so
+    its report is stored as it is; any other value goes through
+    ``parse_value`` and ``AgentType``'s own check.  ``ReportProfile`` then
+    finds unknown neighbours and self-invitations.
     """
     if not isinstance(data, dict):
         raise ProfileError("network file must contain a JSON object")
@@ -200,8 +200,7 @@ def profile_from_dict(data: dict) -> ReportProfile:
         digits = whole + frac
         plain = digits.isascii() and digits.isdigit()
         try:
-            value = (Fraction(int(digits), 10 ** len(frac))
-                     if plain and len(digits) <= _SHORT_DIGITS else parse_value(raw_value))
+            value = Fraction(_long_int(digits), 10 ** len(frac)) if plain else parse_value(raw_value)
         except (ValueError, ZeroDivisionError):
             raise ProfileError(
                 f"agent {_echo(agent_id)}: bad value {_echo(raw_value)}") from None
@@ -224,10 +223,6 @@ def profile_from_dict(data: dict) -> ReportProfile:
 
 #: The type of the neighbour ids frozen without ``_id_set``.
 _STR = frozenset({str})
-
-#: The most digits ``int`` reads from text under any int-from-text limit
-#: the interpreter accepts (``sys.int_info.str_digits_check_threshold``).
-_SHORT_DIGITS = 640
 
 
 #: The most characters of an offending input that an error message echoes.

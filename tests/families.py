@@ -121,3 +121,14 @@ FAMILIES = {
     "rising_bid_chain": rising_bid_chain,
     "sparse_digraph": sparse_digraph,
 }
+
+
+if __name__ == "__main__":
+    # python tests/families.py <family> <n> <seed>: the network as JSON on stdout
+    import json
+    import sys
+
+    from netredist.profiles import profile_to_dict
+
+    name, n, seed = sys.argv[1:]
+    json.dump(profile_to_dict(FAMILIES[name](int(n), random.Random(int(seed)))), sys.stdout)

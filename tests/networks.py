@@ -157,3 +157,15 @@ def nearest_cut() -> ReportProfile:
             "Rc": T(5),
         },
     )
+
+
+def unreached() -> ReportProfile:
+    """The sponsor invites nobody: A invites B, but no agent takes part, so
+    every auction sells nothing."""
+    return make_profile([], {"A": T(5, ["B"]), "B": T(3)})
+
+
+def leaf_named_taken() -> ReportProfile:
+    """A already invites an agent named ``zz_A_0``, the id the first leaf
+    added to A would take, so the leaf added to A is ``zz_A_1``."""
+    return make_profile(["A"], {"A": T(3, ["zz_A_0"]), "zz_A_0": T(7)})

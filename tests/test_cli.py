@@ -15,6 +15,7 @@ from netredist.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import (
     MAX_EXPONENT,
+    SPONSOR,
     AgentType,
     ReportProfile,
     load_profile,
@@ -27,7 +28,7 @@ from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import fraction_str
 
-from networks import T, bidder_star, reference_network_10, star_with_tail
+from networks import T, bidder_star, reference_network_10, star_with_tail, unreached
 from oracles import (
     as_records,
     json_text_oracle,
@@ -128,8 +129,7 @@ def unreached_file(tmp_path):
     directory = tmp_path / "unreached"
     directory.mkdir()
     path = directory / "unreached.json"
-    save_profile(ReportProfile(frozenset(), {"A": AgentType.of(5, ["B"]),
-                                             "B": AgentType.of(3)}), path)
+    save_profile(unreached(), path)
     return str(path)
 
 
@@ -249,6 +249,20 @@ def test_tree_command_lists_parents(capsys, network_file):
     assert data["root_branches"] == ["A", "M", "N"]
 
 
+def test_tree_table_of_an_empty_market_prints_nothing(capsys, unreached_file):
+    assert run_cli(capsys, "--output", "table", "tree", unreached_file) == (EXIT_OK, "")
+
+
+def test_an_invitation_of_the_sponsor_changes_no_output_byte(capsys, tmp_path):
+    network = reference_network_10()
+    outputs = []
+    for profile in (network, network.replace("H", T(11, ["J", "K", SPONSOR]))):
+        path = tmp_path / "network.json"
+        save_profile(profile, path)
+        outputs.append(run_cli(capsys, "--output", "json", "run", str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+
+
 def test_shares_command_reports_exact_total(capsys, network_file):
     code, out = run_cli(capsys, "--output", "json", "--alpha", "1/5",
                         "shares", network_file, "--reward", "10")
@@ -360,8 +374,11 @@ def test_high_precision_renders_large_amounts_in_plain_digits(capsys, tmp_path):
                 {"id": "B", "value": "2"}, {"id": "C", "value": "3"}]},
     {"sponsor_neighbors": "AB",
      "agents": [{"id": "A", "value": "1"}, {"id": "B", "value": "2"}]},
+    [{"id": "A", "value": "1"}],
+    {"sponsor_neighbors": ["A"]},
+    {"agents": [{"id": "A", "value": "1"}]},
 ], ids=["agents-not-a-list", "numeric-id", "nested-neighbor", "neighbors-string",
-        "sponsor-neighbors-string"])
+        "sponsor-neighbors-string", "top-level-array", "no-agents", "no-sponsor-neighbors"])
 def test_malformed_network_is_a_one_line_input_error(capsys, tmp_path, network):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(network))
@@ -414,8 +431,10 @@ def test_precision_past_the_exponent_bound_is_a_one_line_input_error(capsys, tmp
     (["experiment", "abb", "--mechanism", "auction:fixed:-1"],
      "fixed_price requires a price >= 0"),
     (["experiment", "abb", "--mechanism", "cavallo:idm"], "unknown mechanism 'cavallo:idm'"),
+    (["generate", "--n", "0"], "need at least one agent"),
 ], ids=["alpha", "precision", "reward", "price", "sizes", "no-instances",
-        "experiment-nrmf-bogus", "experiment-negative-price", "experiment-cavallo-kind"])
+        "experiment-nrmf-bogus", "experiment-negative-price", "experiment-cavallo-kind",
+        "generate-no-agent"])
 def test_every_bad_flag_is_one_pinned_error_line(capsys, tmp_path, network_file,
                                                   argv, message):
     names = {"network": network_file, "empty": str(tmp_path / "empty")}

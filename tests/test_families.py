@@ -6,16 +6,21 @@ one call runs.  Doubling ``n`` should at most about double a near-linear
 pass.
 """
 
+import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import netredist
 from netredist.auctions import MechanismId, market
 from netredist.critical_tree import critical_tree, immediate_dominators
-from netredist.profiles import SPONSOR, induce_graph
+from netredist.profiles import SPONSOR, induce_graph, profile_from_dict
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 
@@ -109,3 +114,11 @@ def test_outcomes_match_the_rerun_oracles(family):
                 assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
             assert cavallo(profile) == cavallo_rerun_oracle(profile)
 
+
+def test_the_module_run_as_a_script_writes_a_family_network():
+    # the CI timing steps write their networks this way
+    script = Path(__file__).with_name("families.py")
+    env = {**os.environ, "PYTHONPATH": str(Path(netredist.__file__).parents[1])}
+    written = subprocess.run([sys.executable, str(script), "ring_entered_twice", "40", "3"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+    assert profile_from_dict(json.loads(written)) == ring_entered_twice(40, random.Random(3))

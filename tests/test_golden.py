@@ -1,20 +1,46 @@
-"""Pinned bytes of the command line's output.
+"""Pinned bytes of the command line's output: the one check on them.
 
-The sha256 of each command's stdout on seeded generated networks was
-recorded before the ``run`` path got its direct decimal parse, one
-rendering per row and templated JSON rows, so any change to the bytes the
-CLI prints shows here, not only a difference between two hash seeds.  The
-branch-independent ``generate`` and ``experiment abb`` digests and those of
-the ir, nd and revenue audits were recorded before the command line was
-declared once (one parser, one command table).  The ``run`` digests of
-the cross-invited network, the one pinned input with a branch root the
-sponsor did not invite (so its counterfactuals re-hang a root), were
-recorded before counterfactual pricing moved into ``auctions``.  The IC
-audit of cavallo on ``star_with_tail``, the one pinned IC FAIL, was recorded
-before IR and IC became one deviation scan.
+Each entry is the sha256 of one command's stdout, so any change to the
+bytes the CLI prints fails here, not only a difference between two hash
+seeds; CI runs this file under ``PYTHONHASHSEED`` 0 and 1 as well.  The
+groups:
+
+- ``NETWORK_SHA256``: the seeded evenly grown networks every other group
+  reads (60 agents, and their truth file of other values).
+- ``RUN_SHA256``: ``run`` on the 60-agent network per mechanism and
+  output, recorded before the ``run`` path got its direct decimal parse,
+  one rendering per row and templated JSON rows; ``nrmf:tnm`` and
+  ``auction:idm`` pin the one mechanism grammar.
+- ``REHANG_SHA256``: ``run`` on ``cross_invited``, a branch root the
+  sponsor did not invite, so its counterfactuals re-hang a root, recorded
+  before counterfactual pricing moved into ``auctions``.
+- ``CATALOGUE_SHA256``: ``run --mechanism idm|tnm`` on networks whose
+  invitations are returned or cross branches, from the test catalogue:
+  ``nearest_cut``, a 2,000-agent sparse digraph, the 60-agent two-ended
+  chain and the 60-agent ring entered twice, where silencing a branch
+  re-hangs roots under other branches.
+- ``OTHER_SHA256``: every other command.  ``generate`` of both growth
+  models; ``run`` at precision 0 and 20 and with true values; ``tree``;
+  ``shares`` at two alphas; ``experiment bb`` and ``abb``, the latter
+  under both growth models and under ``cavallo`` and ``auction:idm``;
+  and each ``verify`` audit under NRMF, a plain auction or cavallo.
+  The branch-independent ``generate`` and ``experiment abb`` digests and
+  those of the ir, nd and revenue audits of ``nrmf:idm`` were recorded
+  before the command line was declared once (one parser, one command
+  table); the IC audit of cavallo on ``star_with_tail``, an IC FAIL, before
+  IR and IC became one deviation scan.  The audits on the empty market
+  (``unreached``) and on ``leaf_named_taken`` pin the edge cases of the
+  deviation scan and of the leaf-extension pairs.  A ``verify`` report
+  does not name its mechanism, so audits with the same findings on the
+  same instances share a digest.
+
+The catalogue's digests, and the other entries that took over CI's
+former hash-seed batch, were recorded before the loader read every plain
+decimal through ``_long_int``.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -22,7 +48,9 @@ from netredist.cli import EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import save_profile
 
-from networks import cross_invited, star_with_tail
+from families import ring_entered_twice, two_ended_chain
+from networks import cross_invited, leaf_named_taken, nearest_cut, star_with_tail, unreached
+from oracles import sparse_digraph_profile
 
 NETWORK_SHA256 = {
     "network": "9bab097aed858d8ce637f0a399c7998f4f17d130c3118386189c58398c109dbb",
@@ -45,6 +73,8 @@ RUN_SHA256 = {
     ("cavallo", "json"): "ad4e121d6e08d1e1caed0d465c2e53f2398a154dc2eff5d5d286f5c72540f303",
     ("cavallo", "csv"): "3542953c3bde42c2e71a0db46a44ad00850cd986308f2579f882164744e4e3c5",
     ("cavallo", "table"): "1bd0816f9edd413710752bb28d10f18c39f1d60545f10d5215f014072407611c",
+    ("nrmf:tnm", "json"): "97a49d75767bf3565b62f267ff202e378aaadb935a92d18b315a2f96bfe27f75",
+    ("auction:idm", "json"): "47c22125bab836b093b349d9e6c8fa307a6ad7bb1e9814aebc9077d91987659a",
 }
 
 #: ``--output json run`` of ``cross_invited()``, per mechanism.
@@ -54,6 +84,18 @@ REHANG_SHA256 = {
     "vcg": "6ea95a44b79846fcd4af6ec6ff126922b186d417988c1da40a9605a7d8e0af7c",
     "fixed:3": "27d2859c5d12547736e1f45d601f254feaf585825a27ab184f1e6f1bfc349308",
     "cavallo": "d5fe8babe26d70bc1cdb18570e8601c1e690bab1917bb64b823c87fff1152090",
+}
+
+#: ``--output json run`` of the catalogue's networks, per network and mechanism.
+CATALOGUE_SHA256 = {
+    ("nearest", "idm"): "51ad75080f0460117d2636ea74a6eb86d67480918c2ce1bc8f8103edea6aafc0",
+    ("nearest", "tnm"): "60b72dff3273368170be6ea5f1979d1fc30046877187ec3777bfe3fad375dca1",
+    ("dense", "idm"): "f735ac5b92f57601e33a6a159241933d2c18b3a2ec672bbbbd1d336921505893",
+    ("dense", "tnm"): "6726d19d7267492c14ec413e5f4a7dc213ca9fe7a92ca091d81bf46937f0f245",
+    ("chain", "idm"): "d097da1651cc564dab83f1cc1c2bdd5bdb0578b2e33b9135bbe35c242d81deab",
+    ("chain", "tnm"): "0d9e21a46ad6d21dd7f8313805ebb5eb59c579cdd7b9ed894539372fda992dd4",
+    ("ring", "idm"): "0b4daf20eb15c409d6ca652956bfc3a28209d498517839f1b61c597f6998d423",
+    ("ring", "tnm"): "696a7d750218a4c7f320c5362cbc29abec2f8ff8ea7c5b7bc3f8b7baf3a80069",
 }
 
 #: Other commands, as argv after ``--output <output>``, with their digests.
@@ -88,6 +130,25 @@ OTHER_SHA256 = {
     ("verify-rev-mono", "table"): "64491cab66e8abb03a5edb8340eca342d947e32e99354839ef213949c1e482ba",
     ("verify-rev-inv", "table"): "768791c4fc39b6f17edf415d7ca13424f3993ae77ea13b4bc849e78b7c487772",
     ("verify-ic-cavallo", "table"): "41a29d7724379214642d3d1f43952a422bc5b24fb0a174989466e57d612451c0",
+    # ``generate`` prints the bytes ``save_profile`` writes
+    ("generate-network", "table"): NETWORK_SHA256["network"],
+    ("generate-truth", "table"): NETWORK_SHA256["truth"],
+    ("generate-small", "table"): "17a24545cb1fcfc814d2737eacfb618fd44d1b4637dd819ed46cfe4d1b2c04fd",
+    ("generate-branch-independent-3-branches", "table"): "06971a2a8678d668d8af8305c996909b3136c1efe85de78e5a35549d3ecfac37",
+    ("precision-0", "csv"): "f8d8d11e48667c6e7658929d38e483a934f0c09d4e0fcfdcea32722cf3812ab7",
+    ("precision-0-true-values", "table"): "824e793582f92e9bea9a9b3e5df69e65594fc980aec9a483039d63a022d9cd94",
+    ("shares-half", "json"): "3048272682815aa4cd0a6e30f10c02151ceb4a2d57fddea0b7040175fbaca4b8",
+    ("verify-ir-idm", "table"): "6c07a9c5705ad451fbf293d4bb6ece4a8db8216bb3a0c9942c7ac35d32b31f62",
+    ("verify-ic-vcg", "table"): "4b31350892194f9ec8a44f78067386b64e986015bfe780201b769e421baa3703",
+    ("verify-ic-auction:vcg", "table"): "4b31350892194f9ec8a44f78067386b64e986015bfe780201b769e421baa3703",
+    ("verify-nd-cavallo", "table"): "6e8c66106bbded8ec4075841b9a1b4d8119d6100a3b3c769caa95d38dce315d8",
+    ("verify-rev-mono-vcg", "table"): "42300bff523442ebe7cd46a71eef7ac3f891576c725d10cbc21ff7fbdc30ae1c",
+    ("verify-rev-inv-idm", "table"): "4dbdfce38d77a9d4e119e0b1c3a685d3fe0343f1a428dc139b757330b23175c2",
+    ("verify-ic-idm-unreached", "table"): "30f1d63012c26353b84c92be6012024d19960c833e6a4756a7bc240610a3669d",
+    ("verify-rev-inv-leaf", "table"): "0a29599182bbccff3776dc1c2adbc2be37c7f7456ebeedea03ce5d237949576c",
+    ("experiment-abb-branch-independent-20", "table"): "11822df596c8257434b15b93d622a1f797f4085e630167ababf1db280a035ee8",
+    ("experiment-abb-cavallo", "table"): "d2402a90aeb35ac49a89af0cc2c1f16f3e7fcfb4c92702088dbb352330c290a4",
+    ("experiment-abb-auction:idm", "table"): "f54c4438e61ba49c3ced170d2ee242a124e7efaf171d29e2e14d50ef54fa78f6",
 }
 
 OTHER_ARGV = {
@@ -114,6 +175,29 @@ OTHER_ARGV = {
        for prop in ("ir", "nd", "rev-mono", "rev-inv")},
     "verify-ic-cavallo": ["verify", "--property", "ic", "--mechanism", "cavallo",
                           "--instances", "{tail}"],
+    "generate-network": ["--seed", "3", "generate", "--n", "60"],
+    "generate-truth": ["--seed", "5", "generate", "--n", "60"],
+    "generate-small": ["--seed", "4", "generate", "--n", "7"],
+    "generate-branch-independent-3-branches": ["--seed", "3", "generate", "--model",
+                                               "branch-independent", "--branches", "3",
+                                               "--n", "40"],
+    "precision-0-true-values": ["--precision", "0", "run", "{network}",
+                                "--true-values", "{truth}"],
+    "shares-half": ["--alpha", "1/2", "shares", "{network}"],
+    **{f"verify-{prop}-{mechanism}": ["verify", "--property", prop, "--mechanism",
+                                      mechanism, "--instances", "{instances}"]
+       for prop, mechanism in (("ir", "idm"), ("ic", "vcg"), ("ic", "auction:vcg"),
+                               ("nd", "cavallo"), ("rev-mono", "vcg"), ("rev-inv", "idm"))},
+    "verify-ic-idm-unreached": ["verify", "--property", "ic", "--mechanism", "idm",
+                                "--instances", "{unreached}"],
+    "verify-rev-inv-leaf": ["verify", "--property", "rev-inv", "--mechanism", "nrmf:idm",
+                            "--instances", "{leaf}"],
+    "experiment-abb-branch-independent-20": ["experiment", "abb", "--model",
+                                             "branch-independent", "--sizes", "20",
+                                             "--num-seeds", "2"],
+    **{f"experiment-abb-{mechanism}": ["experiment", "abb", "--mechanism", mechanism,
+                                       "--sizes", "20", "--num-seeds", "2"]
+       for mechanism in ("cavallo", "auction:idm")},
 }
 
 #: Commands whose pinned run ends in another exit code than EXIT_OK: on the
@@ -132,19 +216,37 @@ def _save(path, seed, n):
     return str(path)
 
 
+#: The catalogue's networks, each saved as ``<name>.json``.
+CATALOGUE = {
+    "rehang": cross_invited,
+    "nearest": nearest_cut,
+    "dense": lambda: sparse_digraph_profile(random.Random(11), 2000),
+    "chain": lambda: two_ended_chain(60, random.Random(0)),
+    "ring": lambda: ring_entered_twice(60, random.Random(0)),
+}
+
+#: Instance directories for ``verify``, each holding one network.
+INSTANCE_DIRECTORIES = {"tail": star_with_tail, "unreached": unreached, "leaf": leaf_named_taken}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
+    """Every input the pinned commands read, by the ``{name}`` in their argv."""
     directory = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, build in CATALOGUE.items():
+        paths[name] = str(directory / f"{name}.json")
+        save_profile(build(), paths[name])
+    for name, build in INSTANCE_DIRECTORIES.items():
+        (directory / name).mkdir()
+        save_profile(build(), directory / name / f"{name}.json")
+        paths[name] = str(directory / name)
     (directory / "instances").mkdir()
-    (directory / "tail").mkdir()
-    save_profile(cross_invited(), directory / "rehang.json")
-    save_profile(star_with_tail(), directory / "tail" / "tail.json")
     return {
-        "rehang": str(directory / "rehang.json"),
+        **paths,
         "network": _save(directory / "network.json", 3, 60),
         "truth": _save(directory / "truth.json", 5, 60),
         "instances": str(directory / "instances"),
-        "tail": str(directory / "tail"),
         "small": _save(directory / "instances" / "small.json", 4, 7),
     }
 
@@ -170,6 +272,13 @@ def test_run_output_bytes_are_pinned(capsys, files, mechanism, output):
 def test_run_output_bytes_with_a_rehung_root_are_pinned(capsys, files, mechanism):
     argv = ["--output", "json", "run", files["rehang"], "--mechanism", mechanism]
     assert _stdout_sha256(capsys, argv) == REHANG_SHA256[mechanism]
+
+
+@pytest.mark.parametrize("network,mechanism", list(CATALOGUE_SHA256))
+def test_run_output_bytes_on_the_catalogue_networks_are_pinned(capsys, files, network,
+                                                                mechanism):
+    argv = ["--output", "json", "run", files[network], "--mechanism", mechanism]
+    assert _stdout_sha256(capsys, argv) == CATALOGUE_SHA256[network, mechanism]
 
 
 @pytest.mark.parametrize("command,output", list(OTHER_SHA256))

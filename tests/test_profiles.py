@@ -121,6 +121,13 @@ def test_unreachable_agents_are_in_vertices_but_not_reachable():
     assert "Z" not in graph.reachable
 
 
+def test_an_invitation_of_the_sponsor_is_no_edge():
+    profile = make_profile(["A"], {"A": T(1, ["B", SPONSOR]), "B": T(2)})
+    graph = induce_graph(profile)
+    assert graph.successors == {SPONSOR: ("A",), "A": ("B",), "B": ()}
+    assert graph.reachable == frozenset("AB")
+
+
 def test_reachable_from_with_removals():
     graph = induce_graph(misreport_network())
     assert graph.reachable_from(SPONSOR, frozenset({"B"})) == frozenset("ACF")

@@ -8,7 +8,7 @@ import pytest
 from netredist import auctions, verify
 from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
-from netredist.profiles import AgentType, ReportProfile, induce_graph, make_profile
+from netredist.profiles import AgentType, ReportProfile, induce_graph
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.verify import (
@@ -26,7 +26,14 @@ from netredist.verify import (
     valuation_grid,
 )
 
-from networks import T, bidder_star, reference_network_10, star_with_tail
+from networks import (
+    T,
+    bidder_star,
+    leaf_named_taken,
+    reach_diamond,
+    reference_network_10,
+    star_with_tail,
+)
 from oracles import clear_memo, counted_builds, exact, memo_free, random_tree_profile
 
 HALF = Fraction(1, 2)
@@ -355,8 +362,7 @@ def test_leaf_extension_pairs_attach_to_every_participant():
 
 
 def test_leaf_extension_pairs_never_replace_an_agent():
-    # A already invites an agent named like the leaf the pairs would add
-    profile = make_profile({"A"}, {"A": T(3, {"zz_A_0"}), "zz_A_0": T(7)})
+    profile = leaf_named_taken()
     pairs = leaf_extension_pairs(profile, Fraction(0))
     for (original, extended), host in zip(pairs, ["A", "zz_A_0"], strict=True):
         assert original == profile
@@ -385,6 +391,31 @@ def test_revenue_monotonic_skips_malformed_pairs():
     assert report.verdict
     assert report.skipped == 1
     assert report.warnings
+
+
+def test_revenue_monotonic_skips_a_pair_that_loses_a_participant():
+    # reversed, the shrink pair that drops A's invitation of H cuts H, J, K
+    # and L off the larger profile; with every report kept, a sponsor who
+    # no longer invites N cuts N off
+    full = reference_network_10()
+    [(reduced, _)] = [(reduced, grown) for reduced, grown in shrink_pairs(full)
+                      if "H" not in reduced.reports["A"].neighbors]
+    uninvited = ReportProfile(full.sponsor_neighbors - {"N"}, full.reports)
+    pairs = [(full, reduced), (full, uninvited)]
+    for smaller, larger in pairs:
+        assert not induce_graph(smaller).reachable <= induce_graph(larger).reachable
+    report = check_revenue_monotonic(auction_mechanism(MechanismId("vcg")), pairs)
+    assert (report.verdict, report.checked, report.skipped) == (True, 0, 2)
+    assert report.warnings == ("skipped pairs violating the growth precondition: 2",)
+
+
+def test_revenue_invariant_checks_a_pair_with_no_new_participant():
+    # without C's invitation H is still reached through D
+    full = reach_diamond()
+    reduced = full.replace("C", T(2))
+    assert induce_graph(reduced).reachable == induce_graph(full).reachable
+    report = check_revenue_invariant(auction_mechanism(MechanismId("vcg")), [(reduced, full)])
+    assert (report.verdict, report.checked, report.skipped) == (True, 1, 0)
 
 
 def test_skipped_pairs_give_one_warning_per_reason_with_its_count():
