@@ -263,14 +263,12 @@ def _no_new_potential_winner(mechanism: Mechanism,
     removed; ``base`` is the mechanism's outcome on ``smaller``."""
     if not new_agents or base.winner is None:
         return True
-    tree = market(smaller).tree
-    removed = set(tree.ancestors(base.winner))
-    stripped = larger
-    for i in removed:
-        # silence the bid but keep the invitations, so agents reachable
-        # only through the winner's line still get their shot
-        stripped = stripped.replace(
-            i, AgentType(ZERO, larger.reports[i].neighbors))
+    removed = set(market(smaller).tree.ancestors(base.winner))
+    # silence the bids but keep the invitations, so agents reachable only
+    # through the winner's line still get their shot
+    stripped = ReportProfile(larger.sponsor_neighbors, {
+        i: AgentType(ZERO, t.neighbors) if i in removed else t
+        for i, t in larger.reports.items()})
     return mechanism(stripped).winner not in new_agents
 
 

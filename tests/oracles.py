@@ -12,9 +12,8 @@ agent, so they share the auctions but not the counterfactual index.
 from __future__ import annotations
 
 import json
-import random
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from netredist import auctions
@@ -27,7 +26,6 @@ from netredist.auctions import (
 )
 from netredist.cli import Rows
 from netredist.critical_tree import CriticalTree, critical_tree
-from netredist.generators import tree_profile
 from netredist.profiles import (
     MAX_EXPONENT,
     NULL_TYPE,
@@ -43,6 +41,9 @@ from netredist.profiles import (
 )
 from netredist.prst import ShareVector, SharingError, SharingParams
 from netredist.render import decimal_str
+
+# generated in ``families``; ``test_acceptance.py`` imports it from here
+from families import random_digraph_profile  # noqa: F401
 
 ZERO = Fraction(0)
 
@@ -369,30 +370,39 @@ def _no_sale(profile: ReportProfile) -> Outcome:
                    profile)
 
 
-def nrmf_rerun_oracle(mechanism: MechanismId, profile: ReportProfile,
-                      params: SharingParams):
-    """``run_nrmf`` by brute force: each branch's revenue comes from
-    re-running the auction on a copy of the profile in which every member
-    of that branch reports ``NULL_TYPE``."""
+def nrmf_rerun_oracle(mechanisms: Sequence[MechanismId], profile: ReportProfile,
+                      alphas: Sequence[SharingParams]) -> dict:
+    """``run_nrmf`` by brute force under every mechanism and alpha given,
+    keyed by the pair: each branch's revenue comes from re-running the
+    auction on a copy of the profile in which every member of that branch
+    reports ``NULL_TYPE``."""
     graph = induce_graph(profile)
     if not graph.reachable:
         zero = {i: ZERO for i in profile.agents}
-        return _outcome_by_terms(profile, _no_sale(profile), zero, {}, ())
+        return {(mechanism, params): _outcome_by_terms(profile, _no_sale(profile), zero, {}, ())
+                for mechanism in mechanisms for params in alphas}
     tree = critical_tree(graph)
-    shares = prst_oracle(tree, SharingParams(params.alpha, Fraction(1)))
-    branch_revenues = {}
+    branch_revenues: dict = {mechanism: {} for mechanism in mechanisms}
     for k, root in enumerate(tree.root_branches):
         blocked = ReportProfile(profile.sponsor_neighbors, {
             i: (NULL_TYPE if tree.branch_of.get(i) == k else t)
             for i, t in profile.reports.items()
         })
-        branch_revenues[root] = run_auction(mechanism, blocked).surplus
-    redistribution = {i: ZERO for i in profile.agents}
-    for i in graph.reachable:
-        root = tree.root_branches[tree.branch_of[i]]
-        redistribution[i] = shares.omega[i] * branch_revenues[root]
-    return _outcome_by_terms(profile, run_auction(mechanism, profile), redistribution,
-                             branch_revenues, tree.root_branches)
+        for mechanism in mechanisms:
+            branch_revenues[mechanism][root] = run_auction(mechanism, blocked).surplus
+    auctions = {mechanism: run_auction(mechanism, profile) for mechanism in mechanisms}
+    outcomes = {}
+    for params in alphas:
+        shares = prst_oracle(tree, SharingParams(params.alpha, Fraction(1)))
+        for mechanism in mechanisms:
+            revenues = branch_revenues[mechanism]
+            redistribution = {i: ZERO for i in profile.agents}
+            for i in graph.reachable:
+                root = tree.root_branches[tree.branch_of[i]]
+                redistribution[i] = shares.omega[i] * revenues[root]
+            outcomes[mechanism, params] = _outcome_by_terms(
+                profile, auctions[mechanism], redistribution, revenues, tree.root_branches)
+    return outcomes
 
 
 def cavallo_rerun_oracle(profile: ReportProfile):
@@ -406,6 +416,24 @@ def cavallo_rerun_oracle(profile: ReportProfile):
         revenue = vcg(profile.replace(i, NULL_TYPE)).surplus
         rebates[i] = Fraction(revenue, len(reachable))
     return _outcome_by_terms(profile, vcg(profile), rebates, {}, ())
+
+
+def assert_by_definition(outcome: Outcome, profile: ReportProfile) -> None:
+    """The surplus is the plain sum of the final payments and every utility
+    is ``utility`` at the reported value, equal in value and type."""
+    assert exact(outcome.surplus) == exact(sum(outcome.final_payment.values(), ZERO))
+    assert exact(outcome.utilities) == exact({
+        i: utility(outcome.allocation[i], profile.value_of(i), outcome.final_payment[i])
+        for i in profile.agents
+    })
+
+
+def assert_matches_oracle(outcome: Outcome, oracle: Outcome, profile: ReportProfile) -> None:
+    """``outcome`` equals a re-run oracle's, field by field and in every
+    utility's type, and holds by definition."""
+    assert outcome == oracle
+    assert_by_definition(outcome, profile)
+    assert exact(outcome.utilities) == exact(oracle.utilities)
 
 
 # --- memo-free reference runs --------------------------------------------
@@ -566,73 +594,3 @@ def as_records(data):
     if type(data) is list:
         return [as_records(v) for v in data]
     return data
-
-
-# --- random instance generation -----------------------------------------
-
-
-def random_digraph_profile(rng: random.Random, n: int,
-                           edge_prob: float = 0.3,
-                           value_max: int = 20) -> ReportProfile:
-    """A random directed invitation graph on ``n`` agents (not a tree)."""
-    ids = [f"v{k}" for k in range(n)]
-    out: dict[str, set[str]] = {i: set() for i in ids}
-    sponsor_neighbors = {i for i in ids if rng.random() < edge_prob}
-    if not sponsor_neighbors:
-        sponsor_neighbors = {rng.choice(ids)}
-    for u in ids:
-        for v in ids:
-            if u != v and rng.random() < edge_prob:
-                out[u].add(v)
-    reports = {
-        i: AgentType(Fraction(rng.randint(0, value_max)), frozenset(out[i]))
-        for i in ids
-    }
-    return ReportProfile(frozenset(sponsor_neighbors), reports)
-
-
-def random_tree_profile(rng: random.Random, n: int,
-                        value_max: int = 20) -> ReportProfile:
-    """A random invitation tree on ``n`` agents with integer values."""
-    ids = [f"v{k}" for k in range(n)]
-    parents = {}
-    for k, i in enumerate(ids):
-        parents[i] = SPONSOR if k == 0 else rng.choice([SPONSOR] + ids[:k])
-    children: dict[str, set[str]] = {}
-    for i, p in parents.items():
-        children.setdefault(p, set()).add(i)
-    reports = {
-        i: AgentType(Fraction(rng.randint(0, value_max)),
-                     frozenset(children.get(i, ())))
-        for i in ids
-    }
-    return ReportProfile(frozenset(children.get(SPONSOR, ())), reports)
-
-
-def random_chains_profile(rng: random.Random, value_max: int = 50) -> ReportProfile:
-    """A small random tree with only-child chains hanging off its agents
-    and leaves off random chain agents, the shape of the ``deep``
-    benchmark: every agent below an only child keeps 0 of a reward."""
-    parents = [rng.randrange(-1, k) for k in range(rng.randint(1, 8))]
-    for _ in range(rng.randint(1, 3)):
-        top = rng.randrange(-1, len(parents))
-        links: list[int] = []
-        for _ in range(rng.randint(2, 20)):
-            links.append(len(parents))
-            parents.append(links[-2] if len(links) > 1 else top)
-        for _ in range(rng.randint(0, 4)):
-            parents.append(rng.choice(links))
-    return tree_profile(parents, [rng.randint(0, value_max) for _ in parents])
-
-
-def sparse_digraph_profile(rng: random.Random, n: int) -> ReportProfile:
-    """A random invitation digraph on ``n`` agents with many cross-branch
-    invitations: every agent invites two random agents (fewer on a repeat
-    or herself) and the sponsor invites 1% of the agents."""
-    ids = [f"v{k:05d}" for k in range(n)]
-    reports = {
-        i: AgentType(Fraction(rng.randint(0, 10_000), 100),
-                     frozenset({rng.choice(ids), rng.choice(ids)} - {i}))
-        for i in ids
-    }
-    return ReportProfile(frozenset(rng.sample(ids, max(1, n // 100))), reports)

@@ -26,7 +26,8 @@ from netredist.profiles import AgentType, ReportProfile, induce_graph, load_prof
 from netredist.prst import SharingParams
 from netredist.redistribution import run_nrmf
 
-from oracles import clear_memo, random_tree_profile
+from families import random_tree
+from oracles import clear_memo
 
 N = 400
 
@@ -52,7 +53,7 @@ def python_calls(run, *args) -> int:
 def tree_file(tmp_path):
     """A random tree on ``N`` agents, each value in cents such as 12.34."""
     rng = random.Random(23)
-    tree = random_tree_profile(rng, N)
+    tree = random_tree(N, rng)
     profile = ReportProfile(tree.sponsor_neighbors, {
         i: AgentType(Fraction(rng.randint(0, 10_000), 100), t.neighbors)
         for i, t in tree.reports.items()})

@@ -28,14 +28,9 @@ from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import fraction_str
 
+from families import random_digraph_profile
 from networks import T, bidder_star, reference_network_10, star_with_tail, unreached
-from oracles import (
-    as_records,
-    json_text_oracle,
-    random_digraph_profile,
-    run_rows_oracle,
-    without_digit_limit,
-)
+from oracles import as_records, json_text_oracle, run_rows_oracle, without_digit_limit
 
 
 @pytest.fixture()

@@ -1,28 +1,16 @@
 import gc
 import random
 import weakref
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from netredist.critical_tree import _augment, critical_tree, immediate_dominators
-from netredist.profiles import (
-    NULL_TYPE,
-    SPONSOR,
-    AgentType,
-    ReportProfile,
-    induce_graph,
-    make_profile,
-)
+from netredist.profiles import NULL_TYPE, SPONSOR, induce_graph, make_profile
 
+from families import add_cross_edges, ladder, random_chains
 from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
-from oracles import (
-    brute_parent_map,
-    counted_passes,
-    fixpoint_dominators,
-    random_digraph_profile,
-)
+from oracles import brute_parent_map, counted_passes, fixpoint_dominators
 from strategies import invitation_digraphs
 
 
@@ -68,30 +56,6 @@ def test_unreachable_agents_are_excluded():
     assert set(tree.parent) == set("ABCDFG")
 
 
-def test_matches_cut_point_oracle_on_random_digraphs():
-    rng = random.Random(20240817)
-    for _ in range(120):
-        profile = random_digraph_profile(rng, rng.randint(1, 10))
-        graph = induce_graph(profile)
-        if not graph.reachable:
-            continue
-        tree = critical_tree(graph)
-        assert dict(tree.parent) == brute_parent_map(graph)
-
-
-def test_subtree_matches_unreachability_oracle():
-    rng = random.Random(7)
-    for _ in range(40):
-        profile = random_digraph_profile(rng, rng.randint(2, 9))
-        graph = induce_graph(profile)
-        if not graph.reachable:
-            continue
-        tree = critical_tree(graph)
-        for v in graph.reachable:
-            cut = graph.reachable - graph.reachable_from(SPONSOR, frozenset({v}))
-            assert tree.branch_members(v) - {v} == cut - {v}
-
-
 def test_a_tree_is_its_own_dominator_tree():
     graph = induce_graph(reference_network_10())
     parent = dict(critical_tree(graph).parent)
@@ -112,28 +76,11 @@ def test_an_inviter_later_in_reverse_postorder_is_met():
         graph.successors, SPONSOR)
 
 
-def _ladder_profile(rng, rungs, back_edges):
-    """Two invitation chains from the sponsor with random invitations from
-    each chain back up the other one, so inviters often come later in the
-    reverse postorder."""
-    sides = {side: [f"{side}{k:03d}" for k in range(rungs)] for side in "LR"}
-    out = {i: set() for line in sides.values() for i in line}
-    for line in sides.values():
-        for a, b in zip(line, line[1:]):
-            out[a].add(b)
-    for _ in range(back_edges):
-        src, dst = rng.sample("LR", 2)
-        k = rng.randrange(1, rungs)
-        out[sides[src][k]].add(sides[dst][rng.randrange(k)])
-    reports = {i: AgentType(Fraction(1), frozenset(js)) for i, js in out.items()}
-    return ReportProfile(frozenset({sides["L"][0], sides["R"][0]}), reports)
-
-
 def test_multi_sweep_fixpoints_match_the_cut_point_oracle():
     # ladders on which the fixpoint oracle sweeps more than twice
     rng = random.Random(20241018)
     for _ in range(60):
-        graph = induce_graph(_ladder_profile(rng, rng.randint(3, 9), rng.randint(1, 6)))
+        graph = induce_graph(ladder(rng.randint(6, 18), rng))
         parent = dict(critical_tree(graph).parent)
         assert parent == brute_parent_map(graph)
         assert parent == fixpoint_dominators(graph.successors, SPONSOR)
@@ -141,7 +88,7 @@ def test_multi_sweep_fixpoints_match_the_cut_point_oracle():
 
 def test_a_long_ladder_matches_networkx_dominators():
     nx = pytest.importorskip("networkx")
-    graph = induce_graph(_ladder_profile(random.Random(7), 300, 120))
+    graph = induce_graph(ladder(600, random.Random(7)))
     parent = dict(critical_tree(graph).parent)
     digraph = nx.DiGraph((u, v) for u, targets in graph.successors.items() for v in targets)
     assert parent == {v: d for v, d in nx.immediate_dominators(digraph, SPONSOR).items()
@@ -159,36 +106,12 @@ def test_semi_nca_equals_the_fixpoint_and_the_cut_points(profile):
     assert parent == brute_parent_map(graph)
 
 
-def _multi_chain_profile(rng, chains=7, length=60, leaves=100, extra_edges=40):
-    """Sponsor branches that are long invitation chains, leaves hanging off
-    random chain agents, and extra edges between random agents that make
-    some chain agents no longer critical."""
-    ids = []
-    out = {}
-    heads = []
-    for c in range(chains):
-        line = [f"c{c}_{d:02d}" for d in range(length)]
-        heads.append(line[0])
-        for a, b in zip(line, line[1:]):
-            out[a] = {b}
-        out[line[-1]] = set()
-        ids.extend(line)
-    chain_agents = list(ids)
-    for k in range(leaves):
-        leaf = f"leaf{k:03d}"
-        out[rng.choice(chain_agents)].add(leaf)
-        out[leaf] = set()
-        ids.append(leaf)
-    for _ in range(extra_edges):
-        u, v = rng.sample(ids, 2)
-        out[u].add(v)
-    reports = {i: AgentType(Fraction(rng.randint(0, 5)), frozenset(out[i])) for i in ids}
-    return ReportProfile(frozenset(heads), reports)
-
-
 def test_index_matches_networkx_dominators():
     nx = pytest.importorskip("networkx")
-    profile = _multi_chain_profile(random.Random(20240901))
+    # chains with leaves, and invitations across them that make some chain
+    # agents no longer critical
+    rng = random.Random(20240901)
+    profile = add_cross_edges(random_chains(520, rng, 5), rng, 40)
     graph = induce_graph(profile)
     tree = critical_tree(graph)
     digraph = nx.DiGraph()

@@ -1,4 +1,11 @@
-"""Work pins and outcome checks on the named hard families.
+"""The oracle table, and work pins on the hard families.
+
+The table runs every exact fast path against its slow oracle on the
+networks ``families.SAMPLES`` draws from every family in the catalogue:
+the critical tree against the cut points and the fixpoint dominators,
+``prst`` against its per-node recursion, the chain auctions against
+their resale simulations, NRMF and the Cavallo rebates against re-runs
+of the auction, and the re-hangs against their skeleton oracle.
 
 A work pin counts what machine speed cannot move: the line events and
 the function calls ``sys.settrace`` sees inside ``critical_tree.py`` while
@@ -13,28 +20,42 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
 
 import netredist
-from netredist.auctions import MechanismId, market
+from netredist.auctions import MechanismId, market, run_auction
 from netredist.critical_tree import critical_tree, immediate_dominators
 from netredist.profiles import SPONSOR, induce_graph, profile_from_dict
-from netredist.prst import SharingParams
+from netredist.prst import SharingParams, prst
 from netredist.redistribution import cavallo, run_nrmf
 
-from families import FAMILIES, ring_entered_twice, two_ended_chain, zigzag
+from families import FAMILIES, PINNED, ring_entered_twice, sample, two_ended_chain, zigzag
 from oracles import (
+    assert_matches_oracle,
+    brute_parent_map,
     cavallo_rerun_oracle,
     clear_memo,
     counted_hangs,
+    dependants,
     every_rehang,
+    exact,
+    fixpoint_dominators,
+    idm_oracle,
     nrmf_rerun_oracle,
+    prst_oracle,
+    rehangs_oracle,
+    tnm_oracle,
 )
 
 HALF = SharingParams.of(Fraction(1, 2))
-MECHANISMS = [MechanismId.parse(m) for m in ("idm", "tnm", "vcg", "fixed:7")]
+ALPHAS = [HALF, SharingParams.of(Fraction(1, 5))]
+PRST_ALPHAS = [SharingParams(Fraction(*a)) for a in ((1, 2), (1, 5), (7, 9), (99, 100))]
+MECHANISMS = [MechanismId.parse(m)
+              for m in ("vcg", "idm", "tnm", "fixed:0", "fixed:3", "fixed:10/7")]
+IDM, TNM = MECHANISMS[1:3]
 
 
 def traced_work(run, *args) -> Counter:
@@ -63,7 +84,7 @@ def traced_work(run, *args) -> Counter:
     return work
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", PINNED)
 def test_dominator_work_at_most_about_doubles_with_n(family):
     # per vertex and edge the pass reaches, so that the pin follows the
     # pass and not how much of a random digraph the sponsor happens to
@@ -99,24 +120,111 @@ def test_each_bidder_climbs_the_rehung_roots_once_per_chain_walk(monkeypatch, fa
     profile = family(120, random.Random(0))
     asked = counted_hangs(monkeypatch)
     clear_memo()
-    for mech in MECHANISMS[:2]:
+    for mech in (IDM, TNM):
         run_nrmf(mech, profile, HALF)
     assert len(asked) <= bound * len(market(profile).tree.root_branches)
 
 
+def cut_points(profile, tally):
+    graph = induce_graph(profile)
+    tree = critical_tree(graph)
+    assert dict(tree.parent) == brute_parent_map(graph)
+    assert dict(tree.parent) == fixpoint_dominators(graph.successors, SPONSOR)
+    for v in graph.reachable:
+        assert tree.branch_members(v) == dependants(graph, v)
+
+
+def shares(profile, tally):
+    tree = critical_tree(induce_graph(profile))
+    if not tree.parent:  # nothing to share
+        return
+    for params in PRST_ALPHAS:
+        fast, slow = prst(tree, params), prst_oracle(tree, params)
+        # the same keys in the same order, values equal in value and type
+        assert exact(fast.omega) == exact(slow.omega)
+        assert exact(fast.omega_pass) == exact(slow.omega_pass)
+
+
+def resale(mechanism, oracle):
+    def check(profile, tally):
+        if not induce_graph(profile).reachable:
+            return
+        winner, price, payments, revenue = oracle(profile)
+        outcome = run_auction(mechanism, profile)
+        assert outcome.winner == winner
+        assert outcome.auction_payment[winner] == price
+        assert dict(outcome.auction_payment) == payments
+        assert outcome.surplus == revenue
+    return check
+
+
+def nrmf(profile, tally):
+    outcomes = {(mech, params): run_nrmf(mech, profile, params)
+                for mech in MECHANISMS for params in ALPHAS}
+    # every agent below an only child keeps 0, even of a nonzero pot
+    revenues = outcomes[IDM, HALF].branch_revenues
+    tree = market(profile).tree
+    omega = tree.omega(HALF)
+    tally["skipped"] += any(revenues[tree.root_branches[b]] and not omega[i]
+                            for i, b in tree.branch_of.items())
+    oracle = nrmf_rerun_oracle(MECHANISMS, profile, ALPHAS)
+    for pair, outcome in outcomes.items():
+        assert_matches_oracle(outcome, oracle[pair], profile)
+        tally["mixed"] += len({r.denominator for r in outcome.branch_revenues.values()}) > 1
+
+
+def cavallo_rebates(profile, tally):
+    assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
+
+
+def rehangs(profile, tally):
+    graph = induce_graph(profile)
+    tree = critical_tree(graph)
+    expected = rehangs_oracle(graph, tree)
+    assert every_rehang(tree) == expected
+    tally["rehung"] += any(expected)
+
+
+# oracle: (check, most agents it affords): the brute-force searches make
+# a reachability query per agent and cut point, and the Cavallo oracle
+# re-runs the auction once per agent
+ORACLES = {
+    "brute_parent_map": (cut_points, 12),
+    "prst_oracle": (shares, inf),
+    "idm_oracle": (resale(IDM, idm_oracle), 12),
+    "tnm_oracle": (resale(TNM, tnm_oracle), 12),
+    "nrmf_rerun_oracle": (nrmf, inf),
+    "cavallo_rerun_oracle": (cavallo_rebates, 50),
+    "rehangs_oracle": (rehangs, inf),
+}
+
+# (oracle, family): (tally, count it must pass), the inputs a fast path
+# meets rarely: roots that move with a branch silenced, branch revenues of
+# more than one denominator, and rebates skipped below an only child
+FLOORS = {
+    ("rehangs_oracle", "random_digraph"): ("rehung", 200),
+    ("rehangs_oracle", "grown_with_cross_edges"): ("rehung", 10),
+    ("nrmf_rerun_oracle", "mixed_denominators"): ("mixed", 200),
+    ("nrmf_rerun_oracle", "random_chains"): ("skipped", 15),
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_outcomes_match_the_rerun_oracles(family):
-    for n in (5, 12, 30):
-        # values up to 3 make ties common, up to 20 rare
-        for seed, value_max in enumerate((3, 20, 20)):
-            profile = FAMILIES[family](n, random.Random(seed), value_max)
-            for mech in MECHANISMS:
-                assert run_nrmf(mech, profile, HALF) == nrmf_rerun_oracle(mech, profile, HALF)
-            assert cavallo(profile) == cavallo_rerun_oracle(profile)
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_every_fast_path_matches_its_oracle(oracle, family):
+    check, max_n = ORACLES[oracle]
+    profiles = [p for p in sample(family) if len(p.reports) <= max_n]
+    assert profiles
+    tally: Counter = Counter()
+    for profile in profiles:
+        check(profile, tally)
+    if (oracle, family) in FLOORS:
+        key, floor = FLOORS[oracle, family]
+        assert tally[key] > floor, tally
 
 
 def test_the_module_run_as_a_script_writes_a_family_network():
-    # the CI timing steps write their networks this way
+    # the CI timing step writes its networks this way
     script = Path(__file__).with_name("families.py")
     env = {**os.environ, "PYTHONPATH": str(Path(netredist.__file__).parents[1])}
     written = subprocess.run([sys.executable, str(script), "ring_entered_twice", "40", "3"],

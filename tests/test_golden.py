@@ -48,9 +48,8 @@ from netredist.cli import EXIT_OK, EXIT_PROPERTY_FAILURE, main
 from netredist.generators import EVENLY_GROWING, GrowthModel, generate
 from netredist.profiles import save_profile
 
-from families import ring_entered_twice, two_ended_chain
+from families import ring_entered_twice, sparse_digraph_profile, two_ended_chain
 from networks import cross_invited, leaf_named_taken, nearest_cut, star_with_tail, unreached
-from oracles import sparse_digraph_profile
 
 NETWORK_SHA256 = {
     "network": "9bab097aed858d8ce637f0a399c7998f4f17d130c3118386189c58398c109dbb",

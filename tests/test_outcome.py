@@ -79,6 +79,11 @@ def test_every_entry_point_returns_one_outcome_type(name, run, plain, profile_na
         assert all(exact(p) == exact(ZERO) for p in outcome.final_payment.values())
 
 
+
+def test_an_outcome_shows_its_final_payments_as_a_dict():
+    assert ("final_payment=FinalPayments({'A': Fraction(0, 1), 'B': Fraction(0, 1), "
+            "'C': Fraction(3, 1)})") in repr(vcg(bidder_star()))
+
 FRESH_IMPORT = """
 import gc, sys, weakref
 from fractions import Fraction

@@ -11,13 +11,9 @@ from netredist.generators import tree_profile
 from netredist.profiles import induce_graph
 from netredist.prst import SharingError, SharingParams, prst, share_totals
 
+from families import FAMILIES, random_digraph_profile, random_tree
 from networks import chain, share_tree_18
-from oracles import (
-    prst_oracle,
-    random_chains_profile,
-    random_digraph_profile,
-    random_tree_profile,
-)
+from oracles import exact, prst_oracle
 
 PRST_MODULE = importlib.import_module("netredist.prst")  # the package exports the function
 
@@ -53,6 +49,10 @@ def test_reference_tree_coefficients_exact():
     assert shares.omega["A"] == Fraction(8, 39)
     assert shares.omega["B"] == Fraction(7, 117)
     assert share_totals(shares) == 1
+    tree = critical_tree(induce_graph(share_tree_18()))
+    slow = prst_oracle(tree, SharingParams.of(Fraction(1, 2)))
+    assert exact(shares.omega) == exact(slow.omega)
+    assert exact(shares.omega_pass) == exact(slow.omega_pass)
 
 
 def test_single_agent_keeps_everything():
@@ -96,19 +96,12 @@ def test_shares_scale_linearly_with_reward():
         assert ten.omega[i] == unit.omega[i]
 
 
-def _random_tree(rng, n):
-    parents = [-1]
-    for k in range(1, n):
-        parents.append(rng.randrange(-1, k))
-    return tree_profile(parents, [1] * n)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=40),
        st.integers(min_value=0, max_value=10**6),
        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
 def test_property_shares_sum_to_one_and_are_nonnegative(n, seed, alpha):
-    profile = _random_tree(random.Random(seed), n)
+    profile = random_tree(n, random.Random(seed))
     shares = shares_of(profile, alpha)
     assert share_totals(shares) == 1
     assert all(w >= 0 for w in shares.omega.values())
@@ -121,7 +114,7 @@ def test_property_shares_sum_to_one_and_are_nonnegative(n, seed, alpha):
        st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10)))
 def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
     # What an agent passes down is exactly what her strict subtree keeps.
-    profile = _random_tree(random.Random(seed), n)
+    profile = random_tree(n, random.Random(seed))
     tree = critical_tree(induce_graph(profile))
     shares = prst(tree, SharingParams.of(alpha))
     for i in tree.agents:
@@ -133,54 +126,13 @@ def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
 ALPHAS = (Fraction(1, 2), Fraction(1, 5), Fraction(7, 9), Fraction(99, 100))
 
 
-def _under_one_root(rng, n):
-    """A random tree whose sponsor invites a single agent."""
-    return tree_profile([-1] + [rng.randrange(0, k) for k in range(1, n)], [1] * n)
-
-
-def _oracle_cases():
-    rng = random.Random(7)
-    yield share_tree_18()
-    for n in (1, 2, 3, 10, 60):
-        yield chain([1] * n)
-        yield tree_profile([-1] * n, [1] * n)  # star
-    for _ in range(120):
-        yield _random_tree(rng, rng.randint(1, 60))
-    for _ in range(60):
-        yield random_chains_profile(rng)
-        yield _under_one_root(rng, rng.randint(1, 40))
-        yield random_digraph_profile(rng, rng.randint(1, 30),
-                                     edge_prob=rng.choice((0.03, 0.08, 0.2)))
-
-
-def test_closed_form_equals_the_per_node_recursion():
-    for profile in _oracle_cases():
-        tree = critical_tree(induce_graph(profile))
-        for alpha in ALPHAS:
-            fast = prst(tree, SharingParams(alpha))
-            slow = prst_oracle(tree, SharingParams(alpha))
-            for field in ("omega", "omega_pass"):
-                got, want = getattr(fast, field), getattr(slow, field)
-                assert got == want
-                assert list(got) == list(want)  # same key order
-                assert all(type(got[i]) is type(want[i]) for i in want)
-
-
-SHAPES = {
-    "random": lambda rng: _random_tree(rng, rng.randint(1, 40)),
-    "chains": random_chains_profile,
-    "one-root": lambda rng: _under_one_root(rng, rng.randint(1, 40)),
-    "digraph": lambda rng: random_digraph_profile(rng, rng.randint(1, 25),
-                                                  edge_prob=rng.choice((0.05, 0.15))),
-}
-
-
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(sorted(SHAPES)),
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.integers(min_value=1, max_value=40),
        st.integers(min_value=0, max_value=10**6),
        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
-def test_property_an_agent_keeps_zero_iff_she_is_below_an_only_child(shape, seed, alpha):
-    tree = critical_tree(induce_graph(SHAPES[shape](random.Random(seed))))
+def test_property_an_agent_keeps_zero_iff_she_is_below_an_only_child(family, n, seed, alpha):
+    tree = critical_tree(induce_graph(FAMILIES[family](n, random.Random(seed))))
     children = Counter(tree.parent.values())
     omega = prst(tree, SharingParams(alpha)).omega
     for i in tree.agents:
@@ -212,7 +164,7 @@ def test_every_sponsor_branch_keeps_its_share_of_the_agents():
     # Redistribution shares a branch's counterfactual revenue among its
     # members, so what a branch keeps must be exactly its size over n.
     rng = random.Random(11)
-    profiles = [random_tree_profile(rng, rng.randint(1, 40)) for _ in range(100)]
+    profiles = [random_tree(rng.randint(1, 40), rng) for _ in range(100)]
     profiles += [random_digraph_profile(rng, rng.randint(1, 30), edge_prob=p)
                  for p in (0.05, 0.1, 0.3) for _ in range(40)]
     for profile in profiles:

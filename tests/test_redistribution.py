@@ -16,6 +16,7 @@ from netredist.profiles import (
 from netredist.prst import SharingParams, prst
 from netredist.redistribution import cavallo, check_cavallo_equivalence, run_nrmf
 
+from families import add_cross_edges, random_tree, sparse_digraph_profile, star
 from networks import (
     T,
     bidder_star,
@@ -26,40 +27,19 @@ from networks import (
     star_with_tail,
 )
 from oracles import (
-    cavallo_rerun_oracle,
+    assert_matches_oracle,
     clear_memo,
     counted_hangs,
     counted_passes,
     every_rehang,
-    exact,
     memo_free,
     nrmf_rerun_oracle,
-    random_chains_profile,
-    random_digraph_profile,
-    random_tree_profile,
     rehangs_oracle,
-    sparse_digraph_profile,
 )
 
 HALF = SharingParams.of(Fraction(1, 2))
 ALPHAS = [HALF, SharingParams.of(Fraction(1, 5))]
 MECHANISMS = [MechanismId.parse(m) for m in ("vcg", "idm", "tnm", "fixed:3", "fixed:0")]
-
-
-def assert_by_definition(outcome, profile):
-    """The surplus is the plain sum of the final payments and every utility
-    is ``utility`` at the reported value, equal in value and type."""
-    assert exact(outcome.surplus) == exact(sum(outcome.final_payment.values(), Fraction(0)))
-    assert exact(outcome.utilities) == exact({
-        i: utility(outcome.allocation[i], profile.value_of(i), outcome.final_payment[i])
-        for i in profile.agents
-    })
-
-
-def assert_matches_oracle(outcome, oracle, profile):
-    assert outcome == oracle
-    assert_by_definition(outcome, profile)
-    assert exact(outcome.utilities) == exact(oracle.utilities)
 
 
 def test_final_payment_identity_holds_exactly():
@@ -159,12 +139,7 @@ def test_cavallo_handles_invited_tail():
 def test_nrmf_vcg_equals_cavallo_on_stars():
     rng = random.Random(123)
     for _ in range(50):
-        n = rng.randint(2, 10)
-        profile = ReportProfile(
-            frozenset(f"b{k}" for k in range(n)),
-            {f"b{k}": T(rng.randint(0, 20)) for k in range(n)},
-        )
-        assert check_cavallo_equivalence(profile)
+        assert check_cavallo_equivalence(star(rng.randint(2, 10), rng))
 
 
 def test_equivalence_check_rejects_non_star():
@@ -183,7 +158,7 @@ def test_surplus_never_negative_on_random_trees():
     rng = random.Random(20240606)
     for mech in (MechanismId("idm"), MechanismId("tnm"), MechanismId("vcg")):
         for _ in range(150):
-            profile = random_tree_profile(rng, rng.randint(1, 10))
+            profile = random_tree(rng.randint(1, 10), rng)
             outcome = run_nrmf(mech, profile, HALF)
             assert outcome.surplus >= 0
 
@@ -193,7 +168,7 @@ def test_redistribution_never_exceeds_auction_revenue_on_trees():
     # chain auctions never price above the full one
     rng = random.Random(20240607)
     for _ in range(150):
-        profile = random_tree_profile(rng, rng.randint(1, 10))
+        profile = random_tree(rng.randint(1, 10), rng)
         outcome = run_nrmf(MechanismId("idm"), profile, HALF)
         auction_revenue = sum(outcome.auction_payment.values())
         assert sum(outcome.redistribution.values()) <= auction_revenue
@@ -324,110 +299,12 @@ def test_a_root_left_one_path_hangs_under_its_nearest_cut_point():
         assert outcome.branch_revenues == revenues, mech
 
 
-def assert_rehangs_match_oracle(m) -> bool:
-    """Every (silenced, root) answer of the market's tree equals the
-    eager oracle's; True if some root moves."""
-    expected = rehangs_oracle(induce_graph(m.profile), m.tree)
-    assert every_rehang(m.tree) == expected
-    return any(expected)
-
-
-def test_nrmf_matches_rerun_oracle_on_random_digraphs():
-    rng = random.Random(20240701)
-    rehung = 0
-    for _ in range(2000):
-        profile = random_digraph_profile(rng, rng.randint(1, 9),
-                                         edge_prob=rng.choice((0.15, 0.3, 0.5)),
-                                         value_max=rng.choice((0, 1, 3, 20)))
-        for mech in MECHANISMS:
-            for params in ALPHAS:
-                assert_matches_oracle(run_nrmf(mech, profile, params),
-                                      nrmf_rerun_oracle(mech, profile, params), profile)
-        assert_by_definition(cavallo(profile), profile)
-        m = market(profile)
-        rehung += bool(m.ranked) and assert_rehangs_match_oracle(m)
-    assert rehung > 200  # the counterfactual trees often differ from the actual one
-
-
-def test_nrmf_matches_rerun_oracle_on_values_of_mixed_denominators():
-    # Each value k becomes k/3, k/7 or k/100, so the branches' revenues
-    # have denominators of their own and the mass is summed over their
-    # common one.
-    rng = random.Random(20261020)
-    mechanisms = [MechanismId.parse(m) for m in ("vcg", "idm", "tnm", "fixed:10/7")]
-    mixed = 0
-    for _ in range(300):
-        integral = random_digraph_profile(rng, rng.randint(1, 10),
-                                          edge_prob=rng.choice((0.15, 0.3)), value_max=30)
-        profile = ReportProfile(integral.sponsor_neighbors, {
-            i: AgentType(t.value / rng.choice((3, 7, 100)), t.neighbors)
-            for i, t in integral.reports.items()})
-        for mech in mechanisms:
-            for params in ALPHAS:
-                outcome = run_nrmf(mech, profile, params)
-                assert_matches_oracle(outcome, nrmf_rerun_oracle(mech, profile, params),
-                                      profile)
-                assert outcome.surplus == sum(outcome.final_payment.values())
-                mixed += len({r.denominator for r in outcome.branch_revenues.values()}) > 1
-    assert mixed > 200
-
-
-def test_nrmf_matches_rerun_oracle_below_only_children():
-    # Every agent below an only child has coefficient 0 and gets no rebate,
-    # even in a branch with nonzero counterfactual revenue.
-    rng = random.Random(20240703)
-    profiles = [random_chains_profile(rng) for _ in range(80)]
-    profiles.append(chain([rng.randint(0, 50) for _ in range(300)]))
-    skipped = 0
-    for profile in profiles:
-        for mech in MECHANISMS:
-            for params in ALPHAS:
-                assert_matches_oracle(run_nrmf(mech, profile, params),
-                                      nrmf_rerun_oracle(mech, profile, params), profile)
-        tree = market(profile).tree
-        revenues = run_nrmf(MechanismId("idm"), profile, HALF).branch_revenues
-        omega = tree.omega(HALF)
-        skipped += any(revenues[tree.root_branches[b]] and not omega[i]
-                       for i, b in tree.branch_of.items())
-    assert skipped > 15
-
-
 def test_nrmf_on_a_long_chain_matches_the_rerun_oracle():
     # Every agent below the head keeps 0; the one branch's pot is empty.
     long_chain = chain([random.Random(5).randint(0, 50) for _ in range(20_000)])
     idm = MechanismId("idm")
     assert_matches_oracle(run_nrmf(idm, long_chain, HALF),
-                          nrmf_rerun_oracle(idm, long_chain, HALF), long_chain)
-
-
-def test_nrmf_matches_rerun_oracle_on_generated_nets_with_cross_edges():
-    rng = random.Random(20240702)
-    rehung = 0
-    for seed in range(60):
-        model = GrowthModel(kind=EVENLY_GROWING, initial_branches=rng.randint(1, 5),
-                            value_max=rng.choice((1, 3, 10)), seed=seed)
-        tree = generate(model, rng.randint(10, 50))
-        reports = dict(tree.reports)
-        for _ in range(rng.randint(1, 6)):
-            a, b = rng.sample(sorted(reports), 2)
-            reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
-        profile = ReportProfile(tree.sponsor_neighbors, reports)
-        for mech in MECHANISMS:
-            for params in ALPHAS:
-                assert_matches_oracle(run_nrmf(mech, profile, params),
-                                      nrmf_rerun_oracle(mech, profile, params), profile)
-        assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
-        rehung += assert_rehangs_match_oracle(market(profile))
-    assert rehung > 10
-
-
-def test_cavallo_matches_rerun_oracle_on_random_digraphs():
-    rng = random.Random(20240703)
-    for _ in range(1000):
-        profile = random_digraph_profile(rng, rng.randint(1, 9),
-                                         edge_prob=rng.choice((0.15, 0.3, 0.5)),
-                                         value_max=rng.choice((0, 1, 3, 20)))
-        assert_matches_oracle(cavallo(profile), cavallo_rerun_oracle(profile), profile)
+                          nrmf_rerun_oracle([idm], long_chain, [HALF])[idm, HALF], long_chain)
 
 
 CHAIN_AUCTIONS = [MechanismId("idm"), MechanismId("tnm")]
@@ -457,18 +334,14 @@ def test_dominator_passes_are_bounded_by_the_silenced_branches_that_cross_a_root
     rng = random.Random(20240705)
     # on a tree the sponsor invites every root: nothing is asked
     for _ in range(100):
-        profile = random_tree_profile(rng, rng.randint(1, 12))
+        profile = random_tree(rng.randint(1, 12), rng)
         for mech in CHAIN_AUCTIONS:
             run_nrmf(mech, profile, HALF)
     assert (passes, asked) == ([], [])
     # an evenly grown net plus 1% extra edges has movable roots, but the
     # chain walks never ask about them
     tree = generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=3, seed=7), 400)
-    reports = dict(tree.reports)
-    for _ in range(4):
-        a, b = rng.sample(sorted(reports), 2)
-        reports[a] = AgentType(reports[a].value, reports[a].neighbors | {b})
-    profile = ReportProfile(tree.sponsor_neighbors, reports)
+    profile = add_cross_edges(tree, rng, 4)
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     movable = market(profile).tree.movable

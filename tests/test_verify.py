@@ -26,6 +26,7 @@ from netredist.verify import (
     valuation_grid,
 )
 
+from families import random_tree
 from networks import (
     T,
     bidder_star,
@@ -34,7 +35,7 @@ from networks import (
     reference_network_10,
     star_with_tail,
 )
-from oracles import clear_memo, counted_builds, exact, memo_free, random_tree_profile
+from oracles import clear_memo, counted_builds, exact, memo_free
 
 HALF = Fraction(1, 2)
 IDM = MechanismId("idm")
@@ -42,7 +43,7 @@ IDM = MechanismId("idm")
 
 def small_instances(count=20, seed=5, max_n=6):
     rng = random.Random(seed)
-    return [random_tree_profile(rng, rng.randint(1, max_n)) for _ in range(count)]
+    return [random_tree(rng.randint(1, max_n), rng) for _ in range(count)]
 
 
 def test_valuation_grid_brackets_order_statistics():
