@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from netredist.critical_tree import _augment, critical_tree, immediate_dominators
 from netredist.profiles import NULL_TYPE, SPONSOR, induce_graph, make_profile
 
-from families import add_cross_edges, ladder, random_chains
+from families import add_cross_edges, ladder, random_chains, random_digraph_profile
 from networks import T, cross_invited, misreport_deviation, reach_diamond, reference_network_10
-from oracles import brute_parent_map, counted_passes, fixpoint_dominators
+from oracles import brute_parent_map, counted_passes, dependants, fixpoint_dominators
 from strategies import invitation_digraphs
 
 
@@ -54,6 +54,29 @@ def test_branch_of_indexes_into_root_branches():
 def test_unreachable_agents_are_excluded():
     tree = critical_tree(induce_graph(misreport_deviation()))
     assert set(tree.parent) == set("ABCDFG")
+
+
+def test_matches_cut_point_oracle_on_random_digraphs():
+    rng = random.Random(20240817)
+    for _ in range(120):
+        profile = random_digraph_profile(rng, rng.randint(1, 10))
+        graph = induce_graph(profile)
+        if not graph.reachable:
+            continue
+        tree = critical_tree(graph)
+        assert dict(tree.parent) == brute_parent_map(graph)
+
+
+def test_subtree_matches_unreachability_oracle():
+    rng = random.Random(7)
+    for _ in range(40):
+        profile = random_digraph_profile(rng, rng.randint(2, 9))
+        graph = induce_graph(profile)
+        if not graph.reachable:
+            continue
+        tree = critical_tree(graph)
+        for v in graph.reachable:
+            assert tree.branch_members(v) == dependants(graph, v)
 
 
 def test_a_tree_is_its_own_dominator_tree():
