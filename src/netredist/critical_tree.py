@@ -114,7 +114,7 @@ class CriticalTree:
         last = self.__dict__.get("_omega")
         if last is None or last[0] is not alpha and last[0] != alpha:
             # kept beside the fields, as ``cached_property`` keeps its values
-            last = self.__dict__["_omega"] = alpha, walk(self, alpha)[0]
+            last = self.__dict__["_omega"] = alpha, walk(self, alpha)
         return last[1]
 
     def ancestors(self, i: str) -> list[str]:

@@ -42,6 +42,9 @@ class GrowthModel:
 
     Values are uniform on the multiples of ``1 / VALUE_DENOMINATOR`` from 0
     to ``value_max``; the fixed denominator keeps them exact rationals.
+    Only the branch-independent model reads ``initial_branches``, the
+    number of sponsor branches it grows; the evenly growing model opens
+    its own, about ``sqrt(n)`` of them, whatever the field says.
     """
 
     kind: str = EVENLY_GROWING
@@ -252,17 +255,16 @@ def _sweep(mechanism: Mechanism,
 def abb_experiment(mechanism: MechanismId | Mechanism,
                    model: GrowthModel,
                    sizes: Sequence[int],
-                   seeds: Sequence[int],
-                   alpha: Fraction = Fraction(1, 2)) -> ExperimentResult:
+                   seeds: Sequence[int]) -> ExperimentResult:
     """Surplus left undistributed across a ladder of network sizes, under
-    ``mechanism`` (profile in, outcome out), or NRMF at ``alpha`` over an
+    ``mechanism`` (profile in, outcome out), or NRMF at alpha 1/2 over an
     auction named by a ``MechanismId``.
 
     For fixed-branch growth every record also carries NRMF's surplus bound
     ``2 / initial_branches * value_max``, which other mechanisms need not meet.
     """
     if isinstance(mechanism, MechanismId):
-        mechanism = nrmf_mechanism(mechanism, alpha)
+        mechanism = nrmf_mechanism(mechanism, Fraction(1, 2))
     bound = (Fraction(2, model.initial_branches) * model.value_max
              if model.kind == BRANCH_INDEPENDENT else None)
     sweep = _sweep(mechanism, model, sizes, seeds, bound)

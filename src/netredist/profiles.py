@@ -37,16 +37,9 @@ class AgentType:
         if self.value < 0:
             raise ProfileError(f"negative valuation {_echo(self.value)}")
 
-    @staticmethod
-    def of(value, neighbors: Iterable[str] = ()) -> "AgentType":
-        return AgentType(Fraction(value), frozenset(neighbors))
-
 
 #: The one shared zero amount.
 ZERO = Fraction(0)
-
-#: The "stay silent" report used when a whole branch is blocked.
-NULL_TYPE = AgentType(ZERO, frozenset())
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,6 @@ def make_profile(sponsor_neighbors: Iterable[str],
     return ReportProfile(frozenset(sponsor_neighbors), dict(reports))
 
 
-def star_profile(values: Mapping[str, object]) -> ReportProfile:
-    """All agents directly adjacent to the sponsor, no further invitations."""
-    reports = {i: AgentType.of(v) for i, v in values.items()}
-    return ReportProfile(frozenset(reports), reports)
-
-
 @dataclass(frozen=True, eq=False)
 class InducedGraph:
     """The directed graph induced by a report profile.
@@ -120,28 +107,21 @@ class InducedGraph:
     ``successors`` maps each vertex to its invitees in sorted order (the
     sponsor included, edges into the sponsor dropped); ``reachable`` is the
     participant set: every vertex with a directed path from the sponsor,
-    found on first read.
+    found by one depth-first walk from the sponsor on first read.
     """
 
     successors: Mapping[str, tuple[str, ...]] = field(repr=False)
 
     @cached_property
     def reachable(self) -> frozenset[str]:
-        return self.reachable_from(SPONSOR)
-
-    def reachable_from(self, root: str, removed: frozenset[str] = frozenset()) -> frozenset[str]:
-        """Vertices reachable from ``root`` when ``removed`` vertices are deleted."""
-        if root in removed:
-            return frozenset()
-        seen = {root}
-        stack = [root]
+        seen = {SPONSOR}
+        stack = [SPONSOR]
         while stack:
-            u = stack.pop()
-            for v in self.successors.get(u, ()):
-                if v not in seen and v not in removed:
+            for v in self.successors.get(stack.pop(), ()):
+                if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        seen.discard(root)
+        seen.discard(SPONSOR)
         return frozenset(seen)
 
 

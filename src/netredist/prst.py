@@ -48,22 +48,15 @@ class SharingParams:
 
 @dataclass(frozen=True)
 class ShareVector:
-    """Per-agent coefficients, pass-down masses and monetary shares.
+    """Per-agent coefficients and the reward they split.
 
-    ``omega[i]`` is the fraction of the reward kept by ``i``;
-    ``omega_pass[i]`` the fraction handed on to ``i``'s subtree
-    (``omega_pass[s] == 1``).  The coefficients do not depend on the
-    reward.
+    ``omega[i]`` is the fraction of the reward kept by ``i``; the
+    coefficients do not depend on the reward, and ``shares`` turns them
+    into money.
     """
 
     omega: Mapping[str, Fraction]
-    omega_pass: Mapping[str, Fraction]
     reward: Fraction
-
-    @property
-    def share(self) -> dict[str, Fraction]:
-        """Monetary shares, built anew on every access."""
-        return shares(self.omega, self.reward)
 
 
 def shares(omega: Mapping[str, Fraction], reward: Fraction) -> dict[str, Fraction]:
@@ -101,15 +94,13 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     on, whatever alpha is.  That value depends on her parent alone, so all
     leaf children of one parent share one coefficient, computed once.
     """
-    omega, passes = walk(tree, params.alpha)
-    omega_pass = {SPONSOR: ONE, **dict.fromkeys(tree.preorder, ZERO)}
-    omega_pass.update((i, Fraction(*pair)) for i, pair in passes.items() if i != SPONSOR)
-    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
+    return ShareVector(omega=walk(tree, params.alpha), reward=params.reward)
 
 
-def walk(tree: CriticalTree, alpha: Fraction) -> tuple[dict[str, Fraction], dict]:
-    """``prst``'s coefficients, and its nonzero pass-down masses as reduced
-    integer pairs ``(numerator, denominator)``, the sponsor's included."""
+def walk(tree: CriticalTree, alpha: Fraction) -> dict[str, Fraction]:
+    """``prst``'s coefficients at ``alpha``, keyed in preorder.  The
+    nonzero pass-down masses stay inside the walk, as reduced integer
+    pairs ``(numerator, denominator)``."""
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
     a, b = alpha.numerator, alpha.denominator
@@ -144,7 +135,7 @@ def walk(tree: CriticalTree, alpha: Fraction) -> tuple[dict[str, Fraction], dict
             num = pn * spread * (b - a)
             g = gcd(num, den)
             passes[i] = num // g, den // g
-    return omega, passes
+    return omega
 
 
 def share_totals(shares: ShareVector) -> Fraction:

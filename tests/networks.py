@@ -9,11 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from netredist.profiles import AgentType, ReportProfile, make_profile, star_profile
+from netredist.profiles import AgentType, ReportProfile, make_profile
 
 
 def T(value, neighbors=()) -> AgentType:
     return AgentType(Fraction(value), frozenset(neighbors))
+
+
+def star_profile(values) -> ReportProfile:
+    """All agents directly adjacent to the sponsor, no further invitations."""
+    reports = {i: T(v) for i, v in values.items()}
+    return ReportProfile(frozenset(reports), reports)
 
 
 def misreport_network() -> ReportProfile:

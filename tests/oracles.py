@@ -1,8 +1,9 @@
 """Brute-force oracles used to cross-check the library implementations.
 
 Everything here is deliberately naive.  The cut-point and resale oracles
-are built on raw reachability queries only, so they share no code path
-with the dominator-tree or auction implementations they audit; the
+are built on reachability queries only, the cut points on a breadth-first
+search of their own, so they share no code path with the dominator-tree
+or auction implementations they audit; the
 fixpoint dominators are a second, faster reference for the tree.  The
 re-run oracles for the redistribution counterfactuals rebuild a silenced
 copy of the profile and run the public auction on it once per branch or
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import deque
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
@@ -28,7 +30,6 @@ from netredist.cli import Rows
 from netredist.critical_tree import CriticalTree, critical_tree
 from netredist.profiles import (
     MAX_EXPONENT,
-    NULL_TYPE,
     SPONSOR,
     AgentType,
     InducedGraph,
@@ -39,7 +40,7 @@ from netredist.profiles import (
     induce_graph,
     parse_value,
 )
-from netredist.prst import ShareVector, SharingError, SharingParams
+from netredist.prst import SharingError, SharingParams
 from netredist.render import decimal_str
 
 # generated in ``families``; ``test_acceptance.py`` imports it from here
@@ -47,8 +48,24 @@ from families import random_digraph_profile  # noqa: F401
 
 ZERO = Fraction(0)
 
+#: The "stay silent" report: no value, no invitations.
+NULL_TYPE = AgentType(ZERO, frozenset())
+
 
 # --- cut-point (dominator) oracle ---------------------------------------
+
+
+def reachable_without(graph: InducedGraph, v: str | None = None) -> frozenset[str]:
+    """The agents the sponsor reaches once ``v`` is deleted (all of them
+    when ``v`` is None), by a breadth-first search of the oracles' own."""
+    seen = {SPONSOR, v}
+    queue = deque([SPONSOR])
+    while queue:
+        for w in graph.successors[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen - {SPONSOR, v})
 
 
 def brute_dominators(graph: InducedGraph, j: str) -> frozenset[str]:
@@ -56,10 +73,10 @@ def brute_dominators(graph: InducedGraph, j: str) -> frozenset[str]:
     if j == SPONSOR:
         return frozenset({SPONSOR})
     doms = {SPONSOR}
-    for v in graph.reachable:
+    for v in reachable_without(graph):
         if v == j:
             continue
-        if j not in graph.reachable_from(SPONSOR, frozenset({v})):
+        if j not in reachable_without(graph, v):
             doms.add(v)
     return frozenset(doms)
 
@@ -73,7 +90,7 @@ def brute_parent(graph: InducedGraph, j: str) -> str:
 
 
 def brute_parent_map(graph: InducedGraph) -> dict[str, str]:
-    return {j: brute_parent(graph, j) for j in graph.reachable}
+    return {j: brute_parent(graph, j) for j in reachable_without(graph)}
 
 
 def fixpoint_dominators(successors, root: str) -> dict[str, str]:
@@ -129,9 +146,7 @@ def fixpoint_dominators(successors, root: str) -> dict[str, str]:
 
 def dependants(graph: InducedGraph, v: str) -> frozenset[str]:
     """``v`` plus every agent unreachable once ``v`` is removed."""
-    return frozenset({v}) | (
-        graph.reachable - graph.reachable_from(SPONSOR, frozenset({v}))
-    )
+    return frozenset({v}) | (reachable_without(graph) - reachable_without(graph, v))
 
 
 def brute_chain(graph: InducedGraph, j: str) -> list[str]:
@@ -315,10 +330,11 @@ def tnm_oracle(profile: ReportProfile):
 # --- per-node reward-sharing recursion ----------------------------------
 
 
-def prst_oracle(tree: CriticalTree, params: SharingParams) -> ShareVector:
+def prst_oracle(tree: CriticalTree, params: SharingParams) -> tuple[dict, dict]:
     """``prst`` as the recursion its docstring states, term by term: every
     agent builds ``total``, ``base`` and ``spread`` as fractions, leaves
-    included."""
+    included.  Returns the coefficients and the pass-down masses, the
+    sponsor's 1 included."""
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
     alpha = params.alpha
@@ -337,7 +353,7 @@ def prst_oracle(tree: CriticalTree, params: SharingParams) -> ShareVector:
         omega[i] = omega_pass[p] * (base + spread * alpha)
         omega_pass[i] = omega_pass[p] * spread * (1 - alpha)
 
-    return ShareVector(omega=omega, omega_pass=omega_pass, reward=params.reward)
+    return omega, omega_pass
 
 
 # --- re-run oracles for the redistribution counterfactuals --------------
@@ -393,13 +409,13 @@ def nrmf_rerun_oracle(mechanisms: Sequence[MechanismId], profile: ReportProfile,
     auctions = {mechanism: run_auction(mechanism, profile) for mechanism in mechanisms}
     outcomes = {}
     for params in alphas:
-        shares = prst_oracle(tree, SharingParams(params.alpha, Fraction(1)))
+        omega, _ = prst_oracle(tree, params)
         for mechanism in mechanisms:
             revenues = branch_revenues[mechanism]
             redistribution = {i: ZERO for i in profile.agents}
             for i in graph.reachable:
                 root = tree.root_branches[tree.branch_of[i]]
-                redistribution[i] = shares.omega[i] * revenues[root]
+                redistribution[i] = omega[i] * revenues[root]
             outcomes[mechanism, params] = _outcome_by_terms(
                 profile, auctions[mechanism], redistribution, revenues, tree.root_branches)
     return outcomes

@@ -17,10 +17,11 @@ from netredist.auctions import (
     vcg,
 )
 from netredist.critical_tree import critical_tree
-from netredist.profiles import NULL_TYPE, ReportProfile, induce_graph, make_profile
+from netredist.profiles import ReportProfile, induce_graph, make_profile
 
 from families import random_digraph_profile, random_tree
 from networks import T, bidder_star, chain, reference_network_10
+from oracles import NULL_TYPE
 from strategies import invitation_digraphs
 
 

@@ -22,14 +22,13 @@ from netredist.profiles import (
     make_profile,
     profile_to_dict,
     save_profile,
-    star_profile,
 )
 from netredist.prst import SharingParams
 from netredist.redistribution import cavallo, run_nrmf
 from netredist.render import fraction_str
 
 from families import random_digraph_profile
-from networks import T, bidder_star, reference_network_10, star_with_tail, unreached
+from networks import T, bidder_star, reference_network_10, star_profile, star_with_tail, unreached
 from oracles import as_records, json_text_oracle, run_rows_oracle, without_digit_limit
 
 
@@ -855,8 +854,8 @@ def _row_networks():
     # every rebate rounds to zero at 6 digits: final payments of -0.000000
     tiny = star_profile({"A": Fraction(3, 10**7), "B": Fraction(2, 10**7),
                          "C": Fraction(1, 10**7), "D": Fraction(1, 10**7)})
-    generated = [generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=4,
-                                      value_max=100, seed=seed), 60) for seed in (3, 4)]
+    generated = [generate(GrowthModel(kind=EVENLY_GROWING, value_max=100, seed=seed), 60)
+                 for seed in (3, 4)]
     digraphs = [random_digraph_profile(rng, rng.randint(1, 9), value_max=rng.choice([3, 20]))
                 for _ in range(40)]
     return [reference_network_10(), bidder_star(), star_with_tail(), tiny,
@@ -906,8 +905,8 @@ def _recorded_json_texts(monkeypatch):
 def test_every_json_payload_matches_the_standard_encoder(capsys, monkeypatch, tmp_path):
     texts = _recorded_json_texts(monkeypatch)
     network = tmp_path / "network.json"
-    save_profile(generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=4,
-                                      value_max=100, seed=3), 60), network)
+    save_profile(generate(GrowthModel(kind=EVENLY_GROWING, value_max=100, seed=3), 60),
+                 network)
     truth = tmp_path / "truth.json"
     save_profile(_revalued(reference_network_10()), truth)
     escapes = tmp_path / "escapes.json"

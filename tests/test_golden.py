@@ -210,7 +210,7 @@ OTHER_EXIT = {
 
 
 def _save(path, seed, n):
-    model = GrowthModel(kind=EVENLY_GROWING, initial_branches=4, value_max=100, seed=seed)
+    model = GrowthModel(kind=EVENLY_GROWING, value_max=100, seed=seed)
     save_profile(generate(model, n), path)
     return str(path)
 

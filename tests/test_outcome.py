@@ -93,8 +93,9 @@ def first_import():
     from netredist.critical_tree import CriticalTree
     from netredist.prst import SharingParams
     profile = profiles.ReportProfile(frozenset({"A", "B"}), {
-        "A": profiles.AgentType.of(3, ["C"]), "B": profiles.AgentType.of(2),
-        "C": profiles.AgentType.of(5)})
+        "A": profiles.AgentType(Fraction(3), frozenset({"C"})),
+        "B": profiles.AgentType(Fraction(2), frozenset()),
+        "C": profiles.AgentType(Fraction(5), frozenset())})
     outcome = redistribution.run_nrmf(auctions.MechanismId("idm"), profile,
                                       SharingParams(Fraction(1, 2)))
     kept = {"ReportProfile": profiles.ReportProfile, "outcome class": type(outcome),

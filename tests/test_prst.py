@@ -50,15 +50,13 @@ def test_reference_tree_coefficients_exact():
     assert shares.omega["B"] == Fraction(7, 117)
     assert share_totals(shares) == 1
     tree = critical_tree(induce_graph(share_tree_18()))
-    slow = prst_oracle(tree, SharingParams.of(Fraction(1, 2)))
-    assert exact(shares.omega) == exact(slow.omega)
-    assert exact(shares.omega_pass) == exact(slow.omega_pass)
+    slow, _ = prst_oracle(tree, SharingParams.of(Fraction(1, 2)))
+    assert exact(shares.omega) == exact(slow)
 
 
 def test_single_agent_keeps_everything():
     shares = shares_of(tree_profile([-1], [5]), Fraction(1, 3))
-    assert shares.omega["A"] == 1
-    assert shares.omega_pass["A"] == 0
+    assert shares.omega == {"A": 1}
 
 
 def test_star_splits_evenly_regardless_of_alpha():
@@ -91,8 +89,9 @@ def test_alpha_moves_mass_towards_the_inviter():
 def test_shares_scale_linearly_with_reward():
     unit = shares_of(share_tree_18(), Fraction(1, 2), 1)
     ten = shares_of(share_tree_18(), Fraction(1, 2), 10)
+    money = PRST_MODULE.shares
     for i in unit.omega:
-        assert ten.share[i] == 10 * unit.share[i]
+        assert money(ten.omega, ten.reward)[i] == 10 * money(unit.omega, unit.reward)[i]
         assert ten.omega[i] == unit.omega[i]
 
 
@@ -105,7 +104,6 @@ def test_property_shares_sum_to_one_and_are_nonnegative(n, seed, alpha):
     shares = shares_of(profile, alpha)
     assert share_totals(shares) == 1
     assert all(w >= 0 for w in shares.omega.values())
-    assert all(p >= 0 for p in shares.omega_pass.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,14 +111,16 @@ def test_property_shares_sum_to_one_and_are_nonnegative(n, seed, alpha):
        st.integers(min_value=0, max_value=10**6),
        st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10)))
 def test_property_pass_mass_accounts_for_subtree(n, seed, alpha):
-    # What an agent passes down is exactly what her strict subtree keeps.
+    # What an agent passes down, by the recursion term by term, is exactly
+    # what the fast walk gives her strict subtree.
     profile = random_tree(n, random.Random(seed))
     tree = critical_tree(induce_graph(profile))
-    shares = prst(tree, SharingParams.of(alpha))
+    params = SharingParams.of(alpha)
+    omega = prst(tree, params).omega
+    _, passes = prst_oracle(tree, params)
     for i in tree.agents:
-        below = sum((shares.omega[j] for j in tree.branch_members(i) - {i}),
-                    Fraction(0))
-        assert shares.omega_pass[i] == below
+        below = sum((omega[j] for j in tree.branch_members(i) - {i}), Fraction(0))
+        assert passes[i] == below
 
 
 ALPHAS = (Fraction(1, 2), Fraction(1, 5), Fraction(7, 9), Fraction(99, 100))

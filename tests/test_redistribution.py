@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -207,19 +208,23 @@ def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
 
 def test_the_dominator_search_is_the_only_walk_of_the_graph(monkeypatch):
     walks = []
-    real = InducedGraph.reachable_from
+    real = InducedGraph.reachable.func
 
-    def counted(graph, *args):
-        walks.append(args)
-        return real(graph, *args)
+    def counted(graph):
+        walks.append(graph)
+        return real(graph)
 
-    monkeypatch.setattr(InducedGraph, "reachable_from", counted)
+    reachable = cached_property(counted)
+    reachable.__set_name__(InducedGraph, "reachable")
+    monkeypatch.setattr(InducedGraph, "reachable", reachable)
     for mech in MECHANISMS:
         clear_memo()
         run_nrmf(mech, cross_invited(), HALF)
     clear_memo()
     cavallo(cross_invited())
     assert walks == []
+    # the count is live: a read of the participant set is one walk
+    assert induce_graph(cross_invited()).reachable and len(walks) == 1
 
 
 def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
@@ -340,7 +345,7 @@ def test_dominator_passes_are_bounded_by_the_silenced_branches_that_cross_a_root
     assert (passes, asked) == ([], [])
     # an evenly grown net plus 1% extra edges has movable roots, but the
     # chain walks never ask about them
-    tree = generate(GrowthModel(kind=EVENLY_GROWING, initial_branches=3, seed=7), 400)
+    tree = generate(GrowthModel(kind=EVENLY_GROWING, seed=7), 400)
     profile = add_cross_edges(tree, rng, 4)
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)

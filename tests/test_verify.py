@@ -108,7 +108,7 @@ def test_ir_catches_a_planted_overcharger():
     w = report.witness
     assert (report.checked, len(runs)) == (3, 4)
     assert w.agent == "C"
-    assert w.deviation == w.truthful_report == AgentType.of(4)
+    assert w.deviation == w.truthful_report == T(4)
     assert (w.truthful_utility, w.deviation_utility) == (-4, -4)
     honest, deviated = report.witness.replay(overcharging)
     assert (honest, deviated) == (w.truthful_utility, w.deviation_utility)
@@ -386,7 +386,7 @@ def test_revenue_monotonic_for_vcg_on_growth_pairs():
 
 def test_revenue_monotonic_skips_malformed_pairs():
     grown = bidder_star()
-    shrunk = grown.replace("C", AgentType.of(99))  # value changed: not growth
+    shrunk = grown.replace("C", T(99))  # value changed: not growth
     report = check_revenue_monotonic(
         auction_mechanism(MechanismId("vcg")), [(shrunk, grown)])
     assert report.verdict
@@ -421,7 +421,7 @@ def test_revenue_invariant_checks_a_pair_with_no_new_participant():
 
 def test_skipped_pairs_give_one_warning_per_reason_with_its_count():
     grown = bidder_star()
-    malformed = [(grown.replace(i, AgentType.of(99)), grown) for i in "ABC"] * 3
+    malformed = [(grown.replace(i, T(99)), grown) for i in "ABC"] * 3
     vcg_mechanism = auction_mechanism(MechanismId("vcg"))
     report = check_revenue_monotonic(vcg_mechanism, malformed)
     assert (report.verdict, report.checked, report.skipped) == (True, 0, 9)
