@@ -33,7 +33,7 @@ ALPHA = Fraction(1, 2)
 for label, kind in (("evenly grown networks", EVENLY_GROWING),
                     ("branch-independent networks, 4 branches", BRANCH_INDEPENDENT)):
     model = GrowthModel(kind=kind)
-    results = {spec: abb_experiment(parse_mechanism(spec, ALPHA, "nrmf"), model, SIZES, SEEDS)
+    results = {spec: abb_experiment(parse_mechanism(spec, ALPHA, "nrmf")[1], model, SIZES, SEEDS)
                for spec in SPECS}
     print(f"{label}, values 0 to {model.value_max}, "
           f"seeds 0-{len(SEEDS) - 1}: median surplus")

@@ -17,11 +17,9 @@ every ``Outcome``, with whatever redistribution is paid back.
 Only the ranking reads the values.  Everything else a run needs is the
 invitation structure's index, its critical tree, which also keeps the
 branch re-hangs answered and the sharing coefficients of the last alpha.
-``market`` keeps the tree of its previous call in one slot and reuses it
-while the invitation structure (sponsor neighbours, agent ids and
-neighbour sets) is equal, so a new alpha reuses every re-hang answered.
-That slot is the package's only memo; what it hands out is shared, and an
-answer it keeps never changes.
+``market`` builds it into the profile's ``structure``, which every
+value-only ``ReportProfile.replace`` shares, so other values or a new
+alpha reuse every answer; an answer a tree keeps never changes.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -154,26 +153,12 @@ class Market:
     ranked: tuple[str, ...]
 
 
-#: The invitation structure of the last market and its critical tree.
-_last_structure: Optional[tuple[tuple, CriticalTree]] = None
-
-
-def _structure(profile: ReportProfile) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """What a critical tree depends on, compared by equality."""
-    return profile.sponsor_neighbors, {i: t.neighbors for i, t in profile.reports.items()}
-
-
 def market(profile: ReportProfile) -> Market:
-    """Rank the participants on the profile's critical tree, the previous
-    call's while the invitation structure is unchanged."""
-    global _last_structure
-    key = _structure(profile)
-    # read the slot once: a concurrent call may cost a rebuild, but a key
-    # and its tree always belong together
-    last = _last_structure
-    if last is None or last[0] != key:
-        last = _last_structure = key, critical_tree(induce_graph(profile))
-    tree = last[1]
+    """Rank the participants on the profile's critical tree, built on the
+    first call for its invitation structure and kept in ``profile.structure``."""
+    if not profile.structure:
+        profile.structure.append(critical_tree(induce_graph(profile)))
+    tree = profile.structure[0]
     agents, reports = tree.agents, profile.reports
     # rank by exact integer images of the values over their common
     # denominator, each value's ratio read once, so the sort compares ints,
@@ -261,7 +246,7 @@ def sale(mechanism: MechanismId, m: Market
     value = m.profile.value_of
     if mechanism.kind == "fixed_price":
         price = surplus = mechanism.price
-        willing = [i for i in m.ranked if value(i) >= price]
+        willing = list(takewhile(lambda i: value(i) >= price, m.ranked))  # best bid first
         if not willing:
             return allocation, payment, ZERO, None
         winner = min(willing, key=lambda i: (m.tree.depth[i], i))

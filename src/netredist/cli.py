@@ -313,7 +313,7 @@ def _run_rows(outcome, truth, digits: int) -> Rows:
 
 def _cmd_run(args, alpha: Fraction) -> int:
     # a bad spec fails before any read; NRMF runs cli.run_nrmf, which tests rebind
-    mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
+    _, mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
     profile = load_profile(args.network)
     truth = profile
     if args.true_values:
@@ -346,7 +346,7 @@ def _cmd_run(args, alpha: Fraction) -> int:
 
 def _cmd_verify(args, alpha: Fraction) -> int:
     # a bad mechanism is rejected before the instances are listed or read
-    mechanism = parse_mechanism(args.mechanism, alpha, "auction")
+    name, mechanism = parse_mechanism(args.mechanism, alpha, "auction")
     paths = sorted(
         os.path.join(args.instances, f)
         for f in os.listdir(args.instances)
@@ -356,7 +356,7 @@ def _cmd_verify(args, alpha: Fraction) -> int:
         raise ProfileError(f"no .json instances in {args.instances}")
     instances = [load_profile(p) for p in paths]
     report = AUDITS[args.property](mechanism, instances)
-    print(_json_text(report.to_dict()))
+    print(_json_text(dict(report.to_dict(), mechanism=name, alpha=fraction_str(alpha))))
     return EXIT_OK if report.verdict else EXIT_PROPERTY_FAILURE
 
 
@@ -391,13 +391,14 @@ def _cmd_experiment(args, alpha: Fraction) -> int:
     seeds = [args.seed + k for k in range(args.num_seeds)]
     model = _growth_model(args)
     if args.experiment == "abb":
-        mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
+        name, mechanism = parse_mechanism(args.mechanism, alpha, "nrmf", run_nrmf)
         result = abb_experiment(mechanism, model, sizes, seeds)
-        data = result.to_dict()
+        data = dict(result.to_dict(), mechanism=name)
     else:
         price = _rational("--price", args.price)
         result, summary = bb_experiment(price, model, sizes, seeds, alpha)
-        data = dict(result.to_dict(), summary=summary)
+        data = dict(result.to_dict(), summary=summary, mechanism=f"nrmf:fixed:{price}")
+    data["alpha"] = fraction_str(alpha)
     rows = _experiment_rows(result, args.precision)
     _emit(args, data, rows)
     if args.output == "table":

@@ -48,10 +48,14 @@ class ReportProfile:
 
     The sponsor always reports truthfully.  Every identifier mentioned
     anywhere must have an entry in ``reports``; the sponsor id is reserved.
+    ``structure`` holds the invitations' critical tree once
+    ``auctions.market`` builds it: a ``replace`` that keeps every
+    invitation shares it, and any other new profile starts empty.
     """
 
     sponsor_neighbors: frozenset[str]
     reports: Mapping[str, AgentType]
+    structure: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if SPONSOR in self.reports:
@@ -85,13 +89,16 @@ class ReportProfile:
     def replace(self, i: str, report: AgentType) -> "ReportProfile":
         """A copy of the profile with agent ``i``'s report swapped out.  Only
         the new report is checked: the rest is valid already, and the sorted
-        ids carry over."""
+        ids carry over, as does the structure when ``i`` keeps her
+        invitations."""
         if i not in self.reports:
             raise ProfileError(f"unknown agent {_echo(i)}")
         self._check_report(i, report)
+        same = report.neighbors == self.reports[i].neighbors
         changed = object.__new__(ReportProfile)
         changed.__dict__.update(sponsor_neighbors=self.sponsor_neighbors,
-                                reports={**self.reports, i: report}, agents=self.agents)
+                                reports={**self.reports, i: report}, agents=self.agents,
+                                structure=self.structure if same else [])
         return changed
 
 

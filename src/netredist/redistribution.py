@@ -10,7 +10,8 @@ payment.  Pricing, counterfactual or not, lives in ``auctions``; this
 module only shares.
 
 The sharing coefficients come from the market's critical tree, which
-``auctions`` memoises and which keeps those of the last alpha.
+the profile keeps (``auctions.market``) and which keeps those of the
+last alpha.
 
 The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue and a nonzero coefficient get a rebate; every

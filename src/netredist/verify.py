@@ -49,15 +49,17 @@ def cavallo_mechanism() -> Mechanism:
     return cavallo
 
 
-def parse_mechanism(spec: str, alpha: Fraction, bare: str, nrmf=None) -> Mechanism:
+def parse_mechanism(spec: str, alpha: Fraction, bare: str, nrmf=None) -> tuple[str, Mechanism]:
     """``cavallo``, ``auction:<kind>`` (the plain auction) or ``nrmf:<kind>``
     (NRMF over it at ``alpha``, by ``nrmf`` or else ``run_nrmf``), ``<kind>`` as
-    ``MechanismId.parse`` reads it; a bare ``<kind>`` takes the form ``bare``."""
+    ``MechanismId.parse`` reads it; a bare ``<kind>`` takes the form ``bare``.
+    Returns the canonical spec, ``<kind>`` as ``MechanismId`` prints it, and the mechanism."""
     if spec == "cavallo":
-        return cavallo_mechanism()
+        return spec, cavallo_mechanism()
     form, kind = spec.split(":", 1) if spec.startswith(("auction:", "nrmf:")) else (bare, spec)
     mech = MechanismId.parse(kind)
-    return nrmf_mechanism(mech, alpha, nrmf) if form == "nrmf" else auction_mechanism(mech)
+    run = nrmf_mechanism(mech, alpha, nrmf) if form == "nrmf" else auction_mechanism(mech)
+    return f"{form}:{mech}", run
 
 
 def _utility(outcome: Outcome, i: str, true_value: Fraction) -> Fraction:
@@ -199,11 +201,13 @@ def _deviation_scan(prop: str, mechanism: Mechanism,
             truth = profile.reports[i]
             honest = _utility(truthful, i, truth.value) if ic else None
             for subset in neighbor_subsets(truth.neighbors):
+                # the values of one subset share one base, and so its tree
+                base = profile.replace(i, AgentType(truth.value, subset))
                 for v in grid if ic else (truth.value,):
                     deviation = AgentType(v, subset)
                     if ic and deviation == truth:
                         continue
-                    outcome = mechanism(profile.replace(i, deviation))
+                    outcome = mechanism(base.replace(i, deviation))
                     u = _utility(outcome, i, truth.value)
                     checked += 1
                     if (u > honest) if ic else (u < 0):

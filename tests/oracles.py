@@ -463,13 +463,8 @@ def exact(value):
     return type(value), value
 
 
-def clear_memo() -> None:
-    """Forget the critical tree ``market`` reuses, the package's one memo."""
-    auctions._last_structure = None
-
-
 def counted_builds(monkeypatch) -> list:
-    """Record every critical tree ``market`` builds, from an empty memo on."""
+    """Record every critical tree ``market`` builds from here on."""
     builds = []
     real = auctions.critical_tree
 
@@ -478,20 +473,15 @@ def counted_builds(monkeypatch) -> list:
         return real(graph)
 
     monkeypatch.setattr(auctions, "critical_tree", counted_build)
-    clear_memo()
     return builds
 
 
 def memo_free(run, *args):
-    """``run(*args)`` with the memo cleared, so it can read nothing the run
-    under test left there; the memo is restored afterwards, so the run
-    under test cannot read this one either."""
-    saved = auctions._last_structure
-    clear_memo()
-    try:
-        return run(*args)
-    finally:
-        auctions._last_structure = saved
+    """``run(*args)`` on a fresh copy of each profile among ``args``, so it
+    can read no critical tree the run under test built, nor leave one for
+    it: a copy made by ``ReportProfile`` starts its own structure."""
+    return run(*(ReportProfile(a.sponsor_neighbors, dict(a.reports))
+                 if isinstance(a, ReportProfile) else a for a in args))
 
 
 # --- the command line's former input and output paths -------------------

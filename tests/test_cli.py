@@ -162,6 +162,26 @@ def test_verify_a_plain_auction_on_an_empty_market_passes(capsys, unreached_file
     assert json.loads(captured.out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("command,mechanism", [
+    (["verify", "--property", "nd", "--mechanism", "vcg"], "auction:vcg"),
+    (["verify", "--property", "nd", "--mechanism", "auction:fixed:3.5"], "auction:fixed:7/2"),
+    (["verify", "--property", "ir", "--mechanism", "nrmf:tnm"], "nrmf:tnm"),
+    (["verify", "--property", "ic", "--mechanism", "cavallo"], "cavallo"),
+    (["experiment", "abb", "--mechanism", "tnm"], "nrmf:tnm"),
+    (["experiment", "abb", "--mechanism", "auction:fixed:2.5"], "auction:fixed:5/2"),
+    (["experiment", "bb", "--price", "2.5"], "nrmf:fixed:5/2"),
+], ids=["verify-bare", "verify-fixed", "verify-nrmf", "verify-cavallo", "abb-bare",
+        "abb-fixed", "bb"])
+def test_reports_name_their_canonical_mechanism_and_alpha(capsys, star_file, command,
+                                                          mechanism):
+    where = (["--instances", str(Path(star_file).parent)] if command[0] == "verify"
+             else ["--sizes", "5", "--num-seeds", "1"])
+    code, out = run_cli(capsys, "--alpha", "0.2", "--output", "json", *command, *where)
+    assert code in (EXIT_OK, EXIT_PROPERTY_FAILURE)
+    data = json.loads(out)
+    assert (data["mechanism"], data["alpha"]) == (mechanism, "1/5")
+
+
 @pytest.mark.parametrize("command", [
     ["run", "{network}", "--mechanism", "cavallo"],
     ["run", "{network}", "--mechanism", "idm"],

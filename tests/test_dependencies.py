@@ -1,5 +1,6 @@
-"""The package keeps zero runtime dependencies: each of its modules imports
-only the package itself and the standard library."""
+"""The package keeps zero runtime dependencies and no module state: each
+of its modules imports only the package itself and the standard library,
+and none rebinds a module-level name."""
 
 import ast
 import sys
@@ -29,3 +30,14 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     outside = {name: sorted(modules - {"netredist"} - sys.stdlib_module_names)
                for name, modules in imported.items()}
     assert {name: modules for name, modules in outside.items() if modules} == {}
+
+
+def test_no_module_rebinds_a_global():
+    """No function rebinds a module-level name with ``global``, so no call
+    leaves state behind for the next one."""
+    rebinding = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rebinding[path.name] = [node.lineno for node in ast.walk(tree)
+                                if isinstance(node, ast.Global)]
+    assert {name: lines for name, lines in rebinding.items() if lines} == {}

@@ -37,7 +37,6 @@ from oracles import (
     assert_matches_oracle,
     brute_parent_map,
     cavallo_rerun_oracle,
-    clear_memo,
     counted_hangs,
     dependants,
     every_rehang,
@@ -119,7 +118,6 @@ def test_each_bidder_climbs_the_rehung_roots_once_per_chain_walk(monkeypatch, fa
     # here, and 2,400 / 392 / 526 when every link restarts each bidder's climb
     profile = family(120, random.Random(0))
     asked = counted_hangs(monkeypatch)
-    clear_memo()
     for mech in (IDM, TNM):
         run_nrmf(mech, profile, HALF)
     assert len(asked) <= bound * len(market(profile).tree.root_branches)

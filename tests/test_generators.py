@@ -136,7 +136,7 @@ def test_abb_experiment_records_and_aggregates():
 
 @pytest.mark.parametrize("spec", ["nrmf:idm", "auction:idm", "cavallo"])
 def test_abb_experiment_builds_one_tree_per_network(monkeypatch, spec):
-    mechanism = parse_mechanism(spec, Fraction(1, 2), "nrmf")
+    _, mechanism = parse_mechanism(spec, Fraction(1, 2), "nrmf")
     builds = counted_builds(monkeypatch)
     result = abb_experiment(mechanism, GrowthModel(seed=0), [10, 20], range(3))
     assert len(result.records) == 6

@@ -31,8 +31,9 @@ groups:
   IR and IC became one deviation scan.  The audits on the empty market
   (``unreached``) and on ``leaf_named_taken`` pin the edge cases of the
   deviation scan and of the leaf-extension pairs.  A ``verify`` report
-  does not name its mechanism, so audits with the same findings on the
-  same instances share a digest.
+  and ``experiment``'s JSON name the canonical mechanism and the alpha, so
+  only audits of one mechanism (``vcg`` and ``auction:vcg``) share a
+  digest; their digests were re-recorded when those keys were added.
 
 The catalogue's digests, and the other entries that took over CI's
 former hash-seed batch, were recorded before the loader read every plain
@@ -112,23 +113,23 @@ OTHER_SHA256 = {
     ("shares", "json"): "2a41834272fc5763fb420c71e5593f6898845769be1847168251d0955b506da8",
     ("shares", "csv"): "96e04cccbf2a6e4d9fcd68baec012b41f119e03e13437c044e19456ac3b6857d",
     ("shares", "table"): "7e547b9fb6c1efdd7dd6a4a8958803ab6fed6e34f702184025d61eb567e1288c",
-    ("experiment-bb", "json"): "03edc708b98ee4a43ce29f0b7d10f0afca284e615fa815d8e453b1611e8bf788",
+    ("experiment-bb", "json"): "c3f48756e2955badc5be40170e894c27ed52b40b490d6797ec6a3424c02e64ef",
     ("experiment-bb", "csv"): "69e0c52d85703e0e5488522e0155957ba0209535c60832bcdab286c200497b48",
     ("experiment-bb", "table"): "b24ed01b152f6cb6f0828bc4dafa5666130fe2cda2640d426bd709f8e2f4532d",
-    ("experiment-abb", "json"): "7ccfb2f634360a0d31f0782bc1ceb7e4577e3cd34b161b07946d110a92506539",
+    ("experiment-abb", "json"): "d6e14e91d3e1bc1e7f0dd0ad09c04a257196becc08848c8ff60721add9cf40ff",
     ("experiment-abb", "csv"): "cf514a4a193bd50f7861e6a8db60722b809358b020aeec6ffcafa5075563ca64",
     ("experiment-abb", "table"): "2f1e4be97c9b08048a67b9228626aeb98c10a2f1c4e68b9200348827bc139257",
-    ("verify", "table"): "4b31350892194f9ec8a44f78067386b64e986015bfe780201b769e421baa3703",
+    ("verify", "table"): "4dc8951cae8bcc75125bb3ce88180d63f5f5e47c612e8a229d4a667a64b8d358",
     ("generate-branch-independent", "table"): "184ff89ea1bdb138cdfd2e36585f3351a55f8258397d91ab48ef12949a33e72e",
     ("generate-fewer-agents-than-branches", "table"): "c64a0f47b92702d1e05c8f8421575ff0902880c14d47af2d213839a556c21d7a",
-    ("experiment-abb-branch-independent", "json"): "3cea6b60d0cf0954ccf794b25aaa94e66cbb33f4c278353539503bfe22b78a6a",
+    ("experiment-abb-branch-independent", "json"): "e4749c0936c080d53e0d3266eaa0fc647738b556a7919c1b4e12f6ee0fe47de6",
     ("experiment-abb-branch-independent", "csv"): "b31f2edff8ba9e2628833c23a70c88637486eabbb4d598a635c50475839eee1f",
     ("experiment-abb-branch-independent", "table"): "39169dfd54f1b80ee0629dd57fc00f4a90ebb11bf071d490282491196ca867f9",
-    ("verify-ir", "table"): "6c07a9c5705ad451fbf293d4bb6ece4a8db8216bb3a0c9942c7ac35d32b31f62",
-    ("verify-nd", "table"): "6e8c66106bbded8ec4075841b9a1b4d8119d6100a3b3c769caa95d38dce315d8",
-    ("verify-rev-mono", "table"): "64491cab66e8abb03a5edb8340eca342d947e32e99354839ef213949c1e482ba",
-    ("verify-rev-inv", "table"): "768791c4fc39b6f17edf415d7ca13424f3993ae77ea13b4bc849e78b7c487772",
-    ("verify-ic-cavallo", "table"): "41a29d7724379214642d3d1f43952a422bc5b24fb0a174989466e57d612451c0",
+    ("verify-ir", "table"): "871b8de498039c317a02afda7800f1777a2a1549e0c3832ce410db059f715546",
+    ("verify-nd", "table"): "cea10f138e193ffb13f5dd2a6cb0457733954e10c21206627dde98a420a5d840",
+    ("verify-rev-mono", "table"): "151d322a29b6883ddab6d3cd46c436747cb1af0edb1b67947d5e9def6ff6640c",
+    ("verify-rev-inv", "table"): "2f7f931d6c7c10e92b1470cebebcc8da671e7eb54be8d8b7a040aa0245b83256",
+    ("verify-ic-cavallo", "table"): "f0cb0a8a41b306792f53b4e2232888e1082066889c5d73f65d03b21ca20c4282",
     # ``generate`` prints the bytes ``save_profile`` writes
     ("generate-network", "table"): NETWORK_SHA256["network"],
     ("generate-truth", "table"): NETWORK_SHA256["truth"],
@@ -137,14 +138,14 @@ OTHER_SHA256 = {
     ("precision-0", "csv"): "f8d8d11e48667c6e7658929d38e483a934f0c09d4e0fcfdcea32722cf3812ab7",
     ("precision-0-true-values", "table"): "824e793582f92e9bea9a9b3e5df69e65594fc980aec9a483039d63a022d9cd94",
     ("shares-half", "json"): "3048272682815aa4cd0a6e30f10c02151ceb4a2d57fddea0b7040175fbaca4b8",
-    ("verify-ir-idm", "table"): "6c07a9c5705ad451fbf293d4bb6ece4a8db8216bb3a0c9942c7ac35d32b31f62",
-    ("verify-ic-vcg", "table"): "4b31350892194f9ec8a44f78067386b64e986015bfe780201b769e421baa3703",
-    ("verify-ic-auction:vcg", "table"): "4b31350892194f9ec8a44f78067386b64e986015bfe780201b769e421baa3703",
-    ("verify-nd-cavallo", "table"): "6e8c66106bbded8ec4075841b9a1b4d8119d6100a3b3c769caa95d38dce315d8",
-    ("verify-rev-mono-vcg", "table"): "42300bff523442ebe7cd46a71eef7ac3f891576c725d10cbc21ff7fbdc30ae1c",
-    ("verify-rev-inv-idm", "table"): "4dbdfce38d77a9d4e119e0b1c3a685d3fe0343f1a428dc139b757330b23175c2",
-    ("verify-ic-idm-unreached", "table"): "30f1d63012c26353b84c92be6012024d19960c833e6a4756a7bc240610a3669d",
-    ("verify-rev-inv-leaf", "table"): "0a29599182bbccff3776dc1c2adbc2be37c7f7456ebeedea03ce5d237949576c",
+    ("verify-ir-idm", "table"): "b6b8d0e65b600e0f0e937eaa04189c82b5c21db6d927e8ba74d7f77f15a2e2cb",
+    ("verify-ic-vcg", "table"): "0cafd2c1b1dbfd9999413cf931a08e11f69d4730abd6ac3a6746cc77c768db4e",
+    ("verify-ic-auction:vcg", "table"): "0cafd2c1b1dbfd9999413cf931a08e11f69d4730abd6ac3a6746cc77c768db4e",
+    ("verify-nd-cavallo", "table"): "93fea617a88596b5d50ed7d1a565ff31a8f290390bf45a009f6f6865316f6b68",
+    ("verify-rev-mono-vcg", "table"): "c4a8058ec6efb74b8872b9561fd326afbe313761a906ffc8bf638707bea523e5",
+    ("verify-rev-inv-idm", "table"): "8643cab1c95b0b95d9a4e5d9965054e58c616c0d89a7a8e916e4625949dba8d1",
+    ("verify-ic-idm-unreached", "table"): "3f3a761a02d42c94184c45e5e89e17cb802e752b860a4124fc9f75f35768d932",
+    ("verify-rev-inv-leaf", "table"): "fbdb54d6a5168f26fa303bd6333bc63586b7e97b76fafca91b635ff9a6e60f96",
     ("experiment-abb-branch-independent-20", "table"): "11822df596c8257434b15b93d622a1f797f4085e630167ababf1db280a035ee8",
     ("experiment-abb-cavallo", "table"): "d2402a90aeb35ac49a89af0cc2c1f16f3e7fcfb4c92702088dbb352330c290a4",
     ("experiment-abb-auction:idm", "table"): "f54c4438e61ba49c3ced170d2ee242a124e7efaf171d29e2e14d50ef54fa78f6",

@@ -99,7 +99,7 @@ def first_import():
     outcome = redistribution.run_nrmf(auctions.MechanismId("idm"), profile,
                                       SharingParams(Fraction(1, 2)))
     kept = {"ReportProfile": profiles.ReportProfile, "outcome class": type(outcome),
-            "CriticalTree": CriticalTree, "memo tree": auctions._last_structure[1]}
+            "CriticalTree": CriticalTree, "kept tree": profile.structure[0]}
     return {name: weakref.ref(obj) for name, obj in kept.items()}
 
 refs = first_import()

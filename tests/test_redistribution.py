@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import pytest
 
@@ -29,7 +29,7 @@ from networks import (
 )
 from oracles import (
     assert_matches_oracle,
-    clear_memo,
+    counted_builds,
     counted_hangs,
     counted_passes,
     every_rehang,
@@ -188,22 +188,15 @@ def test_one_index_per_profile_serves_every_counterfactual(monkeypatch):
 
     for name in ("induce_graph", "critical_tree"):
         monkeypatch.setattr(auctions, name, counted(name))
-    network = reference_network_10()
-    revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
-    for mech in MECHANISMS:
-        clear_memo()
+    for run in [partial(run_nrmf, mech, params=HALF) for mech in MECHANISMS] + [cavallo]:
+        network = reference_network_10()
+        revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
         calls.clear()
-        run_nrmf(mech, network, HALF)
+        run(network)
         assert calls == ["induce_graph", "critical_tree"]
         # the same invitation structure with other values builds nothing
-        run_nrmf(mech, revalued, HALF)
+        run(revalued)
         assert calls == ["induce_graph", "critical_tree"]
-    clear_memo()
-    calls.clear()
-    cavallo(network)
-    assert calls == ["induce_graph", "critical_tree"]
-    cavallo(revalued)
-    assert calls == ["induce_graph", "critical_tree"]
 
 
 def test_the_dominator_search_is_the_only_walk_of_the_graph(monkeypatch):
@@ -218,9 +211,7 @@ def test_the_dominator_search_is_the_only_walk_of_the_graph(monkeypatch):
     reachable.__set_name__(InducedGraph, "reachable")
     monkeypatch.setattr(InducedGraph, "reachable", reachable)
     for mech in MECHANISMS:
-        clear_memo()
         run_nrmf(mech, cross_invited(), HALF)
-    clear_memo()
     cavallo(cross_invited())
     assert walks == []
     # the count is live: a read of the participant set is one walk
@@ -242,8 +233,41 @@ def test_an_index_serves_only_its_own_invitation_structure_and_alpha():
             assert run_nrmf(mech, other, params) == memo_free(run_nrmf, mech, other, params)
 
 
+def test_a_value_only_replace_shares_the_tree_even_before_it_is_built(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    network = reference_network_10()
+    # derived before the network ever ran: the tree built later serves both
+    revalued = network.replace("J", AgentType(Fraction(1), network.reports["J"].neighbors))
+    assert market(network).tree is market(revalued).tree
+    assert market(revalued.replace("A", AgentType(Fraction(7), network.reports["A"].neighbors))
+                  ).tree is market(network).tree
+    assert len(builds) == 1
+
+
+def test_a_replace_that_changes_an_invitation_gets_its_own_tree(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    network = reference_network_10()
+    agent = next(i for i in network.agents if network.reports[i].neighbors)
+    tree = market(network).tree
+    silent = network.replace(agent, AgentType(network.value_of(agent), frozenset()))
+    assert market(silent).tree is not tree and market(network).tree is tree
+    # one more value-only step keeps the silenced structure's tree
+    assert market(silent.replace(agent, AgentType(Fraction(9), frozenset()))
+                  ).tree is market(silent).tree
+    assert len(builds) == 2
+
+
+def test_two_profiles_in_alternation_keep_their_own_trees(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    first = reference_network_10()
+    agent = next(i for i in first.agents if first.reports[i].neighbors)
+    second = first.replace(agent, AgentType(first.value_of(agent), frozenset()))
+    for profile in (first, second, first, second):
+        run_nrmf(MechanismId("idm"), profile, HALF)
+    assert len(builds) == 2
+
+
 def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
-    clear_memo()
     tree = market(reference_network_10()).tree
     omega = tree.omega(HALF)
     assert tree.omega(HALF) is omega
@@ -255,7 +279,6 @@ def test_an_index_is_reused_for_the_same_or_an_equal_alpha():
 
 def test_a_new_alpha_reuses_the_rehangs_of_the_structure(monkeypatch):
     passes = counted_passes(monkeypatch)
-    clear_memo()
     profile = cross_invited()
     for alpha in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)):
         tree = market(profile).tree
@@ -321,7 +344,6 @@ def test_rehangs_match_the_oracle_on_cross_dense_digraphs(monkeypatch, seed, n):
     # each root asked about
     asked = counted_hangs(monkeypatch)
     profile = sparse_digraph_profile(random.Random(seed), n)
-    clear_memo()
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     m = market(profile)
@@ -356,7 +378,6 @@ def test_dominator_passes_are_bounded_by_the_silenced_branches_that_cross_a_root
     # disjoint paths of a root asked about: each pass is for one of them,
     # and none is repeated
     profile = sparse_digraph_profile(random.Random(1), 1000)
-    clear_memo()
     for mech in CHAIN_AUCTIONS:
         run_nrmf(mech, profile, HALF)
     m = market(profile)

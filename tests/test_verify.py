@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from netredist import auctions, verify
+from netredist import verify
 from netredist.auctions import MechanismId, run_auction, vcg
 from netredist.generators import small_tree_instances
 from netredist.profiles import AgentType, ReportProfile, induce_graph
@@ -35,7 +35,7 @@ from networks import (
     reference_network_10,
     star_with_tail,
 )
-from oracles import clear_memo, counted_builds, exact, memo_free
+from oracles import counted_builds, exact, memo_free
 
 HALF = Fraction(1, 2)
 IDM = MechanismId("idm")
@@ -200,19 +200,20 @@ def test_ic_builds_one_index_per_change_of_invitation_structure(monkeypatch):
     report = check_ic(counted, [network])
     assert report.verdict
     assert len(profiles) == 1 + 425
-    # the loop runs every value of the grid for one (agent, neighbour
-    # subset) in a row, and consecutive pairs may share a structure
+    # one tree per (agent, neighbour subset), but an agent's true subset
+    # keeps the network's own invitations and so its tree
     pairs = sum(len(neighbor_subsets(t.neighbors)) for t in network.reports.values())
     assert pairs == 29
-    assert len(builds) == 23
+    assert len(builds) == 1 + pairs - len(network.reports) == 20
 
 
 def test_every_audited_mechanism_reuses_the_structure(monkeypatch):
     builds = counted_builds(monkeypatch)
     assert check_ic(auction_mechanism(IDM), [reference_network_10()]).checked == 425
-    assert len(builds) == 23
+    assert len(builds) == 20
+    assert check_ir(auction_mechanism(IDM), [reference_network_10()]).verdict
+    assert len(builds) == 40
     builds.clear()
-    clear_memo()
     assert not check_ic(cavallo_mechanism(), [star_with_tail()]).verdict
     assert len(builds) == 2
 
@@ -293,8 +294,16 @@ def test_alternating_invitation_structures_each_get_their_own_outcome():
         assert _same_as_fresh_run(outcome, reference, profile)
 
 
-def test_a_memo_key_that_reads_only_the_sponsor_is_caught(monkeypatch):
-    monkeypatch.setattr(auctions, "_structure", lambda profile: profile.sponsor_neighbors)
+def test_a_tree_shared_across_other_invitations_is_caught(monkeypatch):
+    real = ReportProfile.replace
+
+    def shared(profile, i, report):
+        changed = real(profile, i, report)
+        object.__setattr__(changed, "structure", profile.structure)
+        return changed
+
+    # a planted fault: a replace that hands the tree on whatever changed
+    monkeypatch.setattr(ReportProfile, "replace", shared)
     first, second = _same_values_other_invitations()
     evaluate = nrmf_mechanism(IDM, HALF)
     evaluate(first)
