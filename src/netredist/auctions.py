@@ -16,10 +16,10 @@ every ``Outcome``, with whatever redistribution is paid back.
 
 Only the ranking reads the values.  Everything else a run needs is the
 invitation structure's index, its critical tree, which also keeps the
-branch re-hangs answered and the sharing coefficients of the last alpha.
-``market`` builds it into the profile's ``structure``, which every
-value-only ``ReportProfile.replace`` shares, so other values or a new
-alpha reuse every answer; an answer a tree keeps never changes.
+branch re-hangs answered and the last alpha's sharing coefficients (as
+integer pairs).  ``market`` builds it into the profile's ``structure``,
+which every value-only ``ReportProfile.replace`` shares, so other values
+or a new alpha reuse every answer; an answer a tree keeps never changes.
 """
 
 from __future__ import annotations

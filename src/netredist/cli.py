@@ -41,7 +41,7 @@ from netredist.profiles import (
     parse_value,
     profile_to_dict,
 )
-from netredist.prst import SharingError, SharingParams, shares
+from netredist.prst import SharingError, SharingParams, prst, shares
 from netredist.redistribution import run_nrmf
 from netredist.render import DEFAULT_PRECISION, decimal_str, fraction_str
 from netredist.verify import (
@@ -424,7 +424,7 @@ def _cmd_tree(args, alpha: Fraction) -> int:
 def _cmd_shares(args, alpha: Fraction) -> int:
     reward = _rational("--reward", args.reward)
     tree = market(load_profile(args.network)).tree
-    omega = tree.omega(SharingParams(alpha, reward))
+    omega = prst(tree, SharingParams(alpha, reward)).omega
     share = shares(omega, reward)
     rows = Rows(SHARES_COLUMNS, [
         (i, fraction_str(omega[i]), decimal_str(share[i], args.precision))

@@ -18,17 +18,17 @@ comparison of positions and the whole index takes O(n) memory.
 
 The tree also answers, once asked, what else every market of its
 structure shares: ``hang``, where a branch root hangs once another branch
-is silenced, and the sharing coefficients of the last alpha.  A root keeps
-two disjoint paths from the sponsor (Menger's theorem), found once by two
-augmenting paths, and stays unless the silenced branch meets them; for a
-branch that does, one more dominator pass with that branch silenced gives
-every root's new parent.  It keeps every answer.
+is silenced, and the sharing coefficients of the last alpha as integer
+pairs.  A root keeps two disjoint paths from the sponsor (Menger's
+theorem), found once by two augmenting paths, and stays unless the
+silenced branch meets them; for a branch that does, one more dominator
+pass with that branch silenced gives every root's new parent.  It keeps
+every answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -107,8 +107,9 @@ class CriticalTree:
                               if (up := parent[self.root_branches[k]]) != SPONSOR}
         return hung[silenced].get(branch)
 
-    def omega(self, params: SharingParams) -> Mapping[str, Fraction]:
-        """The ``prst`` coefficients of the nonempty tree at ``params.alpha``,
+    def omega(self, params: SharingParams) -> Mapping[str, tuple[int, int]]:
+        """The ``prst`` coefficients of the nonempty tree at ``params.alpha``
+        as integer pairs ``(numerator, denominator)``, ``(0, 1)`` for zero,
         reused while the alpha is the same or an equal one."""
         alpha = params.alpha
         last = self.__dict__.get("_omega")

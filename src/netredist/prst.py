@@ -5,7 +5,8 @@ basic part (driven by how many descendants her siblings have) and a
 diffusion part (growing with her own descendant count, weighted by the
 parameter ``alpha``); whatever is not kept is passed on to her subtree.
 All arithmetic is exact, so the coefficients of a nonempty tree sum to 1
-as a rational identity.
+as a rational identity.  The walk works in integer pairs throughout;
+``prst`` alone turns the coefficients into fractions.
 """
 
 from __future__ import annotations
@@ -79,37 +80,36 @@ def prst(tree: CriticalTree, params: SharingParams) -> ShareVector:
     or an only child passes nothing on.  So every agent with an only child
     among her strict ancestors keeps 0.  The walk leaves those at 0: at the
     first child of an agent who passes nothing it jumps to the end of that
-    agent's preorder interval, so a pure chain costs one fraction, not one
-    per agent.
+    agent's preorder interval, so a pure chain costs one coefficient, not
+    one per agent.
 
     With ``P = n_sib``, ``o = n_own`` and ``alpha = a/b`` the spread is
     ``total - base = o * (P - o - 1) / (P * (P - o))``.  The walk carries
     every pass-down mass as an integer pair ``pn/pd`` reduced by one
-    ``gcd``, so each agent costs one exact fraction, her coefficient:
+    ``gcd``, and gives every coefficient as an integer pair too:
 
         omega_i = pn * (b*P + a*o*(P - o - 1)) / (pd * b*P*(P - o))
         pass_i  = pn * o*(P - o - 1)*(b - a) / (pd * b*P*(P - o))
 
-    A leaf has ``o = 0``: she keeps ``pn / (pd * P)`` and passes nothing
-    on, whatever alpha is.  That value depends on her parent alone, so all
-    leaf children of one parent share one coefficient, computed once.
+    Here alone the pairs become fractions, one per nonzero coefficient.
     """
-    return ShareVector(omega=walk(tree, params.alpha), reward=params.reward)
+    pairs = walk(tree, params.alpha)
+    omega = {i: Fraction(n, d) if n else ZERO for i, (n, d) in pairs.items()}
+    return ShareVector(omega=omega, reward=params.reward)
 
 
-def walk(tree: CriticalTree, alpha: Fraction) -> dict[str, Fraction]:
-    """``prst``'s coefficients at ``alpha``, keyed in preorder.  The
-    nonzero pass-down masses stay inside the walk, as reduced integer
-    pairs ``(numerator, denominator)``."""
+def walk(tree: CriticalTree, alpha: Fraction) -> dict[str, tuple[int, int]]:
+    """``prst``'s coefficients at ``alpha``, keyed in preorder, each an
+    integer pair ``(numerator, denominator)`` and ``(0, 1)`` for zero.
+    The nonzero pass-down masses stay inside the walk, as reduced pairs."""
     if not tree.parent:
         raise SharingError("cannot share a reward over an empty tree")
     a, b = alpha.numerator, alpha.denominator
     preorder, pre, parent, size = tree.preorder, tree.pre, tree.parent, tree.size
     n = len(preorder)  # all agents are below the sponsor
 
-    omega = dict.fromkeys(preorder, ZERO)
+    omega = dict.fromkeys(preorder, (0, 1))
     passes = {SPONSOR: (1, 1)}  # an agent who passes nothing has no entry
-    leaf_omega: dict[str, Fraction] = {}  # parent -> her leaf children's omega
     # preorder visits every parent before her children
     k = 0
     while k < n:
@@ -122,15 +122,9 @@ def walk(tree: CriticalTree, alpha: Fraction) -> dict[str, Fraction]:
         k += 1
         parent_count = n if p == SPONSOR else size[p] - 1
         own_count = size[i] - 1
-        if not own_count:
-            w = leaf_omega.get(p)
-            if w is None:
-                w = leaf_omega[p] = Fraction(pn, pd * parent_count)
-            omega[i] = w
-            continue
         spread = own_count * (parent_count - own_count - 1)
         den = pd * b * parent_count * (parent_count - own_count)
-        omega[i] = Fraction(pn * (b * parent_count + a * spread), den)
+        omega[i] = pn * (b * parent_count + a * spread), den
         if spread:
             num = pn * spread * (b - a)
             g = gcd(num, den)

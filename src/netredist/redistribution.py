@@ -11,7 +11,8 @@ module only shares.
 
 The sharing coefficients come from the market's critical tree, which
 the profile keeps (``auctions.market``) and which keeps those of the
-last alpha.
+last alpha as integer pairs; each rebate is one fraction, built from a
+coefficient's pair and its branch's revenue.
 
 The arithmetic is per branch, not per agent.  Only the members of a
 branch with nonzero revenue and a nonzero coefficient get a rebate; every
@@ -56,12 +57,13 @@ def run_nrmf(mechanism: MechanismId,
     mass = 0
     for root, revenue in revenues.items():
         if revenue:
+            rn, rd = revenue.numerator, revenue.denominator
             start = pre[root]
             for i in preorder[start:start + size[root]]:
-                w = omega[i]
-                if w:  # an agent below an only child keeps 0
-                    redistribution[i] = w * revenue
-            mass += revenue.numerator * (common // revenue.denominator) * size[root]
+                wn, wd = omega[i]
+                if wn:  # an agent below an only child keeps 0
+                    redistribution[i] = Fraction(wn * rn, wd * rd)
+            mass += rn * (common // rd) * size[root]
     redistributed = Fraction(mass, common * len(preorder))
     return auction(mechanism, m, redistribution, redistributed, revenues)
 

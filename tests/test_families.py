@@ -140,6 +140,10 @@ def shares(profile, tally):
         slow, _ = prst_oracle(tree, params)
         # the same keys in the same order, values equal in value and type
         assert exact(prst(tree, params).omega) == exact(slow)
+        # the tree keeps them as integer pairs, in the same order
+        pairs = tree.omega(params)
+        assert list(pairs) == list(slow)
+        assert all(Fraction(n, d) == slow[i] for i, (n, d) in pairs.items())
 
 
 def resale(mechanism, oracle):
@@ -162,7 +166,7 @@ def nrmf(profile, tally):
     revenues = outcomes[IDM, HALF].branch_revenues
     tree = market(profile).tree
     omega = tree.omega(HALF)
-    tally["skipped"] += any(revenues[tree.root_branches[b]] and not omega[i]
+    tally["skipped"] += any(revenues[tree.root_branches[b]] and not omega[i][0]
                             for i, b in tree.branch_of.items())
     oracle = nrmf_rerun_oracle(MECHANISMS, profile, ALPHAS)
     for pair, outcome in outcomes.items():
